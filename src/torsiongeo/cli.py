@@ -8,6 +8,7 @@ report, 2 an input error without a report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -17,10 +18,12 @@ from . import __version__
 from .frame_algebra import EpsilonOrientation, FrameTensor, basis_vector, form_inner, interior_product
 from .invariant_geometry import (
     HypothesesNotMet,
+    LieFrameGeometry,
     bianchi_report,
     bochner_report,
     curvature,
     d_invariant,
+    lie_jacobi_residual,
     soliton_report,
     with_torsion,
 )
@@ -120,7 +123,6 @@ def _spin7_reports(geom, data, build_report, tol):
 
 
 def _fibration_reports(pc, tol):
-    from .invariant_geometry import lie_jacobi_residual
     rep = StructureReport("su3-fibration")
     omegas = [o.components for o in pc.hermitian_forms]
     B = fit_fiber_rotation(pc, omegas)
@@ -128,10 +130,7 @@ def _fibration_reports(pc, tol):
             identity="horizontality-constraint")
     rep.add("rotation_B0", float(np.abs(B[0]).max()), tol,
             identity="commuting-line-acts-trivially")
-    eps = np.zeros((3, 3, 3))
-    for (i, j, k), s in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                         ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)):
-        eps[i, j, k] = s
+    eps = EpsilonOrientation(3).epsilon
     h_fit = float(B[1][1, 2])
     rep.add("rotation_eps_pattern",
             float(np.abs(B[1:] - h_fit * eps).max()), tol,
@@ -201,6 +200,9 @@ def run_decompose(cfg) -> tuple:
             raise InputError(f"bad geometry file: {exc}") from exc
         source = cfg["input"]
     try:
+        if not isinstance(geom, LieFrameGeometry):
+            raise HypothesesNotMet(f"decompose needs a Lie-frame geometry; catalog "
+                                   f"entry {source!r} holds {entry.kind} data")
         result = decompose(geom, tol)
     except HypothesesNotMet as exc:
         report = {
@@ -400,7 +402,9 @@ def _emit(report: dict, cfg):
         print(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The tg argument parser; built once per process."""
     parser = argparse.ArgumentParser(
         prog="tg",
         description="verification toolkit for geometries with skew 3-form torsion")

@@ -17,6 +17,7 @@ from .frame_algebra import (
     hodge_star,
     wedge,
     wedge_top_coefficient,
+    zero_form,
 )
 __all__ = [
     "PrincipalCurvature",
@@ -171,7 +172,7 @@ def build_su3_fibration() -> PrincipalCurvature:
 def wedge_trace(pc: PrincipalCurvature) -> FrameTensor:
     """Fiber-metric-traced wedge square h_{ab} F^a ^ F^b as a base 4-form."""
     n = pc.base_dim
-    total = FrameTensor(n, 4, np.zeros((n,) * 4))
+    total = zero_form(n, 4)
     for a in range(pc.fiber_dim):
         for b in range(pc.fiber_dim):
             coeff = pc.fiber_metric[a, b]

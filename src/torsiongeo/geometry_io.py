@@ -13,10 +13,11 @@ value], ...] matrices, phi as a sparse 3-form list, Phi as a sparse
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .frame_algebra import FrameTensor, basis_form
+from .frame_algebra import FrameTensor, basis_form, index_tuples
 from .invariant_geometry import LieFrameGeometry
 from .special_structures import AlmostComplexStructure, HypercomplexTriple
 
@@ -33,18 +34,15 @@ __all__ = [
 
 
 def form_to_sparse(T: FrameTensor) -> list:
-    """One entry per strictly increasing index tuple, value unchanged."""
-    entries = []
-    comp = T.components
-    it = np.ndindex(*comp.shape)
-    for idx in it:
-        if all(idx[i] < idx[i + 1] for i in range(len(idx) - 1)) and comp[idx] != 0.0:
-            entries.append([*map(int, idx), float(comp[idx])])
-    return entries
+    """One entry per nonzero packed coefficient (strictly increasing
+    index tuple, lexicographic order), value unchanged."""
+    nonzero = np.flatnonzero(T.coeffs)
+    return [[*index_tuples(T.dim, T.rank)[k].tolist(), float(T.coeffs[k])]
+            for k in nonzero]
 
 
 def sparse_form(dim: int, rank: int, entries) -> FrameTensor:
-    comp = np.zeros((dim,) * rank)
+    coeffs = np.zeros(math.comb(dim, rank))
     for entry in entries:
         *idx, val = entry
         idx = tuple(int(i) for i in idx)
@@ -52,8 +50,8 @@ def sparse_form(dim: int, rank: int, entries) -> FrameTensor:
             raise ValueError(f"sparse entry {entry} has wrong arity")
         if len(set(idx)) != len(idx):
             raise ValueError(f"sparse entry {entry} repeats an index")
-        comp = comp + float(val) * basis_form(dim, idx).components
-    return FrameTensor(dim, rank, comp)
+        coeffs = coeffs + float(val) * basis_form(dim, idx).coeffs
+    return FrameTensor(dim, rank, coeffs=coeffs)
 
 
 def _c_to_sparse(c: np.ndarray) -> list:

@@ -19,13 +19,21 @@ with Ricci the trace Ric_{ij} = R_{ki}{}^k{}_j.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_algebra import FrameTensor, EpsilonOrientation, hodge_star, zero_form
+from .frame_algebra import (
+    FrameTensor,
+    EpsilonOrientation,
+    _signed_permutations,
+    antisymmetrize,
+    derivation_matrix,
+    hodge_star,
+    wedge,
+    zero_form,
+)
 from .reporting import StructureReport
 
 __all__ = [
@@ -179,39 +187,18 @@ def d_invariant(chi: FrameTensor, geom: LieFrameGeometry) -> FrameTensor:
     """Exterior derivative of an invariant form.
 
     Maurer-Cartan d lambda^a = -(1/2) c^a_{bc} lambda^b ^ lambda^c
-    extended as a derivation; in components
+    extended as a derivation (``derivation_matrix``); in components
 
     (d chi)_{b0..bp} = sum_{i<j} (-1)^{i+j} c^e_{bi bj} chi_{e, rest}.
-    """
+
+    The derivative of a top (or over-top) form is the zero form of rank
+    p+1, so residual formulas can subtract it shape-safely."""
     if chi.dim != geom.dim:
         raise ValueError("dimension mismatch")
-    p = chi.rank
-    n = geom.dim
-    if p >= n:
-        # derivative of a top (or over-top) form: identically zero, kept
-        # at rank p+1 so residual formulas can subtract it shape-safely
-        return zero_form(n, p + 1)
-    r = p + 1
-    comp = np.zeros((n,) * r)
-    perms, signs = _signed_perms(r)
-    for combo in itertools.combinations(range(n), r):
-        val = 0.0
-        for i in range(r):
-            for j in range(i + 1, r):
-                rest = tuple(combo[k] for k in range(r) if k not in (i, j))
-                contr = np.dot(geom.c[:, combo[i], combo[j]],
-                               chi.components[(slice(None),) + rest])
-                val += (-1) ** (i + j) * contr
-        if val == 0.0:
-            continue
-        idx = np.array(combo, dtype=np.intp)[perms]
-        comp[tuple(idx.T)] = signs * val
-    return FrameTensor(n, r, comp)
-
-
-def _signed_perms(rank):
-    from .frame_algebra import _signed_permutations
-    return _signed_permutations(rank)
+    if not chi.antisymmetric:
+        raise ValueError("d_invariant requires an antisymmetric input")
+    return FrameTensor(geom.dim, chi.rank + 1,
+                       coeffs=derivation_matrix(geom.c, chi.rank) @ chi.coeffs)
 
 
 def codifferential(chi: FrameTensor, geom: LieFrameGeometry,
@@ -256,7 +243,6 @@ def nabla_invariant(T: FrameTensor, conn: ConnectionCoeffs) -> FrameTensor:
 def _antisym_over(arr: np.ndarray, slots) -> np.ndarray:
     """Weight-one antisymmetrization of selected slots."""
     slots = list(slots)
-    from .frame_algebra import _signed_permutations
     perms, signs = _signed_permutations(len(slots))
     out = np.zeros_like(arr)
     for perm, sign in zip(perms, signs):
@@ -265,14 +251,6 @@ def _antisym_over(arr: np.ndarray, slots) -> np.ndarray:
             order[slots[pos]] = slots[k]
         out += sign * np.transpose(arr, order)
     return out / math.factorial(len(slots))
-
-
-def torsion_closure_residual(geom: LieFrameGeometry) -> float:
-    return d_invariant(geom.H, geom).sup_norm
-
-
-def torsion_parallel_residual(geom: LieFrameGeometry, sign: int = 1) -> float:
-    return nabla_invariant(geom.H, with_torsion(geom, sign)).sup_norm
 
 
 def bianchi_report(geom: LieFrameGeometry, which: str,
@@ -350,7 +328,6 @@ def lee_form(geom: LieFrameGeometry, phi: FrameTensor, c_norm: float = 1.0,
     than an error.  Kept literal so scaling/parallelism statements about
     the Lee form remain checkable in degenerate form.
     """
-    from .frame_algebra import wedge
     if orient is None:
         orient = EpsilonOrientation(geom.dim)
     delta_phi = codifferential(phi, geom, orient)
@@ -372,7 +349,7 @@ def soliton_report(geom: LieFrameGeometry, V: FrameTensor,
     """
     if V.rank != 1 or V.dim != geom.dim:
         raise ValueError("V must be a vector on the same frame")
-    dH = torsion_closure_residual(geom)
+    dH = d_invariant(geom.H, geom).sup_norm
     if dH > tol:
         raise HypothesesNotMet(f"soliton residuals need dH = 0 "
                                f"(sup |dH| = {dH:.3e})")
@@ -417,7 +394,6 @@ def bochner_term(geom: LieFrameGeometry) -> FrameTensor:
 def antisymmetrize_if_needed(arr: np.ndarray) -> np.ndarray:
     """Clean up roundoff: the cyclic curvature sum is antisymmetric
     analytically; symmetrize away float noise so FrameTensor accepts it."""
-    from .frame_algebra import antisymmetrize
     anti = antisymmetrize(arr)
     if np.abs(anti - arr).max() > 1e-8 * max(1.0, np.abs(arr).max()):
         raise AssertionError("cyclic curvature sum unexpectedly non-antisymmetric")

@@ -11,16 +11,18 @@ samples.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from .frame_algebra import FrameTensor, antisymmetrize, zero_form
-from .invariant_geometry import LieFrameGeometry, d_invariant
+from .frame_algebra import FrameTensor, antisymmetrize, derivation_matrix
+from .invariant_geometry import LieFrameGeometry
 
 __all__ = [
     "project_to_jacobi",
     "random_geometry",
     "random_closed_torsion",
+    "closed_3form_kernel",
     "random_orthogonal",
     "rotate_structure",
 ]
@@ -221,32 +223,33 @@ def random_geometry(rng: np.random.Generator, dim: int,
                        f"in {max_tries} tries")
 
 
+def closed_3form_kernel(c: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the packed invariant 3-forms with
+    d = 0, from the SVD of the packed d on 3-forms.
+
+    Each packed 4-form coefficient stands for 4! dense components of
+    equal magnitude, so the singular values are scaled by sqrt(4!) to
+    keep the kernel threshold on the dense-component scale."""
+    mat = derivation_matrix(c, 3)
+    if mat.shape[0]:
+        _, s, vt = np.linalg.svd(mat)
+    else:
+        s, vt = np.zeros(0), np.eye(mat.shape[1])
+    s = s * math.sqrt(math.factorial(4))
+    null_mask = np.concatenate([s, np.zeros(mat.shape[1] - s.size)]) < 1e-10
+    return vt[null_mask.nonzero()[0], :]
+
+
 def random_closed_torsion(rng: np.random.Generator, c: np.ndarray):
     """Random invariant 3-form in the kernel of the exterior derivative."""
-    dim = c.shape[0]
-    geom = LieFrameGeometry(dim, c, zero_form(dim, 3))
-    combos = list(itertools.combinations(range(dim), 3))
-    cols = []
-    for combo in combos:
-        comp = np.zeros((dim,) * 3)
-        from .frame_algebra import basis_form
-        base = basis_form(dim, combo)
-        cols.append(d_invariant(base, geom).components.ravel())
-    mat = np.stack(cols, axis=1)
-    _, s, vt = np.linalg.svd(mat)
-    null_mask = np.concatenate([s, np.zeros(mat.shape[1] - s.size)]) < 1e-10
-    null = vt[null_mask.nonzero()[0], :]
+    null = closed_3form_kernel(c)
     if null.shape[0] == 0:
         return None
     coeff = null.T @ rng.standard_normal(null.shape[0])
-    comp = np.zeros((dim,) * 3)
-    from .frame_algebra import basis_form
-    for x, combo in zip(coeff, combos):
-        comp = comp + x * basis_form(dim, combo).components
-    norm = np.abs(comp).max()
+    norm = np.abs(coeff).max()
     if norm < 1e-8:
         return None
-    return FrameTensor(dim, 3, comp / norm)
+    return FrameTensor(c.shape[0], 3, coeffs=coeff / norm)
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from .frame_algebra import (
     wedge,
     wedge_top_coefficient,
     hodge_star,
+    zero_form,
 )
 from .invariant_geometry import (
     LieFrameGeometry,
@@ -286,7 +287,7 @@ def _real_matrix(M_complex: np.ndarray, T: np.ndarray) -> np.ndarray:
     return cols.real
 
 
-def build_su3(orient: EpsilonOrientation | None = None):
+def build_su3():
     """The bi-invariant torsion geometry on the 8-dimensional compact
     simple group of rank 2 with its hypercomplex pair (I, J).
 
@@ -295,7 +296,6 @@ def build_su3(orient: EpsilonOrientation | None = None):
     coefficients on left-invariant data and parallelizes I and J.
     Returns (geometry, triple).
     """
-    del orient  # the build is orientation-free; kept for call symmetry
     s2 = np.sqrt(2.0)
     table, pairing, alpha, beta = _su3_complex_table()
     T = _su3_real_frame()
@@ -374,10 +374,10 @@ def build_g2(mode: str = "standard",
     if orient is None:
         orient = EpsilonOrientation(7)
     if mode == "standard":
-        comp = np.zeros((7,) * 3)
+        phi = zero_form(7, 3)
         for line, sign in _G2_LINES:
-            comp = comp + sign * basis_form(7, line).components
-        return G2Data(FrameTensor(7, 3, comp), orient)
+            phi = phi + sign * basis_form(7, line)
+        return G2Data(phi, orient)
     if mode == "product":
         if lambda_coframe is None or omegas is None:
             raise ValueError("product mode needs lambda_coframe and omegas")

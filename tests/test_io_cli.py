@@ -140,6 +140,23 @@ def test_cli_decompose_hypothesis_failure(tmp_path):
     assert rep["passed"] is False and "hypotheses" in rep["error"]
 
 
+def test_cli_decompose_refuses_fibration_data(tmp_path):
+    # the fibration entry is principal-curvature data, not a Lie frame:
+    # a mathematical refusal with a report, not a crash
+    out = tmp_path / "rep.json"
+    code = run_cli(["decompose", "--example", "su3-fibration", "--format", "json",
+                    "--output", str(out)])
+    assert code == 1
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is False and "verdict" not in rep
+    assert "Lie-frame geometry" in rep["error"]
+
+
+def test_cli_parser_built_once():
+    from torsiongeo.cli import build_parser
+    assert build_parser() is build_parser()
+
+
 def test_cli_verify_from_file(tmp_path):
     geom, triple = build_su3()
     from torsiongeo.geometry_io import structures_to_dict
