@@ -39,7 +39,6 @@ from .invariant_geometry import (
 from .decomposition import (
     TorsionGram,
     DecompositionResult,
-    jacobi_residual,
     torsion_gram,
     eigen_split,
     decompose,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frame_algebra import FrameTensor, basis_vector, zero_form
+from .frame_algebra import EpsilonOrientation, FrameTensor, basis_vector, zero_form
 from .invariant_geometry import LieFrameGeometry
 from .special_structures import (
     build_g2,
@@ -17,11 +17,8 @@ __all__ = ["CATALOG", "catalog_entry", "catalog_names", "epsilon3"]
 
 
 def epsilon3() -> np.ndarray:
-    e = np.zeros((3, 3, 3))
-    for (i, j, k), s in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                         ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)):
-        e[i, j, k] = s
-    return e
+    """A writable copy of the 3-index epsilon symbol."""
+    return EpsilonOrientation(3).epsilon.copy()
 
 
 def _su2_biinvariant():

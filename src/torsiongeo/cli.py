@@ -24,6 +24,7 @@ from .invariant_geometry import (
     curvature,
     d_invariant,
     lie_jacobi_residual,
+    parallel_residual,
     soliton_report,
     with_torsion,
 )
@@ -33,7 +34,6 @@ from .special_structures import (
     bryant_positivity,
     hkt_report,
     kt_report,
-    parallel_residual,
 )
 from .fibration_topology import (
     TopologyData,
@@ -53,7 +53,7 @@ from .dilaton import (
     monotone_iterate,
     residual as dilaton_residual,
 )
-from .reporting import StructureReport
+from .reporting import StructureReport, text_lines
 from .catalog import CATALOG, catalog_entry
 from .geometry_io import geometry_from_dict, structures_from_dict
 
@@ -104,7 +104,7 @@ def _g2_reports(geom, g2: G2Data, tol):
     if np.abs(geom.c).max() > 0:
         rep.add("dH", d_invariant(geom.H, geom).sup_norm, tol,
                 identity="torsion-closure")
-        rep.add("nabla_hat_phi", parallel_residual(g2.phi, geom, 1), tol,
+        rep.add("nabla_hat_phi", parallel_residual(g2.phi.components, geom, 1), tol,
                 identity="torsion-parallelism")
     return _geometry_reports(geom, tol) + [rep]
 
@@ -205,26 +205,9 @@ def run_decompose(cfg) -> tuple:
                                    f"entry {source!r} holds {entry.kind} data")
         result = decompose(geom, tol)
     except HypothesesNotMet as exc:
-        report = {
-            "artifact": "torsiongeo",
-            "version": __version__,
-            "command": "decompose",
-            "input": source,
-            "passed": False,
-            "error": str(exc),
-        }
-        return report, EXIT_MATH
-    payload = result.to_dict()
-    report = {
-        "artifact": "torsiongeo",
-        "version": __version__,
-        "command": "decompose",
-        "input": source,
-        "passed": True,
-        "result": payload,
-        "verdict": result.verdict(),
-    }
-    return report, EXIT_OK
+        return _report("decompose", input=source, passed=False, error=str(exc)), EXIT_MATH
+    return _report("decompose", input=source, passed=True, result=result.to_dict(),
+                   verdict=result.verdict()), EXIT_OK
 
 
 def run_topology(cfg) -> tuple:
@@ -241,16 +224,9 @@ def run_topology(cfg) -> tuple:
     verdict = ("admits the required fibration class"
                if table["admits_hkt_fibration"]
                else "no HKT fibration: topological condition fails")
-    report = {
-        "artifact": "torsiongeo",
-        "version": __version__,
-        "command": "topology",
-        "input": cfg["input"],
-        "classes": table,
-        "diophantine_solutions": listing,
-        "verdict": verdict,
-        "passed": table["admits_hkt_fibration"],
-    }
+    report = _report("topology", input=cfg["input"], classes=table,
+                     diophantine_solutions=listing, verdict=verdict,
+                     passed=table["admits_hkt_fibration"])
     return report, EXIT_OK if table["admits_hkt_fibration"] else EXIT_MATH
 
 
@@ -296,26 +272,11 @@ def run_dilaton(cfg) -> tuple:
     try:
         u, trace = monotone_iterate(domain, w, solver_cfg)
     except (SolverError, ValueError) as exc:
-        report = {
-            "artifact": "torsiongeo",
-            "version": __version__,
-            "command": "dilaton",
-            "input": cfg["input"],
-            "passed": False,
-            "error": str(exc),
-        }
+        report = _report("dilaton", input=cfg["input"], passed=False, error=str(exc))
         return report, EXIT_MATH
     res_sup = float(np.abs(dilaton_residual(domain, u, w)).max())
-    report = {
-        "artifact": "torsiongeo",
-        "version": __version__,
-        "command": "dilaton",
-        "input": cfg["input"],
-        "passed": True,
-        "u": u.tolist(),
-        "trace": trace.summary(),
-        "residual_sup": res_sup,
-    }
+    report = _report("dilaton", input=cfg["input"], passed=True, u=u.tolist(),
+                     trace=trace.summary(), residual_sup=res_sup)
     if "scalar_curvature" in data and "h" in data:
         R = data["scalar_curvature"]
         R = (np.full(domain.node_count, float(R)) if np.isscalar(R)
@@ -328,26 +289,20 @@ def run_dilaton(cfg) -> tuple:
 def run_catalog(cfg) -> tuple:
     entries = [{"name": e.name, "kind": e.kind, "description": e.describe}
                for e in CATALOG.values()]
-    report = {
-        "artifact": "torsiongeo",
-        "version": __version__,
-        "command": "catalog",
-        "entries": entries,
-        "passed": True,
-    }
-    return report, EXIT_OK
+    return _report("catalog", entries=entries, passed=True), EXIT_OK
+
+
+def _report(command: str, **fields) -> dict:
+    """A command's report: the artifact/version/command head, then
+    ``fields`` in the order given."""
+    return {"artifact": "torsiongeo", "version": __version__, "command": command,
+            **fields}
 
 
 def _assemble(command, source, reports) -> tuple:
     passed = all(r.passed for r in reports)
-    report = {
-        "artifact": "torsiongeo",
-        "version": __version__,
-        "command": command,
-        "input": source,
-        "passed": passed,
-        "reports": [r.to_dict() for r in reports],
-    }
+    report = _report(command, input=source, passed=passed,
+                     reports=[r.to_dict() for r in reports])
     return report, EXIT_OK if passed else EXIT_MATH
 
 
@@ -371,13 +326,7 @@ def _emit(report: dict, cfg):
                  f"[{report.get('input', '')}]  "
                  f"{'PASS' if report.get('passed') else 'FAIL'}"]
         for sub in report.get("reports", []):
-            rep = StructureReport(sub["title"])
-            rep.hypotheses_met = sub["hypotheses_met"]
-            rep.notes = sub["notes"]
-            for row in sub["rows"]:
-                rep.add(row["name"], row["value"], row["tol"],
-                        row["identity"], row["asserted"], row["note"])
-            lines += rep.text_lines()
+            lines += text_lines(sub)
         for key in ("verdict", "error"):
             if key in report:
                 lines.append(f"{key}: {report[key]}")

@@ -20,8 +20,7 @@ from .invariant_geometry import (
     HypothesesNotMet,
     lie_jacobi_residual,
     d_invariant,
-    nabla_invariant,
-    with_torsion,
+    parallel_residual,
     DEFAULT_TOL,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "TorsionGram",
     "EigenCluster",
     "DecompositionResult",
-    "jacobi_residual",
     "torsion_gram",
     "eigen_split",
     "decompose",
@@ -41,20 +39,6 @@ CLUSTER_TOL = 1e-8
 # compact semisimple algebras by dimension, as far as the splitting
 # theorems here need them
 _BLOCK_CATALOG = {3: "su(2)", 6: "su(2)+su(2)", 8: "su(3)"}
-
-
-def jacobi_residual(T) -> float:
-    """Sup-norm of the Jacobi identity of a rank-3 array.
-
-    For a 3-form this is the sup of H^p_{ij} H_{pkm} + H^p_{jk} H_{pim}
-    + H^p_{ki} H_{pjm}; for bare structure constants the same bracket
-    composition is used (the two coincide on totally antisymmetric
-    input).
-    """
-    arr = T.components if isinstance(T, FrameTensor) else np.asarray(T, dtype=float)
-    if arr.ndim != 3:
-        raise ValueError("rank-3 input required")
-    return lie_jacobi_residual(arr)
 
 
 @dataclass(frozen=True)
@@ -175,7 +159,7 @@ def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL,
     """Run the splitting algorithm on a geometry with closed,
     torsion-parallel H; refuses when the hypotheses fail numerically."""
     dH = d_invariant(geom.H, geom).sup_norm
-    nH = nabla_invariant(geom.H, with_torsion(geom, +1)).sup_norm
+    nH = parallel_residual(geom.H.components, geom, +1)
     scale = max(1.0, geom.H.sup_norm)
     if dH > tol * scale or nH > tol * scale:
         raise HypothesesNotMet(

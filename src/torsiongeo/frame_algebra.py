@@ -10,8 +10,9 @@ SageMath's ``CompFullyAntiSym``).  Every operation is a gather or a
 small signed sum over per-(dim, p) index/sign tables, built on first use
 and cached.  Dense ``(dim,) * p`` arrays appear only at the API edge: a
 FrameTensor built from one checks antisymmetry once and packs it, and
-``.components`` expands back on demand.  Tensors without antisymmetry
-(connections, curvature, covariant derivatives) stay dense.
+``.components`` expands back on demand.  FrameTensor holds forms only;
+tensors without antisymmetry (connections, curvature, covariant
+derivatives) are plain arrays.
 """
 
 from __future__ import annotations
@@ -50,16 +51,22 @@ def _signed_permutations(rank: int):
     return _frozen(perms), _frozen(_parity(perms))
 
 
-def antisymmetrize(arr: np.ndarray) -> np.ndarray:
-    """Weight-one antisymmetrization over all indices of a square array."""
-    rank = arr.ndim
-    if rank <= 1:
-        return arr.copy()
-    perms, signs = _signed_permutations(rank)
+def _antisym_over(arr: np.ndarray, slots) -> np.ndarray:
+    """Weight-one antisymmetrization of the selected slots of an array."""
+    slots = list(slots)
+    perms, signs = _signed_permutations(len(slots))
     out = np.zeros_like(arr, dtype=np.float64)
     for perm, sign in zip(perms, signs):
-        out += sign * np.transpose(arr, perm)
-    return out / math.factorial(rank)
+        order = list(range(arr.ndim))
+        for pos, k in enumerate(perm):
+            order[slots[pos]] = slots[k]
+        out += sign * np.transpose(arr, order)
+    return out / math.factorial(len(slots))
+
+
+def antisymmetrize(arr: np.ndarray) -> np.ndarray:
+    """Weight-one antisymmetrization over all indices of a square array."""
+    return _antisym_over(arr, range(arr.ndim))
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +233,20 @@ def _expand(n: int, p: int, coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FrameTensor:
-    """Multi-index component array in an orthonormal frame.
+    """A p-form in an orthonormal frame, stored packed.
 
-    Build it from dense ``components`` of shape ``(dim,) * rank``, or,
-    for a form, from its packed ``coeffs`` (one per row of
-    ``index_tuples(dim, rank)``).  ``antisymmetric=True`` asserts total
-    antisymmetry of dense input, verified once on construction (sign
-    flip under every adjacent transposition, which is equivalent to full
-    antisymmetry); the form keeps only its packed coefficients and
-    ``.components`` is their read-only dense expansion, computed on first
-    access.  With ``antisymmetric=False`` the dense array is stored as is.
+    Build it from dense ``components`` of shape ``(dim,) * rank``, or
+    from its packed ``coeffs`` (one per row of ``index_tuples(dim,
+    rank)``).  Dense input must be totally antisymmetric, verified once
+    on construction (sign flip under every adjacent transposition, which
+    is equivalent to full antisymmetry); the form keeps only its packed
+    coefficients and ``.components`` is their read-only dense expansion,
+    computed on first access.
     """
 
     dim: int
     rank: int
     components: InitVar[np.ndarray | None] = None
-    antisymmetric: bool = True
     coeffs: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self, components):
@@ -249,50 +254,37 @@ class FrameTensor:
         if self.coeffs is not None:
             if components is not None:
                 raise ValueError("give dense components or packed coeffs, not both")
-            if not self.antisymmetric:
-                raise ValueError("packed coefficients describe an antisymmetric form")
             coeffs = np.array(self.coeffs, dtype=np.float64)
             if coeffs.shape != (math.comb(n, p),):
                 raise ValueError(f"packed coefficients of shape {coeffs.shape}, "
                                  f"expected ({math.comb(n, p)},)")
             if not np.all(np.isfinite(coeffs)):
                 raise ValueError("non-finite component encountered")
-            self._store(coeffs, None)
-            return
-        comp = np.asarray(components, dtype=np.float64)
-        if comp.shape != (n,) * p:
-            raise ValueError(
-                f"components shape {comp.shape} does not match dim^rank "
-                f"= {(n,) * p}"
-            )
-        if not np.all(np.isfinite(comp)):
-            raise ValueError("non-finite component encountered")
-        if not self.antisymmetric:
-            self._store(None, comp.copy())
-            return
-        if p >= 2:
-            # relative with an absolute floor, so numerically-zero arrays
-            # (e.g. interior products with kernel vectors) are accepted
-            scale = max(float(np.abs(comp).max()), 1.0)
-            for k in range(p - 1):
-                axes = list(range(p))
-                axes[k], axes[k + 1] = axes[k + 1], axes[k]
-                if np.abs(comp + np.transpose(comp, axes)).max() > 1e-12 * scale:
-                    raise ValueError(
-                        f"components not antisymmetric under swap of slots "
-                        f"{k},{k + 1}"
-                    )
-        self._store(comp.reshape(-1)[_packing(n, p)], None)
-
-    def _store(self, coeffs, dense):
-        if coeffs is not None:
-            _frozen(coeffs)
-            if self.rank <= 1:
-                dense = coeffs.reshape((self.dim,) * self.rank)
-        if dense is not None:
-            _frozen(dense)
+        else:
+            comp = np.asarray(components, dtype=np.float64)
+            if comp.shape != (n,) * p:
+                raise ValueError(
+                    f"components shape {comp.shape} does not match dim^rank "
+                    f"= {(n,) * p}"
+                )
+            if not np.all(np.isfinite(comp)):
+                raise ValueError("non-finite component encountered")
+            if p >= 2:
+                # relative with an absolute floor, so numerically-zero arrays
+                # (e.g. interior products with kernel vectors) are accepted
+                scale = max(float(np.abs(comp).max()), 1.0)
+                for k in range(p - 1):
+                    axes = list(range(p))
+                    axes[k], axes[k + 1] = axes[k + 1], axes[k]
+                    if np.abs(comp + np.transpose(comp, axes)).max() > 1e-12 * scale:
+                        raise ValueError(
+                            f"components not antisymmetric under swap of slots "
+                            f"{k},{k + 1}"
+                        )
+            coeffs = comp.reshape(-1)[_packing(n, p)]
+        _frozen(coeffs)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_dense", coeffs.reshape((n,) * p) if p <= 1 else None)
 
     def _components(self) -> np.ndarray:
         if self._dense is None:
@@ -302,17 +294,13 @@ class FrameTensor:
 
     @property
     def sup_norm(self) -> float:
-        arr = self.coeffs if self.antisymmetric else self._dense
-        if arr.size == 0:
+        if self.coeffs.size == 0:
             return 0.0
-        return float(np.abs(arr).max())
+        return float(np.abs(self.coeffs).max())
 
     def _combine(self, other: "FrameTensor", op) -> "FrameTensor":
         self._check_like(other)
-        if self.antisymmetric and other.antisymmetric:
-            return FrameTensor(self.dim, self.rank, coeffs=op(self.coeffs, other.coeffs))
-        return FrameTensor(self.dim, self.rank,
-                           op(self.components, other.components), False)
+        return FrameTensor(self.dim, self.rank, coeffs=op(self.coeffs, other.coeffs))
 
     def __add__(self, other: "FrameTensor") -> "FrameTensor":
         return self._combine(other, np.add)
@@ -321,9 +309,7 @@ class FrameTensor:
         return self._combine(other, np.subtract)
 
     def __rmul__(self, scalar: float) -> "FrameTensor":
-        if self.antisymmetric:
-            return FrameTensor(self.dim, self.rank, coeffs=float(scalar) * self.coeffs)
-        return FrameTensor(self.dim, self.rank, float(scalar) * self.components, False)
+        return FrameTensor(self.dim, self.rank, coeffs=float(scalar) * self.coeffs)
 
     def __neg__(self) -> "FrameTensor":
         return -1.0 * self
@@ -339,12 +325,7 @@ class FrameTensor:
 # it reads the dense array
 FrameTensor.components = property(
     FrameTensor._components,
-    doc="Read-only dense (dim,)*rank components (expanded once for forms).")
-
-
-def _require_forms(name: str, *tensors: FrameTensor):
-    if not all(t.antisymmetric for t in tensors):
-        raise ValueError(f"{name} requires antisymmetric inputs")
+    doc="Read-only dense (dim,)*rank components (expanded once on first access).")
 
 
 def zero_form(dim: int, rank: int) -> FrameTensor:
@@ -411,7 +392,6 @@ def wedge(chi: FrameTensor, psi: FrameTensor) -> FrameTensor:
     """
     if chi.dim != psi.dim:
         raise ValueError("wedge: dimension mismatch")
-    _require_forms("wedge", chi, psi)
     p, q, n = chi.rank, psi.rank, chi.dim
     if p + q > n:
         return zero_form(n, 0)
@@ -426,7 +406,6 @@ def wedge_top_coefficient(chi: FrameTensor, psi: FrameTensor,
         raise ValueError("wedge_top_coefficient needs p + q = dim")
     if orient.dim != chi.dim:
         raise ValueError("orientation dim mismatch")
-    _require_forms("wedge_top_coefficient", chi, psi)
     rest, sign = _complement_table(chi.dim, chi.rank)
     return float((sign * chi.coeffs) @ psi.coeffs[rest]) * orient.sign
 
@@ -439,7 +418,6 @@ def interior_product(v: FrameTensor, chi: FrameTensor) -> FrameTensor:
         raise ValueError("interior product of a 0-form is undefined")
     if v.dim != chi.dim:
         raise ValueError("dimension mismatch")
-    _require_forms("interior product", chi)
     js, union, sign = _contractions(chi.dim, chi.rank)
     coeffs = np.sum(v.components[js] * sign * chi.coeffs[union], axis=1)
     return FrameTensor(chi.dim, chi.rank - 1, coeffs=coeffs)
@@ -452,7 +430,6 @@ def form_inner(chi: FrameTensor, psi: FrameTensor) -> float:
         raise ValueError("form_inner: rank mismatch")
     if chi.dim != psi.dim:
         raise ValueError("form_inner: dimension mismatch")
-    _require_forms("form_inner", chi, psi)
     return float(chi.coeffs @ psi.coeffs)
 
 
@@ -465,7 +442,6 @@ def hodge_star(chi: FrameTensor, orient: EpsilonOrientation) -> FrameTensor:
     """
     if orient.dim != chi.dim:
         raise ValueError("orientation dim mismatch")
-    _require_forms("hodge_star", chi)
     n, p = chi.dim, chi.rank
     if p > n:
         raise ValueError("form degree exceeds dimension")
@@ -487,5 +463,4 @@ def top_coefficient(chi: FrameTensor, orient: EpsilonOrientation) -> float:
         raise ValueError("top_coefficient needs a top-degree form")
     if orient.dim != chi.dim:
         raise ValueError("orientation dim mismatch")
-    _require_forms("top_coefficient", chi)
     return float(chi.coeffs[0]) * orient.sign

@@ -6,8 +6,10 @@ dim x dim x dim array or a sparse entry list [[a, b, c, value], ...]
 antisymmetric completion is implied).  H is a sparse list
 [[i, j, k, value], ...] with i < j < k.  Sparse values round-trip
 bit-exactly.  Optional structure keys: I1/I2/I3 as sparse [[i, j,
-value], ...] matrices, phi as a sparse 3-form list, Phi as a sparse
-4-form list.
+value], ...] matrices (one structure needs an even dim, a triple a dim
+divisible by 4), phi as a sparse 3-form list (dim 7), Phi as a sparse
+4-form list.  Every index must be an integer in [0, dim); anything else
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -41,11 +43,18 @@ def form_to_sparse(T: FrameTensor) -> list:
             for k in nonzero]
 
 
+def _index(i, dim: int) -> int:
+    """A frame index read from a file: an integer in [0, dim)."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < dim:
+        raise ValueError(f"index {i!r} is not an integer in [0, {dim})")
+    return int(i)
+
+
 def sparse_form(dim: int, rank: int, entries) -> FrameTensor:
     coeffs = np.zeros(math.comb(dim, rank))
     for entry in entries:
         *idx, val = entry
-        idx = tuple(int(i) for i in idx)
+        idx = tuple(_index(i, dim) for i in idx)
         if len(idx) != rank:
             raise ValueError(f"sparse entry {entry} has wrong arity")
         if len(set(idx)) != len(idx):
@@ -55,14 +64,9 @@ def sparse_form(dim: int, rank: int, entries) -> FrameTensor:
 
 
 def _c_to_sparse(c: np.ndarray) -> list:
-    dim = c.shape[0]
-    out = []
-    for a in range(dim):
-        for b in range(dim):
-            for cc in range(b + 1, dim):
-                if c[a, b, cc] != 0.0:
-                    out.append([a, b, cc, float(c[a, b, cc])])
-    return out
+    pairs = index_tuples(c.shape[0], 2).tolist()
+    return [[a, b, cc, float(c[a, b, cc])]
+            for a in range(c.shape[0]) for b, cc in pairs if c[a, b, cc] != 0.0]
 
 
 def _c_from_field(dim: int, data) -> np.ndarray:
@@ -72,7 +76,9 @@ def _c_from_field(dim: int, data) -> np.ndarray:
     c = np.zeros((dim, dim, dim))
     for entry in data:
         a, b, cc, val = entry
-        a, b, cc = int(a), int(b), int(cc)
+        a, b, cc = (_index(i, dim) for i in (a, b, cc))
+        if b == cc:
+            raise ValueError(f"structure-constant entry {entry} repeats a lower index")
         c[a, b, cc] += float(val)
         c[a, cc, b] -= float(val)
     return c
@@ -118,18 +124,24 @@ def structures_from_dict(data: dict, dim: int) -> dict:
         if key in data:
             J = np.zeros((dim, dim))
             for i, j, val in data[key]:
-                J[int(i), int(j)] = float(val)
+                J[_index(i, dim), _index(j, dim)] = float(val)
             mats.append(AlmostComplexStructure(J))
     if len(mats) == 3:
+        if dim % 4:
+            raise ValueError(f"a hypercomplex triple needs dim divisible by 4, not {dim}")
         out["triple"] = HypercomplexTriple(*mats)
     elif len(mats) == 1:
+        if dim % 2:
+            raise ValueError(f"a complex structure needs an even dim, not {dim}")
         out["J"] = mats[0]
     elif len(mats) == 2:
         raise ValueError("provide either one complex structure or all three")
     if "phi" in data:
-        out["phi"] = sparse_form(dim if dim else 7, 3, data["phi"])
+        if dim != 7:
+            raise ValueError(f"phi needs dim 7, not {dim}")
+        out["phi"] = sparse_form(dim, 3, data["phi"])
     if "Phi" in data:
-        out["Phi"] = sparse_form(dim if dim else 8, 4, data["Phi"])
+        out["Phi"] = sparse_form(dim, 4, data["Phi"])
     return out
 
 

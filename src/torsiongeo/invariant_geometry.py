@@ -19,7 +19,6 @@ with Ricci the trace Ric_{ij} = R_{ki}{}^k{}_j.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from .frame_algebra import (
     FrameTensor,
     EpsilonOrientation,
-    _signed_permutations,
+    _antisym_over,
     antisymmetrize,
     derivation_matrix,
     hodge_star,
@@ -48,6 +47,7 @@ __all__ = [
     "d_invariant",
     "codifferential",
     "nabla_invariant",
+    "parallel_residual",
     "bianchi_report",
     "lee_form",
     "soliton_report",
@@ -69,10 +69,14 @@ def lie_jacobi_residual(c: np.ndarray) -> float:
     which coincides entrywise with the 3-form expression
     H^p_{ij} H_{pkm} + cyclic when the input is totally antisymmetric.
     """
-    c = np.asarray(c, dtype=np.float64)
-    t = np.einsum("pij,mpk->mijk", c, c)
-    res = t + np.einsum("mijk->mjki", t) + np.einsum("mijk->mkij", t)
+    res = _jacobi_tensor(np.asarray(c, dtype=np.float64))
     return float(np.abs(res).max()) if res.size else 0.0
+
+
+def _jacobi_tensor(c: np.ndarray) -> np.ndarray:
+    """sum_cyc(i,j,k) c^p_{ij} c^m_{pk}, indexed [m, i, j, k]."""
+    t = np.einsum("pij,mpk->mijk", c, c)
+    return t + np.einsum("mijk->mjki", t) + np.einsum("mijk->mkij", t)
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,8 @@ class LieFrameGeometry:
         c = np.asarray(self.c, dtype=np.float64)
         if c.shape != (self.dim,) * 3:
             raise ValueError("structure constants must have shape (dim, dim, dim)")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("non-finite structure constants")
         if np.abs(c + np.swapaxes(c, 1, 2)).max() > 1e-12 * max(1.0, np.abs(c).max()):
             raise ValueError("structure constants not antisymmetric in the lower pair")
         jac = lie_jacobi_residual(c)
@@ -195,8 +201,6 @@ def d_invariant(chi: FrameTensor, geom: LieFrameGeometry) -> FrameTensor:
     p+1, so residual formulas can subtract it shape-safely."""
     if chi.dim != geom.dim:
         raise ValueError("dimension mismatch")
-    if not chi.antisymmetric:
-        raise ValueError("d_invariant requires an antisymmetric input")
     return FrameTensor(geom.dim, chi.rank + 1,
                        coeffs=derivation_matrix(geom.c, chi.rank) @ chi.coeffs)
 
@@ -225,32 +229,29 @@ def codifferential(chi: FrameTensor, geom: LieFrameGeometry,
     return sgn * hodge_star(d_invariant(hodge_star(chi, orient), geom), orient)
 
 
-def nabla_invariant(T: FrameTensor, conn: ConnectionCoeffs) -> FrameTensor:
+def nabla_invariant(T: np.ndarray, conn: ConnectionCoeffs) -> np.ndarray:
     """Covariant derivative of an invariant tensor, derivative slot first:
 
     (nabla_a T)_{b1..bk} = - sum_s Gamma^e_{a b_s} T_{b1.. e ..bk}.
+
+    T is a dense component array (``.components`` for a form).
     """
-    comp = np.zeros((conn.dim,) * (T.rank + 1))
+    T = np.asarray(T, dtype=np.float64)
+    comp = np.zeros((conn.dim,) * (T.ndim + 1))
     g = conn.gamma
-    for s in range(T.rank):
-        term = np.tensordot(g, T.components, axes=(0, s))
+    for s in range(T.ndim):
+        term = np.tensordot(g, T, axes=(0, s))
         # term has indices (a, b_s, b1..b_{s-1}, b_{s+1}..bk); move b_s home
-        order = [0] + list(range(2, 2 + s)) + [1] + list(range(2 + s, T.rank + 1))
+        order = [0] + list(range(2, 2 + s)) + [1] + list(range(2 + s, T.ndim + 1))
         comp -= np.transpose(term, order)
-    return FrameTensor(conn.dim, T.rank + 1, comp, antisymmetric=False)
+    return comp
 
 
-def _antisym_over(arr: np.ndarray, slots) -> np.ndarray:
-    """Weight-one antisymmetrization of selected slots."""
-    slots = list(slots)
-    perms, signs = _signed_permutations(len(slots))
-    out = np.zeros_like(arr)
-    for perm, sign in zip(perms, signs):
-        order = list(range(arr.ndim))
-        for pos, k in enumerate(perm):
-            order[slots[pos]] = slots[k]
-        out += sign * np.transpose(arr, order)
-    return out / math.factorial(len(slots))
+def parallel_residual(T: np.ndarray, geom: LieFrameGeometry,
+                      sign: int = 1) -> float:
+    """Sup-norm of the covariant derivative of the invariant tensor T
+    (a dense array) under the torsion connection of the given sign."""
+    return float(np.abs(nabla_invariant(T, with_torsion(geom, sign))).max())
 
 
 def bianchi_report(geom: LieFrameGeometry, which: str,
@@ -268,7 +269,7 @@ def bianchi_report(geom: LieFrameGeometry, which: str,
     hat = with_torsion(geom, +1)
     rhat = curvature(geom, hat).riemann
     dH = d_invariant(geom.H, geom).components
-    nhatH = nabla_invariant(geom.H, hat).components
+    nhatH = nabla_invariant(geom.H.components, hat)
     report = StructureReport(f"bianchi:{which}")
 
     if which == "first":
@@ -309,7 +310,7 @@ def bianchi_report(geom: LieFrameGeometry, which: str,
                                 "nabla^ H = 0 are required")
             return report
         lc = levi_civita(geom)
-        nH = nabla_invariant(geom.H, lc).sup_norm
+        nH = float(np.abs(nabla_invariant(geom.H.components, lc)).max())
         report.add("nabla_H", nH, tol, identity="levi-civita-parallelism")
         report.add("jacobi_H", lie_jacobi_residual(geom.H.components), tol,
                    identity="jacobi-identity")
@@ -355,7 +356,7 @@ def soliton_report(geom: LieFrameGeometry, V: FrameTensor,
                                f"(sup |dH| = {dH:.3e})")
     hat = with_torsion(geom, +1)
     ric = curvature(geom, hat).ricci
-    nv = nabla_invariant(V, hat).components  # (nabla^_i V)_j
+    nv = nabla_invariant(V.components, hat)  # (nabla^_i V)_j
     res = ric - nv
     report = StructureReport("steady-soliton")
     report.add("dH", dH, tol, identity="torsion-closure", asserted=False)
@@ -409,8 +410,8 @@ def bochner_report(geom: LieFrameGeometry, tol: float = DEFAULT_TOL,
     lhs = (d_invariant(codifferential(geom.H, geom, orient, warn), geom)
            + codifferential(d_invariant(geom.H, geom), geom, orient, warn))
     lc = levi_civita(geom)
-    ddH = nabla_invariant(nabla_invariant(geom.H, lc), lc)
-    rough = np.einsum("aabcd->bcd", ddH.components)
+    ddH = nabla_invariant(nabla_invariant(geom.H.components, lc), lc)
+    rough = np.einsum("aabcd->bcd", ddH)
     rhs = -rough + bochner_term(geom).components
     report = StructureReport("bochner-weitzenboeck")
     report.add("bwf_residual", np.abs(lhs.components - rhs).max(), tol,

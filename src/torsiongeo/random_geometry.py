@@ -10,13 +10,18 @@ samples.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .frame_algebra import FrameTensor, antisymmetrize, derivation_matrix
-from .invariant_geometry import LieFrameGeometry
+from .frame_algebra import (
+    EpsilonOrientation,
+    FrameTensor,
+    antisymmetrize,
+    derivation_matrix,
+    index_tuples,
+)
+from .invariant_geometry import LieFrameGeometry, _jacobi_tensor
 
 __all__ = [
     "project_to_jacobi",
@@ -30,41 +35,25 @@ __all__ = [
 PROJECTION_TOL = 1e-12
 
 
-def _lower_pairs(dim: int):
-    return [(b, c) for b in range(dim) for c in range(b + 1, dim)]
-
-
 def _vec_to_c(vec: np.ndarray, dim: int) -> np.ndarray:
-    c = np.zeros((dim, dim, dim))
-    k = 0
-    for a in range(dim):
-        for b, cc in _lower_pairs(dim):
-            c[a, b, cc] = vec[k]
-            c[a, cc, b] = -vec[k]
-            k += 1
+    """Structure constants from their independent entries c[a, b, c],
+    b < c, a-major (the last axis of vec; leading axes are kept)."""
+    b, cc = index_tuples(dim, 2).T
+    v = vec.reshape(vec.shape[:-1] + (dim, b.size))
+    c = np.zeros(vec.shape[:-1] + (dim,) * 3)
+    c[..., b, cc] = v
+    c[..., cc, b] = -v
     return c
 
 
 def _c_to_vec(c: np.ndarray) -> np.ndarray:
-    dim = c.shape[0]
-    return np.array([c[a, b, cc] for a in range(dim)
-                     for b, cc in _lower_pairs(dim)])
-
-
-def _combo_flat_indices(dim: int) -> np.ndarray:
-    """Flat indices of the independent (i<j<k) tuples in a d^3 block."""
-    combos = np.array(list(itertools.combinations(range(dim), 3)), dtype=np.intp)
-    if combos.size == 0:
-        return np.zeros(0, dtype=np.intp)
-    return combos[:, 0] * dim * dim + combos[:, 1] * dim + combos[:, 2]
+    b, cc = index_tuples(c.shape[0], 2).T
+    return c[:, b, cc].ravel()
 
 
 def _residual(c: np.ndarray, unimodular: bool) -> np.ndarray:
-    dim = c.shape[0]
-    t = np.einsum("pij,mpk->mijk", c, c)
-    jac = t + np.einsum("mijk->mjki", t) + np.einsum("mijk->mkij", t)
-    flat = _combo_flat_indices(dim)
-    res = jac.reshape(dim, -1)[:, flat].ravel()
+    i, j, k = index_tuples(c.shape[0], 3).T
+    res = _jacobi_tensor(c)[:, i, j, k].ravel()
     if unimodular:
         res = np.concatenate([res, np.einsum("aba->b", c)])
     return res
@@ -80,19 +69,20 @@ def project_to_jacobi(c0: np.ndarray, unimodular: bool = True,
     dim = c0.shape[0]
     vec = _c_to_vec(antisymmetrize_lower(c0))
     nvar = vec.size
+    # stacked coordinate directions of the antisymmetric-pair space
+    basis = _vec_to_c(np.eye(nvar), dim)
+    i, j, k = index_tuples(dim, 3).T
     r = _residual(_vec_to_c(vec, dim), unimodular)
     for _ in range(max_steps):
         sup = np.abs(r).max() if r.size else 0.0
         if sup < tol:
             break
         c = _vec_to_c(vec, dim)
-        basis = _basis_directions(dim)
         t = (np.einsum("xpij,mpk->xmijk", basis, c)
              + np.einsum("pij,xmpk->xmijk", c, basis))
         dres = (t + np.einsum("xmijk->xmjki", t)
                 + np.einsum("xmijk->xmkij", t))
-        flat = _combo_flat_indices(dim)
-        cols = dres.reshape(nvar, dim, -1)[:, :, flat].reshape(nvar, -1)
+        cols = dres[:, :, i, j, k].reshape(nvar, -1)
         if unimodular:
             traces = np.einsum("xaba->xb", basis)
             cols = np.concatenate([cols, traces], axis=1)
@@ -126,28 +116,9 @@ def antisymmetrize_lower(c: np.ndarray) -> np.ndarray:
     return 0.5 * (c - np.swapaxes(c, 1, 2))
 
 
-_BASIS_CACHE: dict = {}
-
-
-def _basis_directions(dim: int) -> np.ndarray:
-    """Stacked coordinate directions of the antisymmetric-pair space."""
-    if dim not in _BASIS_CACHE:
-        nvar = dim * (dim * (dim - 1) // 2)
-        basis = np.zeros((nvar, dim, dim, dim))
-        for k in range(nvar):
-            e = np.zeros(nvar)
-            e[k] = 1.0
-            basis[k] = _vec_to_c(e, dim)
-        _BASIS_CACHE[dim] = basis
-    return _BASIS_CACHE[dim]
-
-
 def _block_library(unimodular: bool):
     """Small unimodular Lie algebras used to seed the projection."""
-    su2 = np.zeros((3, 3, 3))
-    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        su2[k, i, j] = 1.0
-        su2[k, j, i] = -1.0
+    su2 = EpsilonOrientation(3).epsilon
     heis = np.zeros((3, 3, 3))
     heis[2, 0, 1] = 1.0
     heis[2, 1, 0] = -1.0

@@ -72,19 +72,22 @@ class StructureReport:
             "notes": list(self.notes),
         }
 
-    def text_lines(self) -> list:
-        width = max([len(r.name) for r in self.rows], default=10)
-        lines = [f"== {self.title} =="]
-        if not self.hypotheses_met:
-            lines.append("   HYPOTHESES NOT MET")
-        for r in self.rows:
-            status = "pass" if r.passed else "FAIL"
-            if not r.asserted:
-                status = "info"
-            lines.append(
-                f"  [{status}] {r.name:<{width}}  {r.value: .3e}"
-                f"  (tol {r.tol:.1e})  {r.identity}"
-            )
-        for n in self.notes:
-            lines.append(f"  note: {n}")
-        return lines
+
+def text_lines(report: dict) -> list:
+    """Text rendering of a report in its ``StructureReport.to_dict()`` form."""
+    rows = report["rows"]
+    width = max([len(r["name"]) for r in rows], default=10)
+    lines = [f"== {report['title']} =="]
+    if not report["hypotheses_met"]:
+        lines.append("   HYPOTHESES NOT MET")
+    for r in rows:
+        status = "pass" if r["passed"] else "FAIL"
+        if not r["asserted"]:
+            status = "info"
+        lines.append(
+            f"  [{status}] {r['name']:<{width}}  {r['value']: .3e}"
+            f"  (tol {r['tol']:.1e})  {r['identity']}"
+        )
+    for n in report["notes"]:
+        lines.append(f"  note: {n}")
+    return lines

@@ -26,10 +26,9 @@ from .frame_algebra import (
 )
 from .invariant_geometry import (
     LieFrameGeometry,
-    with_torsion,
-    nabla_invariant,
     d_invariant,
     lee_form,
+    parallel_residual,
     DEFAULT_TOL,
 )
 from .reporting import StructureReport
@@ -153,13 +152,6 @@ def type_3_0_projection(H: FrameTensor, J: AlmostComplexStructure) -> FrameTenso
     return FrameTensor(H.dim, 3, 0.25 * (comp - jjh - jhj - hjj))
 
 
-def parallel_residual(T: FrameTensor, geom: LieFrameGeometry,
-                      sign: int = 1) -> float:
-    """Sup-norm of the covariant derivative of T under the torsion
-    connection of the given sign."""
-    return nabla_invariant(T, with_torsion(geom, sign)).sup_norm
-
-
 def kt_report(geom: LieFrameGeometry, J: AlmostComplexStructure,
               orient: EpsilonOrientation | None = None,
               tol: float = DEFAULT_TOL, title: str = "kt") -> StructureReport:
@@ -176,9 +168,8 @@ def kt_report(geom: LieFrameGeometry, J: AlmostComplexStructure,
                identity="metric-compatibility")
     report.add("almost_complex", J.square_residual(), tol,
                identity="square-minus-one")
-    Jtensor = FrameTensor(geom.dim, 2, J.J, antisymmetric=False)
-    report.add("nabla_hat_J", nabla_invariant(Jtensor, with_torsion(geom, 1)).sup_norm,
-               tol, identity="torsion-parallelism")
+    report.add("nabla_hat_J", parallel_residual(J.J, geom, 1), tol,
+               identity="torsion-parallelism")
     report.add("nijenhuis", float(np.abs(nijenhuis(J, geom)).max()), tol,
                identity="integrability")
     report.add("dH", d_invariant(geom.H, geom).sup_norm, tol,

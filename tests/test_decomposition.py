@@ -6,11 +6,14 @@ from torsiongeo.decomposition import (
     TorsionGram,
     decompose,
     eigen_split,
-    jacobi_residual,
     torsion_gram,
 )
 from torsiongeo.frame_algebra import FrameTensor, antisymmetrize, zero_form
-from torsiongeo.invariant_geometry import HypothesesNotMet, LieFrameGeometry
+from torsiongeo.invariant_geometry import (
+    HypothesesNotMet,
+    LieFrameGeometry,
+    lie_jacobi_residual,
+)
 from torsiongeo.random_geometry import random_orthogonal, rotate_structure
 
 RNG = np.random.default_rng(99)
@@ -30,19 +33,19 @@ def block_geometry(blocks, dim, scales=None):
 # ---------------------------------------------------------------- jacobi
 
 def test_jacobi_epsilon_zero():
-    assert jacobi_residual(epsilon3()) == 0.0
+    assert lie_jacobi_residual(epsilon3()) == 0.0
 
 
 def test_jacobi_block_sum_zero():
     H = np.zeros((6, 6, 6))
     H[:3, :3, :3] = epsilon3()
     H[3:, 3:, 3:] = epsilon3()
-    assert jacobi_residual(H) == 0.0
+    assert lie_jacobi_residual(H) == 0.0
 
 
 def test_jacobi_generic_three_form_positive():
     H = antisymmetrize(RNG.standard_normal((6, 6, 6)))
-    assert jacobi_residual(H) > 0.05
+    assert lie_jacobi_residual(H) > 0.05
 
 
 # ------------------------------------------------------------------- gram

@@ -1,20 +1,33 @@
-"""`tg verify` on every catalog entry against recorded reports.
+"""Outputs pinned against recorded files: `tg verify` on every catalog
+entry, and random_geometry samples.
 
 ``golden/verify_catalog.json`` holds the exit status and JSON report of
 ``tg verify --example <name> --format json`` for each entry, recorded
 with the dense-form implementation.  Every row value must agree to 1e-15
 absolute, and every pass/assert flag and verdict must be identical.
+``golden/verify_catalog_text.json`` holds the exit status and the exact
+``--format text`` output of the same commands, recorded before the text
+rendering moved onto the report dicts.  ``golden/random_geometry_sha256.json``
+holds the SHA-256 of ``c`` and ``H.coeffs`` bytes of random_geometry
+samples, recorded before the structure-constant packing moved onto
+``index_tuples`` gathers (numpy 2.4, OpenBLAS 0.3.31; another LAPACK
+build may round the projection differently).
 """
 
+import hashlib
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from torsiongeo.cli import main
+from torsiongeo.random_geometry import random_geometry
 
-GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "verify_catalog.json")
-                    .read_text())
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "verify_catalog.json").read_text())
+GOLDEN_TEXT = json.loads((GOLDEN_DIR / "verify_catalog_text.json").read_text())
+GOLDEN_SAMPLES = json.loads((GOLDEN_DIR / "random_geometry_sha256.json").read_text())
 
 
 def verify(name, capsys):
@@ -46,3 +59,20 @@ def test_verify_matches_recorded_report(name, capsys):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_default_json_is_byte_stable(name, capsys):
     assert verify(name, capsys) == verify(name, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TEXT))
+def test_verify_text_matches_recorded_output(name, capsys):
+    code = main(["verify", "--example", name, "--format", "text"])
+    gold = GOLDEN_TEXT[name]
+    assert (code, capsys.readouterr().out) == (gold["exit"], gold["text"])
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_random_geometry_samples_are_bit_identical(closed, dim):
+    for seed in range(3):
+        geom = random_geometry(np.random.default_rng(seed), dim, closed_torsion=closed)
+        digest = hashlib.sha256(geom.c.tobytes() + geom.H.coeffs.tobytes()).hexdigest()
+        key = f"{'closed' if closed else 'open'} dim={dim} seed={seed}"
+        assert digest == GOLDEN_SAMPLES[key], key

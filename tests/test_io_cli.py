@@ -179,6 +179,37 @@ def test_cli_malformed_json_exit_2(tmp_path, capsys):
     assert not out.exists()          # no report on input errors
 
 
+BAD_GEOMETRY_FILES = [
+    {"dim": 3, "c": [[0, 1, 2, 1.0]], "H": [[0, 1, 9, 1.0]]},
+    {"dim": 3, "c": [[0, 1, 9, 1.0]], "H": [[0, 1, 2, 1.0]]},
+    {"dim": 3, "c": [[0, 1, 2, 1.0]], "H": [[0, 1, -1, 1.0]]},
+    {"dim": 3, "c": [[-1, 0, 1, 1.0]], "H": [[0, 1, 2, 1.0]]},
+    {"dim": 3, "c": [[0, 1, 2, 1.0]], "H": [[0, 1, 2.5, 1.0]]},
+    {"dim": 3, "c": [[0, 1, 2, float("nan")]], "H": [[0, 1, 2, 1.0]]},
+    {"dim": 3, "c": [[0, 1, 1, 5.0]], "H": [[0, 1, 2, 1.0]]},
+]
+BAD_STRUCTURE_FILES = [
+    {"dim": 4, "I1": [[0, 9, 1.0]]},
+    {"dim": 4, "I1": [[0, -1, 1.0]]},
+    {"dim": 6, "phi": [[0, 1, 2, 1.0]]},
+    {"dim": 3, "I1": [[0, 1, 1.0], [1, 0, -1.0]]},
+    {"dim": 6, "I1": [[0, 1, 1.0]], "I2": [[0, 2, 1.0]], "I3": [[0, 3, 1.0]]},
+]
+
+
+@pytest.mark.parametrize("command, doc",
+                         [("verify", d) for d in BAD_GEOMETRY_FILES + BAD_STRUCTURE_FILES]
+                         + [("decompose", d) for d in BAD_GEOMETRY_FILES])
+def test_cli_malformed_geometry_file_exit_2(command, doc, tmp_path, capsys):
+    doc = {"c": [], "H": [], **doc}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli([command, "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "input error" in err
+
+
 def test_cli_topology_and_negative_control(tmp_path):
     cp2 = tmp_path / "cp2.json"
     cp2.write_text(json.dumps({"k": 1, "n": [1], "chi": 3, "tau": -1}))
