@@ -55,6 +55,7 @@ from .special_structures import (
     build_g2,
     bryant_positivity,
     build_spin7,
+    spin7_report,
     parallel_residual,
 )
 from .fibration_topology import (

@@ -1,4 +1,10 @@
-"""Named example geometries covering every verification path."""
+"""Named example geometries covering every verification path.
+
+A geometry entry builds ``(geometry, structures)``, with ``structures``
+keyed like ``geometry_io.structures_from_dict``'s result (``triple``,
+``phi``, ``Phi``; empty for a bare geometry).  The fibration entry builds
+principal-curvature data instead.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +14,13 @@ from .frame_algebra import EpsilonOrientation, FrameTensor, basis_vector, zero_f
 from .invariant_geometry import LieFrameGeometry
 from .special_structures import (
     build_g2,
+    build_spin7,
     build_su3,
     hyperkahler_two_forms,
     standard_quaternion_triple,
 )
 
-__all__ = ["CATALOG", "catalog_entry", "catalog_names", "epsilon3"]
+__all__ = ["CATALOG", "catalog_entry", "epsilon3"]
 
 
 def epsilon3() -> np.ndarray:
@@ -93,24 +100,14 @@ class CatalogEntry:
 
 def _su3_entry():
     geom, triple = build_su3()
-    return geom, triple
-
-
-def _g2_standard_entry():
-    return _flat7(), build_g2("standard")
+    return geom, {"triple": triple}
 
 
 def _g2_product_entry():
     lams = [basis_vector(7, r) for r in range(3)]
     oms = hyperkahler_two_forms(7, (3, 4, 5, 6))
-    return _g2_su2_product_geometry(), build_g2("product", lambda_coframe=lams,
-                                                omegas=oms)
-
-
-def _spin7_entry():
-    from .special_structures import build_spin7
-    data, report = build_spin7(build_g2("standard"))
-    return _flat8(), data, report
+    g2 = build_g2("product", lambda_coframe=lams, omegas=oms)
+    return _g2_su2_product_geometry(), {"phi": g2.phi}
 
 
 def _fibration_entry():
@@ -123,19 +120,19 @@ CATALOG = {
         "su2-biinvariant", "geometry",
         "3-sphere group frame with bi-invariant torsion equal to the "
         "structure constants; both torsion connections are flat",
-        _su2_biinvariant),
+        lambda: (_su2_biinvariant(), {})),
     "su2su2": CatalogEntry(
         "su2su2", "geometry",
         "product of two 3-sphere group frames, blockwise bi-invariant torsion",
-        _su2su2),
+        lambda: (_su2su2(), {})),
     "su2-plus-abelian3": CatalogEntry(
         "su2-plus-abelian3", "geometry",
         "3-sphere group frame times a flat 3-space; torsion on the group block",
-        _su2_plus_abelian3),
+        lambda: (_su2_plus_abelian3(), {})),
     "su2su2-plus-abelian2": CatalogEntry(
         "su2su2-plus-abelian2", "geometry",
         "two group blocks plus a flat 2-space (8-dim splitting desk case)",
-        _su2su2_plus_abelian2),
+        lambda: (_su2su2_plus_abelian2(), {})),
     "su3-hkt": CatalogEntry(
         "su3-hkt", "hkt",
         "8-dim compact simple group with bi-invariant torsion and the "
@@ -145,11 +142,11 @@ CATALOG = {
         "flat-r4-quaternion", "hkt",
         "flat 4-space with the standard quaternion triple (torsion-free "
         "hyper-Kahler control case)",
-        lambda: (_flat_r4(), standard_quaternion_triple())),
+        lambda: (_flat_r4(), {"triple": standard_quaternion_triple()})),
     "g2-standard": CatalogEntry(
         "g2-standard", "g2",
         "standard positive 3-form in an adapted flat coframe",
-        _g2_standard_entry),
+        lambda: (_flat7(), {"phi": build_g2("standard").phi})),
     "g2-su2-product": CatalogEntry(
         "g2-su2-product", "g2",
         "product-mode positive 3-form from a group coframe and the flat "
@@ -158,17 +155,13 @@ CATALOG = {
     "spin7-standard": CatalogEntry(
         "spin7-standard", "spin7",
         "Cayley 4-form built from the standard positive 3-form",
-        _spin7_entry),
+        lambda: (_flat8(), {"Phi": build_spin7(build_g2("standard")).Phi})),
     "su3-fibration": CatalogEntry(
         "su3-fibration", "fibration",
         "curvature data of the homogeneous fibration of the 8-dim group "
         "over the 4-dim root-plane base",
         _fibration_entry),
 }
-
-
-def catalog_names():
-    return list(CATALOG)
 
 
 def catalog_entry(name: str) -> CatalogEntry:

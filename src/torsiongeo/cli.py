@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .frame_algebra import EpsilonOrientation, FrameTensor, basis_vector, form_inner, interior_product
+from .frame_algebra import EpsilonOrientation, FrameTensor
 from .invariant_geometry import (
     HypothesesNotMet,
     LieFrameGeometry,
@@ -30,10 +30,12 @@ from .invariant_geometry import (
 )
 from .decomposition import decompose
 from .special_structures import (
+    CayleyData,
     G2Data,
     bryant_positivity,
     hkt_report,
     kt_report,
+    spin7_report,
 )
 from .fibration_topology import (
     TopologyData,
@@ -67,13 +69,12 @@ class InputError(ValueError):
 
 
 def _geometry_reports(geom, tol):
-    reports = []
-    for which in ("first", "second", "pair_symmetry", "lccc"):
-        reports.append(bianchi_report(geom, which, tol))
-    dH = d_invariant(geom.H, geom).sup_norm
-    if dH <= tol:
+    reports = bianchi_report(geom, tol)
+    try:
         reports.append(soliton_report(
             geom, FrameTensor(geom.dim, 1, np.zeros(geom.dim)), tol))
+    except HypothesesNotMet:
+        pass
     reports.append(bochner_report(geom, max(tol, 1e-9)))
     flat = StructureReport("connection-survey")
     for sign in (1, -1):
@@ -90,11 +91,7 @@ def _geometry_reports(geom, tol):
     return reports
 
 
-def _hkt_reports(geom, triple, tol):
-    return _geometry_reports(geom, tol) + [hkt_report(geom, triple, tol=tol)]
-
-
-def _g2_reports(geom, g2: G2Data, tol):
+def _g2_report(geom, g2: G2Data, tol):
     rep = StructureReport("g2-positivity")
     B = bryant_positivity(g2)
     eigs = np.linalg.eigvalsh(B)
@@ -106,20 +103,24 @@ def _g2_reports(geom, g2: G2Data, tol):
                 identity="torsion-closure")
         rep.add("nabla_hat_phi", parallel_residual(g2.phi.components, geom, 1), tol,
                 identity="torsion-parallelism")
-    return _geometry_reports(geom, tol) + [rep]
+    return rep
 
 
-def _spin7_reports(geom, data, build_report, tol):
-    rep = StructureReport("spin7")
-    for row in build_report.rows:
-        rep.add(row.name, row.value, max(row.tol, tol), row.identity)
-    x = data.Phi
-    for idx in (3, 2, 1):
-        x = interior_product(basis_vector(8, idx), x)
-    rep.add("triple_contraction_length_minus_1",
-            float(np.sqrt(form_inner(x, x))) - 1.0, tol,
-            identity="associative-triple-contraction")
-    return _geometry_reports(geom, tol) + [rep]
+def _structure_reports(geom, structures, tol):
+    """One report per structure in ``structures`` (the keys of
+    ``structures_from_dict``), in the order triple, J, phi, Phi."""
+    reports = []
+    if "triple" in structures:
+        reports.append(hkt_report(geom, structures["triple"], tol=tol))
+    if "J" in structures:
+        reports.append(kt_report(geom, structures["J"], tol=tol))
+    if "phi" in structures:
+        reports.append(_g2_report(
+            geom, G2Data(structures["phi"], EpsilonOrientation(7)), tol))
+    if "Phi" in structures:
+        reports.append(spin7_report(
+            CayleyData(structures["Phi"], EpsilonOrientation(8)), tol))
+    return reports
 
 
 def _fibration_reports(pc, tol):
@@ -150,39 +151,21 @@ def _fibration_reports(pc, tol):
 def run_verify(cfg) -> tuple:
     tol = cfg["tol"]
     if cfg.get("example"):
-        entry = catalog_entry(cfg["example"])
-        built = entry.build()
-        if entry.kind == "geometry":
-            reports = _geometry_reports(built, tol)
-        elif entry.kind == "hkt":
-            reports = _hkt_reports(built[0], built[1], tol)
-        elif entry.kind == "g2":
-            reports = _g2_reports(built[0], built[1], tol)
-        elif entry.kind == "spin7":
-            reports = _spin7_reports(built[0], built[1], built[2], tol)
-        elif entry.kind == "fibration":
-            reports = _fibration_reports(built, tol)
-        else:
-            raise InputError(f"unhandled catalog kind {entry.kind}")
         source = cfg["example"]
+        entry = catalog_entry(source)
+        if entry.kind == "fibration":
+            return _assemble("verify", source, _fibration_reports(entry.build(), tol))
+        geom, structures = entry.build()
     else:
-        data = _load_json(cfg["input"])
+        source = cfg["input"]
+        data = _load_json(source)
         try:
             geom = geometry_from_dict(data)
             structures = structures_from_dict(data, geom.dim)
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"bad geometry file: {exc}") from exc
-        reports = _geometry_reports(geom, tol)
-        if "triple" in structures:
-            reports.append(hkt_report(geom, structures["triple"], tol=tol))
-        if "J" in structures:
-            reports.append(kt_report(geom, structures["J"], tol=tol))
-        if "phi" in structures:
-            reports += _g2_reports(geom,
-                                   G2Data(structures["phi"], EpsilonOrientation(7)),
-                                   tol)[-1:]
-        source = cfg["input"]
-    return _assemble("verify", source, reports)
+    return _assemble("verify", source, _geometry_reports(geom, tol)
+                     + _structure_reports(geom, structures, tol))
 
 
 def run_decompose(cfg) -> tuple:
@@ -403,10 +386,7 @@ def main(argv=None) -> int:
     cfg.setdefault("format", "text")
     try:
         report, status = _RUNNERS[args.command](cfg)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (KeyError,) as exc:
+    except (InputError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _emit(report, cfg)

@@ -201,12 +201,8 @@ def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL,
     # torsion must not mix distinct clusters, nor touch the kernel
     mixing = 0.0
     if len(clusters) > 1:
-        mask = np.zeros(H_eig.shape, dtype=bool)
-        for a in range(geom.dim):
-            for b in range(geom.dim):
-                for cc in range(geom.dim):
-                    if len({labels[a], labels[b], labels[cc]}) > 1:
-                        mask[a, b, cc] = True
+        la, lb, lc = labels[:, None, None], labels[None, :, None], labels[None, None, :]
+        mask = (la != lb) | (lb != lc)
         mixing = float(np.abs(H_eig[mask]).max()) if mask.any() else 0.0
 
     diag = {

@@ -96,20 +96,23 @@ def frestrict_residual(pc: PrincipalCurvature, B: np.ndarray,
     if B.shape != (pc.fiber_dim, 3, 3):
         raise ValueError("B must have shape (fiber_dim, 3, 3)")
     I = np.stack(mats)  # (r, c, b)
-    lhs = (-np.einsum("xca,rcb->xrab", pc.F, I)
-           + np.einsum("xcb,rca->xrab", pc.F, I))
     rhs = np.einsum("xsr,sab->xrab", B, I)
-    return float(np.abs(lhs - rhs).max())
+    return float(np.abs(_horizontality_lhs(pc, I) - rhs).max())
+
+
+def _horizontality_lhs(pc: PrincipalCurvature, I: np.ndarray) -> np.ndarray:
+    """-F_{alpha c a} (I_r)^c_b + F_{alpha c b} (I_r)^c_a, indexed
+    [alpha, r, a, b], for the stacked structures I[r, c, b]."""
+    return (-np.einsum("xca,rcb->xrab", pc.F, I)
+            + np.einsum("xcb,rca->xrab", pc.F, I))
 
 
 def fit_fiber_rotation(pc: PrincipalCurvature, I_perp) -> np.ndarray:
     """Least-squares B_alpha solving the horizontality constraint; used
     to exhibit the epsilon representation of explicit fibrations."""
     mats = np.stack([np.asarray(J, dtype=np.float64) for J in I_perp])
-    lhs = (-np.einsum("xca,rcb->xrab", pc.F, mats)
-           + np.einsum("xcb,rca->xrab", pc.F, mats))
     gram = np.einsum("sab,tab->st", mats, mats)
-    proj = np.einsum("xrab,sab->xsr", lhs, mats)
+    proj = np.einsum("xrab,sab->xsr", _horizontality_lhs(pc, mats), mats)
     B = np.zeros((pc.fiber_dim, 3, 3))
     for alpha in range(pc.fiber_dim):
         B[alpha] = np.linalg.solve(gram, proj[alpha])

@@ -8,8 +8,8 @@ antisymmetric completion is implied).  H is a sparse list
 bit-exactly.  Optional structure keys: I1/I2/I3 as sparse [[i, j,
 value], ...] matrices (one structure needs an even dim, a triple a dim
 divisible by 4), phi as a sparse 3-form list (dim 7), Phi as a sparse
-4-form list.  Every index must be an integer in [0, dim); anything else
-raises ValueError.
+4-form list (dim 8).  Every index must be an integer in [0, dim);
+anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -141,6 +141,8 @@ def structures_from_dict(data: dict, dim: int) -> dict:
             raise ValueError(f"phi needs dim 7, not {dim}")
         out["phi"] = sparse_form(dim, 3, data["phi"])
     if "Phi" in data:
+        if dim != 8:
+            raise ValueError(f"Phi needs dim 8, not {dim}")
         out["Phi"] = sparse_form(dim, 4, data["Phi"])
     return out
 

@@ -111,10 +111,6 @@ class LieFrameGeometry:
         return bool(np.abs(np.einsum("aba->b", self.c)).max()
                     <= 1e-10 * max(1.0, np.abs(self.c).max()))
 
-    def with_torsion_form(self, H: FrameTensor, name: str = "") -> "LieFrameGeometry":
-        return LieFrameGeometry(self.dim, self.c, H, name or self.name,
-                                self.jacobi_tol)
-
 
 @dataclass(frozen=True)
 class ConnectionCoeffs:
@@ -254,69 +250,69 @@ def parallel_residual(T: np.ndarray, geom: LieFrameGeometry,
     return float(np.abs(nabla_invariant(T, with_torsion(geom, sign))).max())
 
 
-def bianchi_report(geom: LieFrameGeometry, which: str,
-                   tol: float = DEFAULT_TOL) -> StructureReport:
-    """Residuals of the curvature identities of the torsion connection.
+def bianchi_report(geom: LieFrameGeometry,
+                   tol: float = DEFAULT_TOL) -> list[StructureReport]:
+    """Residuals of the curvature identities of the torsion connection,
+    as the four reports [first, second, pair_symmetry, lccc]:
 
-    which = "first":  3 R^_{i[jkm]} + nabla^_i H_{jkm} - (1/2) dH_{ijkm}
-    which = "second": 3 R^_{[ijk]m} + (3/2) nabla^_{[i} H_{jk]m}
-                      + (1/2) nabla^_m H_{ijk} + (1/2) dH_{ijkm}
-    which = "pair_symmetry": R^_{ijkm} - Rv_{kmij}, asserted when dH = 0
-    which = "lccc": with dH = 0 and nabla^ H = 0 established numerically,
-                    asserts nabla H = 0 and the Jacobi identity of H.
+    first:  3 R^_{i[jkm]} + nabla^_i H_{jkm} - (1/2) dH_{ijkm}
+    second: 3 R^_{[ijk]m} + (3/2) nabla^_{[i} H_{jk]m}
+            + (1/2) nabla^_m H_{ijk} + (1/2) dH_{ijkm}
+    pair_symmetry: R^_{ijkm} - Rv_{kmij}, asserted when dH = 0
+    lccc: with dH = 0 and nabla^ H = 0 established numerically,
+          asserts nabla H = 0 and the Jacobi identity of H.
+
+    R^, Rv, dH and nabla^ H are each computed once for all four.
     """
-    n = geom.dim
     hat = with_torsion(geom, +1)
     rhat = curvature(geom, hat).riemann
+    rchk = curvature(geom, with_torsion(geom, -1)).riemann
     dH = d_invariant(geom.H, geom).components
     nhatH = nabla_invariant(geom.H.components, hat)
-    report = StructureReport(f"bianchi:{which}")
+    dH_sup = np.abs(dH).max()
+    nhatH_sup = np.abs(nhatH).max()
+    closed = dH_sup <= tol
 
-    if which == "first":
-        # the dH coefficient is the one that makes this an identity for
-        # arbitrary (also non-closed) H under the standard exterior
-        # derivative; both conventions agree once dH = 0
-        res = 3.0 * _antisym_over(rhat, [1, 2, 3]) + nhatH + 0.5 * dH
-        report.add("first_bianchi", np.abs(res).max(), tol,
-                   identity="first-bianchi-with-torsion")
-    elif which == "second":
-        # transpose (1,2,3,0) realizes nabla^_m H_{ijk} in slot order ijkm
-        res = (3.0 * _antisym_over(rhat, [0, 1, 2])
-               + 1.5 * _antisym_over(nhatH, [0, 1, 2])
-               + 0.5 * np.transpose(nhatH, (1, 2, 3, 0))
-               + 0.5 * dH)
-        report.add("second_bianchi", np.abs(res).max(), tol,
-                   identity="second-bianchi-with-torsion")
-    elif which == "pair_symmetry":
-        rchk = curvature(geom, with_torsion(geom, -1)).riemann
-        res = rhat - np.transpose(rchk, (2, 3, 0, 1))
-        closed = np.abs(dH).max() <= tol
-        report.add("dH", np.abs(dH).max(), tol,
-                   identity="torsion-closure", asserted=False)
-        report.add("pair_symmetry", np.abs(res).max(), tol,
-                   identity="curvature-pair-exchange-closed-torsion",
-                   asserted=closed,
-                   note="" if closed else "dH != 0: not asserted")
-    elif which == "lccc":
-        closed = np.abs(dH).max() <= tol
-        parallel = np.abs(nhatH).max() <= tol
-        report.add("dH", np.abs(dH).max(), tol, identity="torsion-closure",
-                   asserted=False)
-        report.add("nabla_hat_H", np.abs(nhatH).max(), tol,
-                   identity="torsion-parallelism", asserted=False)
-        if not (closed and parallel):
-            report.hypotheses_met = False
-            report.notes.append("hypotheses not met: dH = 0 and "
-                                "nabla^ H = 0 are required")
-            return report
+    first = StructureReport("bianchi:first")
+    # the dH coefficient is the one that makes this an identity for
+    # arbitrary (also non-closed) H under the standard exterior
+    # derivative; both conventions agree once dH = 0
+    res = 3.0 * _antisym_over(rhat, [1, 2, 3]) + nhatH + 0.5 * dH
+    first.add("first_bianchi", np.abs(res).max(), tol,
+              identity="first-bianchi-with-torsion")
+
+    second = StructureReport("bianchi:second")
+    # transpose (1,2,3,0) realizes nabla^_m H_{ijk} in slot order ijkm
+    res = (3.0 * _antisym_over(rhat, [0, 1, 2])
+           + 1.5 * _antisym_over(nhatH, [0, 1, 2])
+           + 0.5 * np.transpose(nhatH, (1, 2, 3, 0))
+           + 0.5 * dH)
+    second.add("second_bianchi", np.abs(res).max(), tol,
+               identity="second-bianchi-with-torsion")
+
+    pair = StructureReport("bianchi:pair_symmetry")
+    res = rhat - np.transpose(rchk, (2, 3, 0, 1))
+    pair.add("dH", dH_sup, tol, identity="torsion-closure", asserted=False)
+    pair.add("pair_symmetry", np.abs(res).max(), tol,
+             identity="curvature-pair-exchange-closed-torsion",
+             asserted=closed,
+             note="" if closed else "dH != 0: not asserted")
+
+    lccc = StructureReport("bianchi:lccc")
+    lccc.add("dH", dH_sup, tol, identity="torsion-closure", asserted=False)
+    lccc.add("nabla_hat_H", nhatH_sup, tol,
+             identity="torsion-parallelism", asserted=False)
+    if closed and nhatH_sup <= tol:
         lc = levi_civita(geom)
         nH = float(np.abs(nabla_invariant(geom.H.components, lc)).max())
-        report.add("nabla_H", nH, tol, identity="levi-civita-parallelism")
-        report.add("jacobi_H", lie_jacobi_residual(geom.H.components), tol,
-                   identity="jacobi-identity")
+        lccc.add("nabla_H", nH, tol, identity="levi-civita-parallelism")
+        lccc.add("jacobi_H", lie_jacobi_residual(geom.H.components), tol,
+                 identity="jacobi-identity")
     else:
-        raise ValueError(f"unknown identity selector: {which!r}")
-    return report
+        lccc.hypotheses_met = False
+        lccc.notes.append("hypotheses not met: dH = 0 and "
+                          "nabla^ H = 0 are required")
+    return [first, second, pair, lccc]
 
 
 def lee_form(geom: LieFrameGeometry, phi: FrameTensor, c_norm: float = 1.0,

@@ -18,6 +18,7 @@ from .frame_algebra import (
     EpsilonOrientation,
     basis_form,
     basis_vector,
+    form_inner,
     interior_product,
     wedge,
     wedge_top_coefficient,
@@ -45,6 +46,7 @@ __all__ = [
     "build_g2",
     "bryant_positivity",
     "build_spin7",
+    "spin7_report",
     "parallel_residual",
     "type_3_0_projection",
     "standard_quaternion_triple",
@@ -153,7 +155,6 @@ def type_3_0_projection(H: FrameTensor, J: AlmostComplexStructure) -> FrameTenso
 
 
 def kt_report(geom: LieFrameGeometry, J: AlmostComplexStructure,
-              orient: EpsilonOrientation | None = None,
               tol: float = DEFAULT_TOL, title: str = "kt") -> StructureReport:
     """Hermitian-with-torsion conditions for one complex structure:
     compatibility with the metric, parallelism under the torsion
@@ -161,8 +162,6 @@ def kt_report(geom: LieFrameGeometry, J: AlmostComplexStructure,
     (2,1)+(1,2) type of H."""
     if geom.dim % 2 != 0:
         raise ValueError("KT structures need an even-dimensional frame")
-    if orient is None:
-        orient = EpsilonOrientation(geom.dim)
     report = StructureReport(title)
     report.add("hermitian_metric", J.orthogonality_residual(), tol,
                identity="metric-compatibility")
@@ -193,7 +192,7 @@ def hkt_report(geom: LieFrameGeometry, triple: HypercomplexTriple,
                identity="quaternion-algebra")
     lee = []
     for r, J in enumerate(triple.structures(), start=1):
-        sub = kt_report(geom, J, orient, tol, title=f"kt[I{r}]")
+        sub = kt_report(geom, J, tol, title=f"kt[I{r}]")
         for row in sub.rows:
             report.add(f"{row.name}_I{r}", row.value, row.tol, row.identity)
         lee.append(lee_form(geom, J.hermitian_form(), 1.0, orient))
@@ -407,10 +406,9 @@ def bryant_positivity(g2: G2Data) -> np.ndarray:
     return B
 
 
-def build_spin7(g2: G2Data):
+def build_spin7(g2: G2Data) -> CayleyData:
     """Cayley 4-form Phi = e0 ^ phi + *phi on an 8-dim frame with the
-    new index 0 prepended.  Returns (CayleyData, StructureReport) with
-    the self-duality residual and the coefficient of Phi ^ Phi."""
+    new index 0 prepended."""
     phi7 = g2.phi
     star7 = hodge_star(phi7, g2.orient)
     comp = np.zeros((8,) * 4)
@@ -419,16 +417,27 @@ def build_spin7(g2: G2Data):
     phi8[1:, 1:, 1:] = phi7.components
     e0phi = wedge(basis_vector(8, 0), FrameTensor(8, 3, phi8))
     Phi = FrameTensor(8, 4, comp) + e0phi
-    orient8 = EpsilonOrientation(8, g2.orient.sign)
-    data = CayleyData(Phi, orient8)
+    return CayleyData(Phi, EpsilonOrientation(8, g2.orient.sign))
 
-    report = StructureReport("cayley")
-    sd = (hodge_star(Phi, orient8) - Phi).sup_norm
-    report.add("self_duality", sd, 1e-12, identity="cayley-self-duality")
-    ww = wedge_top_coefficient(Phi, Phi, orient8)
-    report.add("wedge_square_vs_14vol", ww - 14.0, 1e-12,
+
+def spin7_report(data: CayleyData, tol: float = DEFAULT_TOL) -> StructureReport:
+    """Cayley-form identities of Phi: self-duality, Phi ^ Phi = 14 vol
+    (both gated at no less than 1e-12), and unit length of the triple
+    contraction iota_1 iota_2 iota_3 Phi."""
+    Phi, orient = data.Phi, data.orient
+    report = StructureReport("spin7")
+    report.add("self_duality", (hodge_star(Phi, orient) - Phi).sup_norm,
+               max(1e-12, tol), identity="cayley-self-duality")
+    report.add("wedge_square_vs_14vol",
+               wedge_top_coefficient(Phi, Phi, orient) - 14.0, max(1e-12, tol),
                identity="cayley-wedge-square")
-    return data, report
+    x = Phi
+    for idx in (3, 2, 1):
+        x = interior_product(basis_vector(8, idx), x)
+    report.add("triple_contraction_length_minus_1",
+               float(np.sqrt(form_inner(x, x))) - 1.0, tol,
+               identity="associative-triple-contraction")
+    return report
 
 
 def standard_quaternion_triple() -> HypercomplexTriple:

@@ -44,6 +44,7 @@ from torsiongeo.special_structures import (
     build_spin7,
     hkt_report,
     hyperkahler_two_forms,
+    spin7_report,
     standard_quaternion_triple,
 )
 
@@ -66,11 +67,12 @@ def test_criterion_1_bianchi_suite():
                              closed_torsion=True) for i in range(100)]
     worst = 0.0
     for geom in suite:
+        first, second, pair, _ = bianchi_report(geom)
         worst = max(
             worst,
-            bianchi_report(geom, "first").row("first_bianchi").value,
-            bianchi_report(geom, "second").row("second_bianchi").value,
-            bianchi_report(geom, "pair_symmetry").row("pair_symmetry").value,
+            first.row("first_bianchi").value,
+            second.row("second_bianchi").value,
+            pair.row("pair_symmetry").value,
         )
     elapsed = time.time() - t0
     ok = worst < 1e-10 and elapsed < 10.0
@@ -85,7 +87,7 @@ def test_criterion_2_parallel_torsion_conclusions(closed_torsion_suite,
     satisfied = 0
     worst = 0.0
     for geom in list(closed_torsion_suite) + list(parallel_torsion_suite):
-        rep = bianchi_report(geom, "lccc")
+        rep = bianchi_report(geom)[3]
         if not rep.hypotheses_met:
             continue
         satisfied += 1
@@ -143,7 +145,7 @@ def test_criterion_5_g2_spin7():
     B = bryant_positivity(g2)
     bryant_dev = float(np.abs(B - np.eye(7)).max())
 
-    data, cayley = build_spin7(g2)
+    cayley = spin7_report(build_spin7(g2))
     sd = cayley.row("self_duality").value
     ww = cayley.row("wedge_square_vs_14vol").value
 
@@ -245,7 +247,7 @@ def test_criterion_9_negative_controls():
     c[:3, :3, :3] = EPS3
     c[3:, 3:, 3:] = EPS3
     geom_bad = LieFrameGeometry(6, c, basis_form(6, (0, 3, 4)))
-    pair = bianchi_report(geom_bad, "pair_symmetry")
+    pair = bianchi_report(geom_bad)[2]
     witness_pair = pair.row("pair_symmetry").value
     refused = False
     try:

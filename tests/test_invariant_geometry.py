@@ -266,14 +266,15 @@ def test_nabla_su3_complex_structure(su3_built):
 
 def test_bianchi_identities_su2():
     geom = su2()
-    for which in ("first", "second", "pair_symmetry", "lccc"):
-        assert bianchi_report(geom, which).passed
+    for rep in bianchi_report(geom):
+        assert rep.passed
 
 
 def test_bianchi_identities_generic_torsion(open_torsion_suite):
     for geom in open_torsion_suite:
-        assert bianchi_report(geom, "first").row("first_bianchi").value < 1e-10
-        assert bianchi_report(geom, "second").row("second_bianchi").value < 1e-10
+        first, second, _, _ = bianchi_report(geom)
+        assert first.row("first_bianchi").value < 1e-10
+        assert second.row("second_bianchi").value < 1e-10
 
 
 def test_pair_symmetry_requires_closed_torsion():
@@ -283,7 +284,7 @@ def test_pair_symmetry_requires_closed_torsion():
     c[:3, :3, :3] = epsilon3()
     c[3:, 3:, 3:] = epsilon3()
     geom = LieFrameGeometry(6, c, basis_form(6, [0, 3, 4]))
-    rep = bianchi_report(geom, "pair_symmetry")
+    rep = bianchi_report(geom)[2]
     assert rep.row("dH").value > 0.5
     assert rep.row("pair_symmetry").value > 0.1
     assert not rep.row("pair_symmetry").asserted
@@ -294,7 +295,7 @@ def test_lccc_hypotheses_not_met_path():
     c[:3, :3, :3] = epsilon3()
     c[3:, 3:, 3:] = epsilon3()
     geom = LieFrameGeometry(6, c, basis_form(6, [0, 3, 4]))
-    rep = bianchi_report(geom, "lccc")
+    rep = bianchi_report(geom)[3]
     assert not rep.hypotheses_met
     assert all(not row.asserted for row in rep.rows)
 
@@ -303,13 +304,13 @@ def test_lccc_scaled_torsion():
     # doubling the bi-invariant torsion keeps closure/parallelism and the
     # Jacobi identity (bilinearity)
     geom = su2(H_scale=2.0)
-    rep = bianchi_report(geom, "lccc")
+    rep = bianchi_report(geom)[3]
     assert rep.hypotheses_met and rep.passed
 
 
 def test_lccc_chain_on_parallel_suite(parallel_torsion_suite):
     for geom in parallel_torsion_suite:
-        rep = bianchi_report(geom, "lccc")
+        rep = bianchi_report(geom)[3]
         assert rep.hypotheses_met
         assert rep.row("nabla_H").value < 1e-10
         assert rep.row("jacobi_H").value < 1e-10

@@ -16,7 +16,7 @@ from torsiongeo.geometry_io import (
     structures_from_dict,
     structures_to_dict,
 )
-from torsiongeo.invariant_geometry import LieFrameGeometry
+from torsiongeo.invariant_geometry import LieFrameGeometry, bianchi_report
 from torsiongeo.special_structures import build_su3
 
 RNG = np.random.default_rng(7321)
@@ -199,7 +199,9 @@ BAD_STRUCTURE_FILES = [
 
 @pytest.mark.parametrize("command, doc",
                          [("verify", d) for d in BAD_GEOMETRY_FILES + BAD_STRUCTURE_FILES]
-                         + [("decompose", d) for d in BAD_GEOMETRY_FILES])
+                         + [("decompose", d) for d in BAD_GEOMETRY_FILES]
+                         # last, so that the positional ids of the cases above stay put
+                         + [("verify", {"dim": 6, "Phi": [[0, 1, 2, 3, 1.0]]})])
 def test_cli_malformed_geometry_file_exit_2(command, doc, tmp_path, capsys):
     doc = {"c": [], "H": [], **doc}
     path = tmp_path / "bad.json"
@@ -208,6 +210,41 @@ def test_cli_malformed_geometry_file_exit_2(command, doc, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "input error" in err
+
+
+def test_cli_verify_phi_file_runs_geometry_reports_once(tmp_path, monkeypatch):
+    from torsiongeo import cli
+    calls = []
+    monkeypatch.setattr(cli, "bianchi_report",
+                        lambda *a, **k: calls.append(a) or bianchi_report(*a, **k))
+    geom, structures = catalog_entry("g2-su2-product").build()
+    path = tmp_path / "g2.json"
+    save_geometry(path, geom, extra=structures_to_dict(**structures))
+    assert run_cli(["verify", "--input", str(path), "--output", str(tmp_path / "r")]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_verify_non_cayley_phi_fails(tmp_path):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"dim": 8, "c": [], "H": [], "Phi": [[0, 1, 2, 3, 1.0]]}))
+    out = tmp_path / "rep.json"
+    assert run_cli(["verify", "--input", str(path), "--format", "json",
+                    "--output", str(out)]) == 1
+    spin7 = [r for r in json.loads(out.read_text())["reports"] if r["title"] == "spin7"]
+    assert len(spin7) == 1 and spin7[0]["passed"] is False
+
+
+@pytest.mark.parametrize("name", [n for n, e in CATALOG.items() if e.kind != "fibration"])
+def test_cli_verify_file_matches_example(name, tmp_path):
+    geom, structures = catalog_entry(name).build()
+    path = tmp_path / "geom.json"
+    save_geometry(path, geom, extra=structures_to_dict(**structures))
+    reports = []
+    for source in (["--example", name], ["--input", str(path)]):
+        out = tmp_path / "rep.json"
+        code = run_cli(["verify", *source, "--format", "json", "--output", str(out)])
+        reports.append((code, json.loads(out.read_text())["reports"]))
+    assert reports[0] == reports[1]
 
 
 def test_cli_topology_and_negative_control(tmp_path):

@@ -198,8 +198,9 @@ def test_bianchi_residuals_survive_frame_change(dim):
     O = random_orthogonal(rng, dim)
     for geom in (LieFrameGeometry(dim, c, H),
                  LieFrameGeometry(dim, *rotate_structure(c, H, O))):
-        for which, row in (("first", "first_bianchi"), ("second", "second_bianchi")):
-            assert bianchi_report(geom, which).row(row).value < 1e-12
+        first, second, _, _ = bianchi_report(geom)
+        for rep, row in ((first, "first_bianchi"), (second, "second_bianchi")):
+            assert rep.row(row).value < 1e-12
 
 
 def _dense_closed_kernel_dim(c) -> int:

@@ -33,6 +33,7 @@ from torsiongeo.special_structures import (
     kt_report,
     nijenhuis,
     parallel_residual,
+    spin7_report,
     standard_quaternion_triple,
     type_3_0_projection,
 )
@@ -308,19 +309,19 @@ def test_g2_product_desk_model_structure():
 # -------------------------------------------------------------------- spin7
 
 def test_spin7_standard_identities():
-    data, report = build_spin7(build_g2("standard"))
+    report = spin7_report(build_spin7(build_g2("standard")))
     assert report.row("self_duality").value < 1e-12
     assert report.row("wedge_square_vs_14vol").value < 1e-12
 
 
 def test_spin7_self_duality_against_dense_star():
-    data, _ = build_spin7(build_g2("standard"))
+    data = build_spin7(build_g2("standard"))
     star = hodge_star(data.Phi, data.orient)
     assert np.abs(star.components - data.Phi.components).max() < 1e-12
 
 
 def test_spin7_triple_contraction_unit_length():
-    data, _ = build_spin7(build_g2("standard"))
+    data = build_spin7(build_g2("standard"))
     x = data.Phi
     for idx in (3, 2, 1):
         x = interior_product(basis_vector(8, idx), x)
