@@ -15,18 +15,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .frame_algebra import EpsilonOrientation, FrameTensor
+from .frame_algebra import EpsilonOrientation
 from .invariant_geometry import (
     HypothesesNotMet,
     LieFrameGeometry,
     bianchi_report,
     bochner_report,
-    curvature,
-    d_invariant,
     lie_jacobi_residual,
     parallel_residual,
     soliton_report,
-    with_torsion,
 )
 from .decomposition import decompose
 from .special_structures import (
@@ -71,16 +68,14 @@ class InputError(ValueError):
 def _geometry_reports(geom, tol):
     reports = bianchi_report(geom, tol)
     try:
-        reports.append(soliton_report(
-            geom, FrameTensor(geom.dim, 1, np.zeros(geom.dim)), tol))
+        reports.append(soliton_report(geom, tol))
     except HypothesesNotMet:
         pass
     reports.append(bochner_report(geom, max(tol, 1e-9)))
     flat = StructureReport("connection-survey")
     for sign in (1, -1):
-        cur = curvature(geom, with_torsion(geom, sign))
         flat.add(f"curvature_sup_sign_{sign:+d}",
-                 float(np.abs(cur.riemann).max()), np.inf,
+                 float(np.abs(geom.curvatures[sign].riemann).max()), np.inf,
                  identity="flat-connection-scan", asserted=False)
     flat.notes.append("a vanishing row detects a flat parallelizing "
                       "torsion connection")
@@ -99,7 +94,7 @@ def _g2_report(geom, g2: G2Data, tol):
             identity="positivity-of-the-3-form",
             note=f"eigenvalues in [{eigs.min():.3f}, {eigs.max():.3f}]")
     if np.abs(geom.c).max() > 0:
-        rep.add("dH", d_invariant(geom.H, geom).sup_norm, tol,
+        rep.add("dH", geom.dH.sup_norm, tol,
                 identity="torsion-closure")
         rep.add("nabla_hat_phi", parallel_residual(g2.phi.components, geom, 1), tol,
                 identity="torsion-parallelism")
@@ -162,7 +157,7 @@ def run_verify(cfg) -> tuple:
         try:
             geom = geometry_from_dict(data)
             structures = structures_from_dict(data, geom.dim)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise InputError(f"bad geometry file: {exc}") from exc
     return _assemble("verify", source, _geometry_reports(geom, tol)
                      + _structure_reports(geom, structures, tol))
@@ -179,7 +174,7 @@ def run_decompose(cfg) -> tuple:
         data = _load_json(cfg["input"])
         try:
             geom = geometry_from_dict(data)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise InputError(f"bad geometry file: {exc}") from exc
         source = cfg["input"]
     try:
@@ -200,7 +195,7 @@ def run_topology(cfg) -> tuple:
                            int(data["chi"]), int(data["tau"]))
         fiber = data.get("fiber", "s(u1xu2)")
         table = chern_topology(top, fiber)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"bad topology file: {exc}") from exc
     listing = [{"k": k, "n": list(n)}
                for k, n in enumerate_diophantine(int(cfg.get("kmax", 12)))]
@@ -243,6 +238,11 @@ def run_dilaton(cfg) -> tuple:
             w = np.asarray(w_field, dtype=np.float64)
             if w.size != domain.node_count:
                 raise InputError("w length does not match the grid")
+            if not np.isfinite(w).all():
+                raise InputError("w must be finite everywhere")
+        for key in ("scalar_curvature", "h"):
+            if not np.isfinite(np.asarray(data.get(key, 0.0), dtype=np.float64)).all():
+                raise InputError(f"{key} must be finite")
         solver_cfg = SolverConfig(
             lambda_policy=data.get("lambda", "auto"),
             tol=float(data.get("tol", 1e-10)),
@@ -250,7 +250,7 @@ def run_dilaton(cfg) -> tuple:
         )
     except InputError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"bad problem file: {exc}") from exc
     try:
         u, trace = monotone_iterate(domain, w, solver_cfg)

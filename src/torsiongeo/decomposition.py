@@ -19,7 +19,6 @@ from .invariant_geometry import (
     LieFrameGeometry,
     HypothesesNotMet,
     lie_jacobi_residual,
-    d_invariant,
     parallel_residual,
     DEFAULT_TOL,
 )
@@ -158,7 +157,7 @@ def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL,
               cluster_tol: float = CLUSTER_TOL) -> DecompositionResult:
     """Run the splitting algorithm on a geometry with closed,
     torsion-parallel H; refuses when the hypotheses fail numerically."""
-    dH = d_invariant(geom.H, geom).sup_norm
+    dH = geom.dH.sup_norm
     nH = parallel_residual(geom.H.components, geom, +1)
     scale = max(1.0, geom.H.sup_norm)
     if dH > tol * scale or nH > tol * scale:

@@ -85,8 +85,8 @@ class SolverConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
@@ -146,16 +146,12 @@ class IterationTrace:
 def _periodic_laplacian(shape, spacing: float) -> sp.csr_matrix:
     n_total = int(np.prod(shape))
     idx = np.arange(n_total).reshape(shape)
-    rows, cols, vals = [], [], []
-    inv_h2 = 1.0 / spacing ** 2
-    for axis in range(len(shape)):
-        neighbor = np.roll(idx, -1, axis=axis)
-        rows.extend(idx.ravel())
-        cols.extend(neighbor.ravel())
-        vals.extend([inv_h2] * n_total)
-        rows.extend(neighbor.ravel())
-        cols.extend(idx.ravel())
-        vals.extend([inv_h2] * n_total)
+    # per axis, the (node, next node) couplings and their transposes
+    pairs = [(idx.ravel(), np.roll(idx, -1, axis=axis).ravel())
+             for axis in range(len(shape))]
+    rows = np.concatenate([a for node, nxt in pairs for a in (node, nxt)])
+    cols = np.concatenate([a for node, nxt in pairs for a in (nxt, node)])
+    vals = np.full(rows.size, 1.0 / spacing ** 2)
     L = sp.coo_matrix((vals, (rows, cols)), shape=(n_total, n_total)).tocsr()
     L = L - sp.diags(np.asarray(L.sum(axis=1)).ravel())
     return L.tocsr()
@@ -165,8 +161,8 @@ def build_flat_torus(n1: int, n2: int, spacing: float = 1.0) -> DiscreteDomain:
     """Periodic 5-point-stencil Laplacian on an n1 x n2 grid."""
     if n1 < 3 or n2 < 3:
         raise ValueError("torus sides must be at least 3")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not 0 < spacing < np.inf:
+        raise ValueError("spacing must be positive and finite")
     L = _periodic_laplacian((n1, n2), spacing)
     weights = np.full(n1 * n2, spacing ** 2)
     return DiscreteDomain(n1 * n2, L, weights)
@@ -180,8 +176,8 @@ def build_flat_torus4(n1: int, n2: int, n3: int, n4: int,
         raise ValueError("torus sides must be at least 3")
     if any(n > 16 for n in ns):
         raise ValueError("4-torus builder is capped at 16 per side")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not 0 < spacing < np.inf:
+        raise ValueError("spacing must be positive and finite")
     L = _periodic_laplacian(ns, spacing)
     weights = np.full(int(np.prod(ns)), spacing ** 4)
     return DiscreteDomain(int(np.prod(ns)), L, weights)
@@ -191,6 +187,8 @@ def bounds(w: np.ndarray):
     """Subsolution and supersolution constants a = sqrt(w_min)/2,
     b = sqrt(w_max); w must be strictly positive everywhere."""
     w = np.asarray(w, dtype=np.float64)
+    if not np.isfinite(w).all():
+        raise ValueError("w must be finite everywhere")
     if (w <= 0).any():
         bad = int(np.argmin(w))
         raise ValueError(f"w must be strictly positive everywhere "
@@ -208,6 +206,8 @@ def pick_lambda(b: float, policy="auto") -> float:
             raise ValueError(f"unknown lambda policy {policy!r}")
         return 2.0 * b + 1.0
     lam = float(policy)
+    if not np.isfinite(lam):
+        raise ValueError(f"lambda = {lam} rejected: must be finite")
     if lam <= 2.0 * b:
         raise ValueError(f"lambda = {lam} rejected: needs lambda > 2 b = {2 * b}")
     return lam

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -360,7 +360,6 @@ class EpsilonOrientation:
 
     dim: int
     sign: int = 1
-    _epsilon_cache: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sign not in (1, -1):
@@ -368,15 +367,12 @@ class EpsilonOrientation:
         if self.dim < 1:
             raise ValueError("dim must be positive")
 
-    @property
+    @cached_property
     def epsilon(self) -> np.ndarray:
-        if not self._epsilon_cache:
-            eps = np.zeros((self.dim,) * self.dim)
-            perms, signs = _signed_permutations(self.dim)
-            eps[tuple(perms.T)] = self.sign * signs
-            eps.setflags(write=False)
-            self._epsilon_cache.append(eps)
-        return self._epsilon_cache[0]
+        eps = np.zeros((self.dim,) * self.dim)
+        perms, signs = _signed_permutations(self.dim)
+        eps[tuple(perms.T)] = self.sign * signs
+        return _frozen(eps)
 
     def flipped(self) -> "EpsilonOrientation":
         return EpsilonOrientation(self.dim, -self.sign)

@@ -125,6 +125,8 @@ def structures_from_dict(data: dict, dim: int) -> dict:
             J = np.zeros((dim, dim))
             for i, j, val in data[key]:
                 J[_index(i, dim), _index(j, dim)] = float(val)
+            if not np.isfinite(J).all():
+                raise ValueError(f"{key} has a non-finite entry")
             mats.append(AlmostComplexStructure(J))
     if len(mats) == 3:
         if dim % 4:

@@ -20,6 +20,8 @@ with Ricci the trace Ric_{ij} = R_{ki}{}^k{}_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .frame_algebra import (
     FrameTensor,
     EpsilonOrientation,
     _antisym_over,
+    _frozen,
     antisymmetrize,
     derivation_matrix,
     hodge_star,
@@ -111,17 +114,33 @@ class LieFrameGeometry:
         return bool(np.abs(np.einsum("aba->b", self.c)).max()
                     <= 1e-10 * max(1.0, np.abs(self.c).max()))
 
+    # The torsion geometry every report reads is derived on first use
+    # and cached on the instance; the mappings and arrays are read-only.
+
+    @cached_property
+    def dH(self) -> FrameTensor:
+        """The exterior derivative of the torsion, d(H)."""
+        return d_invariant(self.H, self)
+
+    @cached_property
+    def connections(self) -> MappingProxyType:
+        """Connection coefficients by torsion sign: 0 is Levi-Civita,
+        +1 / -1 the connections with torsion +H / -H."""
+        return MappingProxyType({0: levi_civita(self), 1: with_torsion(self, 1),
+                                 -1: with_torsion(self, -1)})
+
+    @cached_property
+    def curvatures(self) -> MappingProxyType:
+        """CurvatureData of each of ``connections``, by the same sign."""
+        return MappingProxyType({sign: curvature(self, conn)
+                                 for sign, conn in self.connections.items()})
+
 
 @dataclass(frozen=True)
 class ConnectionCoeffs:
-    """Frame connection coefficients gamma[i, j, k], derivative slot j.
-
-    torsion_sign: 0 for the Levi-Civita connection, +1/-1 for the
-    connections with torsion +H / -H.
-    """
+    """Frame connection coefficients gamma[i, j, k], derivative slot j."""
 
     gamma: np.ndarray
-    torsion_sign: int = 0
 
     def __post_init__(self):
         g = np.asarray(self.gamma, dtype=np.float64)
@@ -149,6 +168,8 @@ class CurvatureData:
         ric = np.einsum("kikj->ij", self.riemann)
         if np.abs(ric - self.ricci).max() > 1e-10 * max(1.0, np.abs(ric).max()):
             raise ValueError("ricci is not the stated trace of riemann")
+        for name in ("riemann", "ricci"):
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), float)))
 
 
 def levi_civita(geom: LieFrameGeometry) -> ConnectionCoeffs:
@@ -164,16 +185,14 @@ def levi_civita(geom: LieFrameGeometry) -> ConnectionCoeffs:
     tf = gamma - np.swapaxes(gamma, 1, 2) - c
     if np.abs(tf).max() > 1e-12 * max(1.0, np.abs(c).max()):
         raise AssertionError("Koszul output failed the torsion-free check")
-    return ConnectionCoeffs(gamma, torsion_sign=0)
+    return ConnectionCoeffs(gamma)
 
 
 def with_torsion(geom: LieFrameGeometry, sign: int) -> ConnectionCoeffs:
     """Gamma^_i{}_{jk} = Gamma^i_{jk} + (sign/2) H^i_{jk}."""
     if sign not in (1, -1):
         raise ValueError("torsion sign must be +1 or -1")
-    base = levi_civita(geom)
-    return ConnectionCoeffs(base.gamma + 0.5 * sign * geom.H.components,
-                            torsion_sign=sign)
+    return ConnectionCoeffs(levi_civita(geom).gamma + 0.5 * sign * geom.H.components)
 
 
 def curvature(geom: LieFrameGeometry, conn: ConnectionCoeffs) -> CurvatureData:
@@ -246,8 +265,8 @@ def nabla_invariant(T: np.ndarray, conn: ConnectionCoeffs) -> np.ndarray:
 def parallel_residual(T: np.ndarray, geom: LieFrameGeometry,
                       sign: int = 1) -> float:
     """Sup-norm of the covariant derivative of the invariant tensor T
-    (a dense array) under the torsion connection of the given sign."""
-    return float(np.abs(nabla_invariant(T, with_torsion(geom, sign))).max())
+    (a dense array) under ``geom.connections[sign]``."""
+    return float(np.abs(nabla_invariant(T, geom.connections[sign])).max())
 
 
 def bianchi_report(geom: LieFrameGeometry,
@@ -262,13 +281,13 @@ def bianchi_report(geom: LieFrameGeometry,
     lccc: with dH = 0 and nabla^ H = 0 established numerically,
           asserts nabla H = 0 and the Jacobi identity of H.
 
-    R^, Rv, dH and nabla^ H are each computed once for all four.
+    R^, Rv and dH come from the geometry's cache; nabla^ H is computed
+    once for all four.
     """
-    hat = with_torsion(geom, +1)
-    rhat = curvature(geom, hat).riemann
-    rchk = curvature(geom, with_torsion(geom, -1)).riemann
-    dH = d_invariant(geom.H, geom).components
-    nhatH = nabla_invariant(geom.H.components, hat)
+    rhat = geom.curvatures[1].riemann
+    rchk = geom.curvatures[-1].riemann
+    dH = geom.dH.components
+    nhatH = nabla_invariant(geom.H.components, geom.connections[1])
     dH_sup = np.abs(dH).max()
     nhatH_sup = np.abs(nhatH).max()
     closed = dH_sup <= tol
@@ -303,8 +322,7 @@ def bianchi_report(geom: LieFrameGeometry,
     lccc.add("nabla_hat_H", nhatH_sup, tol,
              identity="torsion-parallelism", asserted=False)
     if closed and nhatH_sup <= tol:
-        lc = levi_civita(geom)
-        nH = float(np.abs(nabla_invariant(geom.H.components, lc)).max())
+        nH = parallel_residual(geom.H.components, geom, 0)
         lccc.add("nabla_H", nH, tol, identity="levi-civita-parallelism")
         lccc.add("jacobi_H", lie_jacobi_residual(geom.H.components), tol,
                  identity="jacobi-identity")
@@ -335,28 +353,25 @@ def lee_form(geom: LieFrameGeometry, phi: FrameTensor, c_norm: float = 1.0,
     return c_norm * hodge_star(product, orient)
 
 
-def soliton_report(geom: LieFrameGeometry, V: FrameTensor,
+def soliton_report(geom: LieFrameGeometry,
                    tol: float = DEFAULT_TOL) -> StructureReport:
-    """Steady-soliton residual Ric^_{ij} - nabla^_i V_j plus the scalar
-    monotonicity identity specialized to invariant data.
+    """Steady-soliton residual Ric^_{ij} - nabla^_i V_j for invariant V,
+    plus the scalar monotonicity identity specialized to invariant data.
 
-    On invariant geometry every scalar (R^, H^2) is constant, so the
-    left side of the identity vanishes and, whenever the soliton
-    equation holds, |Ric^|^2 must vanish with it.
+    An invariant V has constant components, so it is a gradient only
+    when it vanishes and the residual is Ric^ itself.  Every scalar
+    (R^, H^2) is constant too, so the left side of the identity
+    vanishes and, whenever the soliton equation holds, |Ric^|^2 must
+    vanish with it.
     """
-    if V.rank != 1 or V.dim != geom.dim:
-        raise ValueError("V must be a vector on the same frame")
-    dH = d_invariant(geom.H, geom).sup_norm
+    dH = geom.dH.sup_norm
     if dH > tol:
         raise HypothesesNotMet(f"soliton residuals need dH = 0 "
                                f"(sup |dH| = {dH:.3e})")
-    hat = with_torsion(geom, +1)
-    ric = curvature(geom, hat).ricci
-    nv = nabla_invariant(V.components, hat)  # (nabla^_i V)_j
-    res = ric - nv
+    ric = geom.curvatures[1].ricci
     report = StructureReport("steady-soliton")
     report.add("dH", dH, tol, identity="torsion-closure", asserted=False)
-    soliton = float(np.abs(res).max())
+    soliton = float(np.abs(ric).max())
     report.add("soliton_residual", soliton, tol,
                identity="steady-soliton-equation")
     ric_sq = float(np.sum(ric * ric))
@@ -379,8 +394,7 @@ def bochner_term(geom: LieFrameGeometry) -> FrameTensor:
 
     with Levi-Civita curvature.
     """
-    lc = levi_civita(geom)
-    cur = curvature(geom, lc)
+    cur = geom.curvatures[0]
     H = geom.H.components
     t = (np.einsum("ak,bck->abc", cur.ricci, H)
          - 2.0 * np.einsum("akbm,ckm->abc", cur.riemann, H))
@@ -397,15 +411,13 @@ def antisymmetrize_if_needed(arr: np.ndarray) -> np.ndarray:
     return anti
 
 
-def bochner_report(geom: LieFrameGeometry, tol: float = DEFAULT_TOL,
-                   orient: EpsilonOrientation | None = None) -> StructureReport:
+def bochner_report(geom: LieFrameGeometry,
+                   tol: float = DEFAULT_TOL) -> StructureReport:
     """Both sides of (d delta + delta d) H = -nabla^2 H + R(H)."""
-    if orient is None:
-        orient = EpsilonOrientation(geom.dim)
     warn: list = []
-    lhs = (d_invariant(codifferential(geom.H, geom, orient, warn), geom)
-           + codifferential(d_invariant(geom.H, geom), geom, orient, warn))
-    lc = levi_civita(geom)
+    lhs = (d_invariant(codifferential(geom.H, geom, warn=warn), geom)
+           + codifferential(geom.dH, geom, warn=warn))
+    lc = geom.connections[0]
     ddH = nabla_invariant(nabla_invariant(geom.H.components, lc), lc)
     rough = np.einsum("aabcd->bcd", ddH)
     rhs = -rough + bochner_term(geom).components

@@ -9,6 +9,7 @@ Cayley 4-form, plus the verification reports for Hermitian-with-torsion
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ from .frame_algebra import (
 )
 from .invariant_geometry import (
     LieFrameGeometry,
-    d_invariant,
     lee_form,
     parallel_residual,
     DEFAULT_TOL,
@@ -171,7 +171,7 @@ def kt_report(geom: LieFrameGeometry, J: AlmostComplexStructure,
                identity="torsion-parallelism")
     report.add("nijenhuis", float(np.abs(nijenhuis(J, geom)).max()), tol,
                identity="integrability")
-    report.add("dH", d_invariant(geom.H, geom).sup_norm, tol,
+    report.add("dH", geom.dH.sup_norm, tol,
                identity="torsion-closure")
     report.add("H_type_3_0", type_3_0_projection(geom.H, J).sup_norm, tol,
                identity="torsion-type-(2,1)+(1,2)")
@@ -179,14 +179,11 @@ def kt_report(geom: LieFrameGeometry, J: AlmostComplexStructure,
 
 
 def hkt_report(geom: LieFrameGeometry, triple: HypercomplexTriple,
-               orient: EpsilonOrientation | None = None,
                tol: float = DEFAULT_TOL) -> StructureReport:
     """Quaternion relations plus the KT conditions for each of the three
     complex structures, and equality of the three Lee forms."""
     if geom.dim % 4 != 0:
         raise ValueError("HKT structures need dim divisible by 4")
-    if orient is None:
-        orient = EpsilonOrientation(geom.dim)
     report = StructureReport("hkt")
     report.add("quaternion_relations", triple.quaternion_residual(), tol,
                identity="quaternion-algebra")
@@ -195,7 +192,7 @@ def hkt_report(geom: LieFrameGeometry, triple: HypercomplexTriple,
         sub = kt_report(geom, J, tol, title=f"kt[I{r}]")
         for row in sub.rows:
             report.add(f"{row.name}_I{r}", row.value, row.tol, row.identity)
-        lee.append(lee_form(geom, J.hermitian_form(), 1.0, orient))
+        lee.append(lee_form(geom, J.hermitian_form()))
     report.add("lee_equal_12", (lee[0] - lee[1]).sup_norm, tol,
                identity="equal-lee-forms")
     report.add("lee_equal_13", (lee[0] - lee[2]).sup_norm, tol,
@@ -408,15 +405,17 @@ def bryant_positivity(g2: G2Data) -> np.ndarray:
 
 def build_spin7(g2: G2Data) -> CayleyData:
     """Cayley 4-form Phi = e0 ^ phi + *phi on an 8-dim frame with the
-    new index 0 prepended."""
-    phi7 = g2.phi
-    star7 = hodge_star(phi7, g2.orient)
-    comp = np.zeros((8,) * 4)
-    comp[1:, 1:, 1:, 1:] = star7.components
-    phi8 = np.zeros((8,) * 3)
-    phi8[1:, 1:, 1:] = phi7.components
-    e0phi = wedge(basis_vector(8, 0), FrameTensor(8, 3, phi8))
-    Phi = FrameTensor(8, 4, comp) + e0phi
+    new index 0 prepended.
+
+    Prepending index 0 shifts every index tuple by one, onto the last
+    C(7, p) tuples of the 8-dim packing order (all others start with 0),
+    so a 7-dim form lifts by zero-padding its packed coefficients."""
+    def lift(form: FrameTensor) -> FrameTensor:
+        pad = np.zeros(math.comb(7, form.rank - 1))
+        return FrameTensor(8, form.rank, coeffs=np.concatenate([pad, form.coeffs]))
+
+    e0phi = wedge(basis_vector(8, 0), lift(g2.phi))
+    Phi = lift(hodge_star(g2.phi, g2.orient)) + e0phi
     return CayleyData(Phi, EpsilonOrientation(8, g2.orient.sign))
 
 

@@ -14,6 +14,7 @@ from torsiongeo.dilaton import (
     monotone_iterate,
     pick_lambda,
     residual,
+    _periodic_laplacian,
 )
 
 RNG = np.random.default_rng(4096)
@@ -244,3 +245,42 @@ def test_w_recipe_from_fibration_fields():
     domain = build_flat_torus(4, 4)
     u, _ = monotone_iterate(domain, w, SolverConfig(tol=1e-10))
     assert np.abs(u - 2.0).max() < 1e-8
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        bounds(np.array([4.0, bad, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        build_flat_torus(4, 4, bad)
+    with pytest.raises(ValueError, match="finite"):
+        build_flat_torus4(3, 3, 3, 3, bad)
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(tol=bad)
+    with pytest.raises(ValueError, match="finite"):
+        pick_lambda(2.0, bad)
+
+
+def loop_periodic_laplacian(shape, spacing):
+    """Reference assembly: COO triplets appended axis by axis."""
+    n_total = int(np.prod(shape))
+    idx = np.arange(n_total).reshape(shape)
+    rows, cols, vals = [], [], []
+    for axis in range(len(shape)):
+        neighbor = np.roll(idx, -1, axis=axis)
+        for a, b in ((idx, neighbor), (neighbor, idx)):
+            rows.extend(a.ravel())
+            cols.extend(b.ravel())
+            vals.extend([1.0 / spacing ** 2] * n_total)
+    L = sp.coo_matrix((vals, (rows, cols)), shape=(n_total, n_total)).tocsr()
+    return (L - sp.diags(np.asarray(L.sum(axis=1)).ravel())).tocsr()
+
+
+@pytest.mark.parametrize("shape, spacing", [((3, 3), 1.0), ((5, 4), 0.3),
+                                            ((64, 64), 2 * np.pi / 64),
+                                            ((3, 4, 5, 6), 0.7)])
+def test_periodic_laplacian_matches_loop_assembly(shape, spacing):
+    L, ref = _periodic_laplacian(shape, spacing), loop_periodic_laplacian(shape, spacing)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(L, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -1,5 +1,5 @@
-"""Outputs pinned against recorded files: `tg verify` on every catalog
-entry, and random_geometry samples.
+"""Outputs pinned against recorded files: `tg verify` and `tg decompose`
+on every catalog entry, and random_geometry samples.
 
 ``golden/verify_catalog.json`` holds the exit status and JSON report of
 ``tg verify --example <name> --format json`` for each entry, recorded
@@ -7,7 +7,11 @@ with the dense-form implementation.  Every row value must agree to 1e-15
 absolute, and every pass/assert flag and verdict must be identical.
 ``golden/verify_catalog_text.json`` holds the exit status and the exact
 ``--format text`` output of the same commands, recorded before the text
-rendering moved onto the report dicts.  ``golden/random_geometry_sha256.json``
+rendering moved onto the report dicts.  ``golden/decompose_catalog.json``
+holds the exit status and JSON report of ``tg decompose --example <name>
+--format json`` for each entry, recorded before dH and the torsion
+connections moved into the geometry's cache; numbers must agree to
+1e-15 absolute and everything else exactly.  ``golden/random_geometry_sha256.json``
 holds the SHA-256 of ``c`` and ``H.coeffs`` bytes of random_geometry
 samples, recorded before the structure-constant packing moved onto
 ``index_tuples`` gathers (numpy 2.4, OpenBLAS 0.3.31; another LAPACK
@@ -27,6 +31,7 @@ from torsiongeo.random_geometry import random_geometry
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "verify_catalog.json").read_text())
 GOLDEN_TEXT = json.loads((GOLDEN_DIR / "verify_catalog_text.json").read_text())
+GOLDEN_DECOMPOSE = json.loads((GOLDEN_DIR / "decompose_catalog.json").read_text())
 GOLDEN_SAMPLES = json.loads((GOLDEN_DIR / "random_geometry_sha256.json").read_text())
 
 
@@ -66,6 +71,30 @@ def test_verify_text_matches_recorded_output(name, capsys):
     code = main(["verify", "--example", name, "--format", "text"])
     gold = GOLDEN_TEXT[name]
     assert (code, capsys.readouterr().out) == (gold["exit"], gold["text"])
+
+
+def assert_matches(value, gold, where="report"):
+    """Same structure and non-float leaves; floats within 1e-15."""
+    if isinstance(gold, float) and isinstance(value, float):
+        assert abs(value - gold) <= 1e-15, (where, value, gold)
+    elif isinstance(gold, dict):
+        assert isinstance(value, dict) and value.keys() == gold.keys(), where
+        for key in gold:
+            assert_matches(value[key], gold[key], f"{where}.{key}")
+    elif isinstance(gold, list):
+        assert isinstance(value, list) and len(value) == len(gold), where
+        for k, (v, g) in enumerate(zip(value, gold)):
+            assert_matches(v, g, f"{where}[{k}]")
+    else:
+        assert (type(value), value) == (type(gold), gold), where
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DECOMPOSE))
+def test_decompose_matches_recorded_report(name, capsys):
+    code = main(["decompose", "--example", name, "--format", "json"])
+    gold = GOLDEN_DECOMPOSE[name]
+    assert code == gold["exit"]
+    assert_matches(json.loads(capsys.readouterr().out), gold["report"])
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])

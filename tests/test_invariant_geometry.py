@@ -1,7 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
+import torsiongeo.invariant_geometry as invariant_geometry
 from torsiongeo.catalog import epsilon3
+from torsiongeo.cli import main
 from torsiongeo.frame_algebra import (
     EpsilonOrientation,
     FrameTensor,
@@ -366,7 +370,7 @@ def test_lee_form_parallel_su3(su3_built):
 
 def test_soliton_su2_flat_scale():
     geom = su2()
-    rep = soliton_report(geom, FrameTensor(3, 1, np.zeros(3)))
+    rep = soliton_report(geom)
     assert rep.passed
     assert rep.row("soliton_residual").value < 1e-13
     assert rep.row("steadyf_rhs").value < 1e-13
@@ -374,7 +378,7 @@ def test_soliton_su2_flat_scale():
 
 def test_soliton_flat_abelian():
     geom = LieFrameGeometry(4, np.zeros((4, 4, 4)), zero_form(4, 3))
-    rep = soliton_report(geom, FrameTensor(4, 1, np.zeros(4)))
+    rep = soliton_report(geom)
     assert rep.passed
 
 
@@ -386,7 +390,7 @@ def test_soliton_blockwise_su2su2():
     H[:3, :3, :3] = epsilon3()
     H[3:, 3:, 3:] = epsilon3()
     geom = LieFrameGeometry(6, c, FrameTensor(6, 3, H))
-    rep = soliton_report(geom, FrameTensor(6, 1, np.zeros(6)))
+    rep = soliton_report(geom)
     assert rep.passed
 
 
@@ -394,7 +398,7 @@ def test_soliton_scaled_torsion_residual_value():
     # doubling the bi-invariant torsion gives Ric^ = -(3/2) delta, so the
     # soliton residual with V = 0 is exactly 3/2 and the report fails
     geom = su2(H_scale=2.0)
-    rep = soliton_report(geom, FrameTensor(3, 1, np.zeros(3)))
+    rep = soliton_report(geom)
     assert rep.row("soliton_residual").value == pytest.approx(1.5, abs=1e-12)
     assert not rep.passed
 
@@ -405,7 +409,7 @@ def test_soliton_refuses_open_torsion():
     c[3:, 3:, 3:] = epsilon3()
     geom = LieFrameGeometry(6, c, basis_form(6, [0, 3, 4]))
     with pytest.raises(HypothesesNotMet):
-        soliton_report(geom, FrameTensor(6, 1, np.zeros(6)))
+        soliton_report(geom)
 
 
 # ------------------------------------------------------------------- bochner
@@ -430,6 +434,50 @@ def test_bochner_linearity():
     tripled = LieFrameGeometry(3, geom.c, 3.0 * geom.H)
     assert np.abs(bochner_term(tripled).components
                   - 3.0 * bochner_term(geom).components).max() < 1e-12
+
+
+# ------------------------------------------------------ cached derivations
+
+def test_verify_derives_torsion_geometry_once(su3_built, monkeypatch, capsys):
+    """`tg verify --example su3-hkt` reads dH, the three connections and
+    their curvatures from the geometry's cache: one curvature per
+    connection and one d(H), however many reports use them.  The cached
+    arrays are read-only, so no report can alter what the next reads."""
+    calls = {"curvature": 0, "dH": 0}
+    curvature_fn = invariant_geometry.curvature
+    d_fn = invariant_geometry.d_invariant
+
+    def counted_curvature(geom, conn):
+        calls["curvature"] += 1
+        return curvature_fn(geom, conn)
+
+    def counted_d(chi, geom):
+        calls["dH"] += chi is geom.H
+        return d_fn(chi, geom)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "torsiongeo":
+            continue
+        for attr, orig, counted in (("curvature", curvature_fn, counted_curvature),
+                                    ("d_invariant", d_fn, counted_d)):
+            if getattr(module, attr, None) is orig:
+                monkeypatch.setattr(module, attr, counted)
+    assert main(["verify", "--example", "su3-hkt", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == {"curvature": 3, "dH": 1}
+
+    geom = su3_built[0]
+    assert geom.dH is geom.dH
+    for sign in (0, 1, -1):
+        assert geom.curvatures[sign] is geom.curvatures[sign]
+        for arr in (geom.connections[sign].gamma, geom.curvatures[sign].riemann,
+                    geom.curvatures[sign].ricci):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        geom.dH.coeffs[0] = 1.0
+    with pytest.raises(TypeError):
+        geom.connections[1] = geom.connections[0]
 
 
 # --------------------------------------------------------------- validation

@@ -196,12 +196,22 @@ BAD_STRUCTURE_FILES = [
     {"dim": 6, "I1": [[0, 1, 1.0]], "I2": [[0, 2, 1.0]], "I3": [[0, 3, 1.0]]},
 ]
 
+# a non-finite entry in one structure, or in the third of a triple
+NON_FINITE_STRUCTURE_FILES = [
+    {"dim": 4, "I1": [[0, 1, float("nan")], [1, 0, -1.0]]},
+    {"dim": 4, "I1": [[0, 1, 1.0], [1, 0, -1.0], [2, 3, 1.0], [3, 2, -1.0]],
+     "I2": [[0, 2, 1.0], [2, 0, -1.0], [1, 3, -1.0], [3, 1, 1.0]],
+     "I3": [[0, 3, float("inf")]]},
+]
+
 
 @pytest.mark.parametrize("command, doc",
                          [("verify", d) for d in BAD_GEOMETRY_FILES + BAD_STRUCTURE_FILES]
                          + [("decompose", d) for d in BAD_GEOMETRY_FILES]
                          # last, so that the positional ids of the cases above stay put
-                         + [("verify", {"dim": 6, "Phi": [[0, 1, 2, 3, 1.0]]})])
+                         + [("verify", {"dim": 6, "Phi": [[0, 1, 2, 3, 1.0]]})]
+                         + [("verify", d) for d in NON_FINITE_STRUCTURE_FILES]
+                         + [(cmd, {"dim": float("inf")}) for cmd in ("verify", "decompose")])
 def test_cli_malformed_geometry_file_exit_2(command, doc, tmp_path, capsys):
     doc = {"c": [], "H": [], **doc}
     path = tmp_path / "bad.json"
@@ -321,3 +331,42 @@ def test_cli_dilaton_w_recipe(tmp_path):
                     "--output", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert np.abs(np.array(rep["u"]) - 2.0).max() < 1e-8
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_DILATON_FILES = [
+    {"grid": [8, 8], "tol": INF},
+    {"grid": [8, 8], "tol": NAN},
+    {"grid": [8, 8], "spacing": NAN},
+    {"grid": [8, 8], "spacing": INF},
+    {"grid": [3, 3], "w": [4.0] * 4 + [NAN] + [4.0] * 4},
+    {"grid": [3, 3], "w": [4.0] * 4 + [INF] + [4.0] * 4},
+    {"grid": [3, 3], "w": {"f_u1_sq": [2.0] * 4 + [NAN] + [2.0] * 4,
+                           "f_minus_sq": [6.0] * 9}},
+    {"grid": [8, 8], "max_iter": INF},
+    {"grid": [INF, 8]},
+    {"grid": [8, 8], "scalar_curvature": [1.0] * 63 + [NAN], "h": 1.0},
+    {"grid": [8, 8], "scalar_curvature": 1.0, "h": INF},
+]
+
+
+@pytest.mark.parametrize("command, doc",
+                         [("dilaton", d) for d in NON_FINITE_DILATON_FILES]
+                         + [("topology", {"k": INF, "chi": 2, "tau": 0})])
+def test_cli_non_finite_input_exit_2(command, doc, tmp_path, capsys):
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps(doc))
+    assert run_cli([command, "--input", str(prob)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("lam", [NAN, INF])
+def test_cli_dilaton_non_finite_lambda_rejected(lam, tmp_path):
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({"grid": [8, 8], "lambda": lam}))
+    out = tmp_path / "x.json"
+    assert run_cli(["dilaton", "--input", str(prob), "--format", "json",
+                    "--output", str(out)]) == 1
+    assert "must be finite" in json.loads(out.read_text())["error"]

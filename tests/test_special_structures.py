@@ -4,6 +4,7 @@ import pytest
 from torsiongeo.catalog import epsilon3
 from torsiongeo.decomposition import decompose
 from torsiongeo.frame_algebra import (
+    EpsilonOrientation,
     FrameTensor,
     antisymmetrize,
     basis_form,
@@ -11,6 +12,7 @@ from torsiongeo.frame_algebra import (
     form_inner,
     hodge_star,
     interior_product,
+    wedge,
     zero_form,
 )
 from torsiongeo.invariant_geometry import (
@@ -328,6 +330,22 @@ def test_spin7_triple_contraction_unit_length():
     assert np.sqrt(form_inner(x, x)) == pytest.approx(1.0, abs=1e-12)
     # supported along the extra direction only
     assert np.abs(x.components[1:]).max() < 1e-13
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_spin7_packed_lift_matches_dense_embedding(sign):
+    """build_spin7 lifts packed forms; the reference embeds dense
+    components in the last seven slots of an 8-dim frame."""
+    rng = np.random.default_rng(11 + sign)
+    for g2 in (build_g2("standard", EpsilonOrientation(7, sign)),
+               G2Data(FrameTensor(7, 3, coeffs=rng.standard_normal(35)),
+                      EpsilonOrientation(7, sign))):
+        star8 = np.zeros((8,) * 4)
+        star8[1:, 1:, 1:, 1:] = hodge_star(g2.phi, g2.orient).components
+        phi8 = np.zeros((8,) * 3)
+        phi8[1:, 1:, 1:] = g2.phi.components
+        dense = FrameTensor(8, 4, star8) + wedge(basis_vector(8, 0), FrameTensor(8, 3, phi8))
+        assert build_spin7(g2).Phi.coeffs.tobytes() == dense.coeffs.tobytes()
 
 
 # --------------------------------------------------------- parallel residual
