@@ -22,6 +22,7 @@ from .frame_algebra import (
 )
 from .invariant_geometry import (
     LieFrameGeometry,
+    direct_sum,
     ConnectionCoeffs,
     CurvatureData,
     HypothesesNotMet,

@@ -54,7 +54,7 @@ from .dilaton import (
 )
 from .reporting import StructureReport, text_lines
 from .catalog import CATALOG, catalog_entry
-from .geometry_io import geometry_from_dict, structures_from_dict
+from .geometry_io import _integer, geometry_from_dict, structures_from_dict
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -191,8 +191,9 @@ def run_decompose(cfg) -> tuple:
 def run_topology(cfg) -> tuple:
     data = _load_json(cfg["input"])
     try:
-        top = TopologyData(int(data["k"]), tuple(data.get("n", [])),
-                           int(data["chi"]), int(data["tau"]))
+        top = TopologyData(_integer(data["k"], "k"),
+                           tuple(_integer(x, "n") for x in data.get("n", [])),
+                           _integer(data["chi"], "chi"), _integer(data["tau"], "tau"))
         fiber = data.get("fiber", "s(u1xu2)")
         table = chern_topology(top, fiber)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
@@ -217,7 +218,7 @@ _W_PRESETS = {
 def run_dilaton(cfg) -> tuple:
     data = _load_json(cfg["input"])
     try:
-        n1, n2 = (int(x) for x in data["grid"])
+        n1, n2 = (_integer(x, "grid size") for x in data["grid"])
         spacing = float(data.get("spacing", 2.0 * np.pi / n1))
         domain = build_flat_torus(n1, n2, spacing)
         w_field = data.get("w", "constant4")
@@ -246,7 +247,7 @@ def run_dilaton(cfg) -> tuple:
         solver_cfg = SolverConfig(
             lambda_policy=data.get("lambda", "auto"),
             tol=float(data.get("tol", 1e-10)),
-            max_iter=int(data.get("max_iter", 500)),
+            max_iter=_integer(data.get("max_iter", 500), "max_iter"),
         )
     except InputError:
         raise

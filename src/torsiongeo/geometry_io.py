@@ -8,8 +8,8 @@ antisymmetric completion is implied).  H is a sparse list
 bit-exactly.  Optional structure keys: I1/I2/I3 as sparse [[i, j,
 value], ...] matrices (one structure needs an even dim, a triple a dim
 divisible by 4), phi as a sparse 3-form list (dim 7), Phi as a sparse
-4-form list (dim 8).  Every index must be an integer in [0, dim);
-anything else raises ValueError.
+4-form list (dim 8).  dim must be an integer and every index an
+integer in [0, dim); anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -43,9 +43,16 @@ def form_to_sparse(T: FrameTensor) -> list:
             for k in nonzero]
 
 
+def _integer(value, what: str) -> int:
+    """An integer read from a file; floats (even 2.0) and bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 def _index(i, dim: int) -> int:
     """A frame index read from a file: an integer in [0, dim)."""
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < dim:
+    if not 0 <= _integer(i, "index") < dim:
         raise ValueError(f"index {i!r} is not an integer in [0, {dim})")
     return int(i)
 
@@ -94,7 +101,7 @@ def geometry_to_dict(geom: LieFrameGeometry) -> dict:
 
 
 def geometry_from_dict(data: dict) -> LieFrameGeometry:
-    dim = int(data["dim"])
+    dim = _integer(data["dim"], "dim")
     c = _c_from_field(dim, data.get("c", []))
     H = sparse_form(dim, 3, data.get("H", []))
     return LieFrameGeometry(dim, c, H, name=str(data.get("name", "")))

@@ -40,6 +40,7 @@ from .reporting import StructureReport
 
 __all__ = [
     "LieFrameGeometry",
+    "direct_sum",
     "ConnectionCoeffs",
     "CurvatureData",
     "HypothesesNotMet",
@@ -123,10 +124,14 @@ class LieFrameGeometry:
         return d_invariant(self.H, self)
 
     @cached_property
+    def _levi_civita(self) -> ConnectionCoeffs:
+        return levi_civita(self)
+
+    @cached_property
     def connections(self) -> MappingProxyType:
         """Connection coefficients by torsion sign: 0 is Levi-Civita,
         +1 / -1 the connections with torsion +H / -H."""
-        return MappingProxyType({0: levi_civita(self), 1: with_torsion(self, 1),
+        return MappingProxyType({0: self._levi_civita, 1: with_torsion(self, 1),
                                  -1: with_torsion(self, -1)})
 
     @cached_property
@@ -134,6 +139,21 @@ class LieFrameGeometry:
         """CurvatureData of each of ``connections``, by the same sign."""
         return MappingProxyType({sign: curvature(self, conn)
                                  for sign, conn in self.connections.items()})
+
+
+def direct_sum(*factors: LieFrameGeometry, name: str = "") -> LieFrameGeometry:
+    """The product geometry: block-diagonal ``c`` and ``H``, each factor
+    on the next ``factor.dim`` consecutive frame indices, in order."""
+    dim = sum(f.dim for f in factors)
+    c = np.zeros((dim,) * 3)
+    H = np.zeros((dim,) * 3)
+    start = 0
+    for f in factors:
+        block = slice(start, start + f.dim)
+        c[block, block, block] = f.c
+        H[block, block, block] = f.H.components
+        start += f.dim
+    return LieFrameGeometry(dim, c, FrameTensor(dim, 3, H), name=name)
 
 
 @dataclass(frozen=True)
@@ -189,10 +209,11 @@ def levi_civita(geom: LieFrameGeometry) -> ConnectionCoeffs:
 
 
 def with_torsion(geom: LieFrameGeometry, sign: int) -> ConnectionCoeffs:
-    """Gamma^_i{}_{jk} = Gamma^i_{jk} + (sign/2) H^i_{jk}."""
+    """Gamma^_i{}_{jk} = Gamma^i_{jk} + (sign/2) H^i_{jk}, from the
+    geometry's cached Levi-Civita connection."""
     if sign not in (1, -1):
         raise ValueError("torsion sign must be +1 or -1")
-    return ConnectionCoeffs(levi_civita(geom).gamma + 0.5 * sign * geom.H.components)
+    return ConnectionCoeffs(geom._levi_civita.gamma + 0.5 * sign * geom.H.components)
 
 
 def curvature(geom: LieFrameGeometry, conn: ConnectionCoeffs) -> CurvatureData:
@@ -396,17 +417,24 @@ def bochner_term(geom: LieFrameGeometry) -> FrameTensor:
     """
     cur = geom.curvatures[0]
     H = geom.H.components
-    t = (np.einsum("ak,bck->abc", cur.ricci, H)
-         - 2.0 * np.einsum("akbm,ckm->abc", cur.riemann, H))
+    ric_H = np.einsum("ak,bck->abc", cur.ricci, H)
+    riem_H = 2.0 * np.einsum("akbm,ckm->abc", cur.riemann, H)
+    t = ric_H - riem_H
     out = t + np.einsum("abc->bca", t) + np.einsum("abc->cab", t)
-    return FrameTensor(geom.dim, 3, antisymmetrize_if_needed(out))
+    # the size of the terms before they cancel; |c|^2 |H| stands in for
+    # them when the curvature itself is roundoff (flat, non-abelian c)
+    scale = max(np.abs(ric_H).max(), np.abs(riem_H).max(),
+                np.abs(geom.c).max() ** 2 * np.abs(H).max())
+    return FrameTensor(geom.dim, 3, antisymmetrize_if_needed(out, scale))
 
 
-def antisymmetrize_if_needed(arr: np.ndarray) -> np.ndarray:
+def antisymmetrize_if_needed(arr: np.ndarray, scale: float) -> np.ndarray:
     """Clean up roundoff: the cyclic curvature sum is antisymmetric
-    analytically; symmetrize away float noise so FrameTensor accepts it."""
+    analytically; symmetrize away float noise so FrameTensor accepts it.
+    The noise is measured against ``scale``, the size of the summed
+    terms, since the sum itself may cancel to roundoff."""
     anti = antisymmetrize(arr)
-    if np.abs(anti - arr).max() > 1e-8 * max(1.0, np.abs(arr).max()):
+    if np.abs(anti - arr).max() > 1e-8 * scale:
         raise AssertionError("cyclic curvature sum unexpectedly non-antisymmetric")
     return anti
 

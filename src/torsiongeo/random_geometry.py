@@ -20,8 +20,9 @@ from .frame_algebra import (
     antisymmetrize,
     derivation_matrix,
     index_tuples,
+    zero_form,
 )
-from .invariant_geometry import LieFrameGeometry, _jacobi_tensor
+from .invariant_geometry import LieFrameGeometry, _jacobi_tensor, direct_sum
 
 __all__ = [
     "project_to_jacobi",
@@ -150,21 +151,19 @@ def _seed_structure(rng: np.random.Generator, dim: int,
                     unimodular: bool) -> np.ndarray:
     """Random scaled block sum of library algebras, randomly conjugated."""
     blocks = _block_library(unimodular)
-    c = np.zeros((dim, dim, dim))
+    factors = []
     pos = 0
     while pos < dim:
         fits = [b for b in blocks if b.shape[0] <= dim - pos]
         if not fits or rng.random() < 0.2:
-            pos += 1  # abelian direction
-            continue
-        b = fits[rng.integers(len(fits))]
+            b = np.zeros((1, 1, 1))  # abelian direction
+        else:
+            b = fits[rng.integers(len(fits))] * float(rng.uniform(0.5, 1.5))
         k = b.shape[0]
-        scale = float(rng.uniform(0.5, 1.5))
-        c[pos:pos + k, pos:pos + k, pos:pos + k] = scale * b
+        factors.append(LieFrameGeometry(k, b, zero_form(k, 3)))
         pos += k
     O = random_orthogonal(rng, dim)
-    c = np.einsum("ma,pb,qc,mpq->abc", O, O, O, c)
-    return c
+    return np.einsum("ma,pb,qc,mpq->abc", O, O, O, direct_sum(*factors).c)
 
 
 def random_geometry(rng: np.random.Generator, dim: int,

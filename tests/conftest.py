@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from torsiongeo.catalog import epsilon3
-from torsiongeo.frame_algebra import FrameTensor
-from torsiongeo.invariant_geometry import LieFrameGeometry
+from torsiongeo.catalog import _flat, _su2
+from torsiongeo.invariant_geometry import LieFrameGeometry, direct_sum
 from torsiongeo.random_geometry import (
     random_geometry,
     random_orthogonal,
@@ -35,19 +34,15 @@ def parallel_torsion_suite():
     samples = []
     rng = np.random.default_rng(77)
     for i in range(20):
-        blocks = [3] if i % 3 == 0 else ([3, 3] if i % 3 == 1 else [3, 0, 0])
-        dim = sum(max(b, 1) for b in blocks)
-        dim = {0: 3, 1: 6, 2: 5}[i % 3]
-        c = np.zeros((dim, dim, dim))
-        H = np.zeros((dim, dim, dim))
-        c[:3, :3, :3] = epsilon3()
-        H[:3, :3, :3] = float(rng.uniform(0.5, 2.0)) * epsilon3()
-        if dim == 6:
-            c[3:, 3:, 3:] = epsilon3()
-            H[3:, 3:, 3:] = float(rng.uniform(0.5, 2.0)) * epsilon3()
-        O = random_orthogonal(rng, dim)
-        c_rot, H_rot = rotate_structure(c, FrameTensor(dim, 3, H), O)
-        samples.append(LieFrameGeometry(dim, c_rot, H_rot))
+        factors = [_su2(float(rng.uniform(0.5, 2.0)))]
+        if i % 3 == 1:
+            factors.append(_su2(float(rng.uniform(0.5, 2.0))))
+        elif i % 3 == 2:
+            factors.append(_flat(2))
+        geom = direct_sum(*factors)
+        O = random_orthogonal(rng, geom.dim)
+        c_rot, H_rot = rotate_structure(geom.c, geom.H, O)
+        samples.append(LieFrameGeometry(geom.dim, c_rot, H_rot))
     return samples
 
 

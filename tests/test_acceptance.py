@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from torsiongeo.catalog import epsilon3
+from torsiongeo.catalog import _flat, _su2, epsilon3
 from torsiongeo.decomposition import decompose
 from torsiongeo.dilaton import (
     SolverConfig,
@@ -35,6 +35,7 @@ from torsiongeo.invariant_geometry import (
     HypothesesNotMet,
     LieFrameGeometry,
     bianchi_report,
+    direct_sum,
 )
 from torsiongeo.special_structures import (
     G2Data,
@@ -119,19 +120,8 @@ def test_criterion_3_su3_construction(su3_built):
 
 
 def test_criterion_4_splitting_desk_cases():
-    c6 = np.zeros((6, 6, 6))
-    c6[:3, :3, :3] = EPS3
-    H6 = np.zeros((6, 6, 6))
-    H6[:3, :3, :3] = EPS3
-    res6 = decompose(LieFrameGeometry(6, c6, FrameTensor(6, 3, H6)))
-
-    c8 = np.zeros((8, 8, 8))
-    c8[:3, :3, :3] = EPS3
-    c8[3:6, 3:6, 3:6] = EPS3
-    H8 = np.zeros((8, 8, 8))
-    H8[:3, :3, :3] = EPS3
-    H8[3:6, 3:6, 3:6] = EPS3
-    res8 = decompose(LieFrameGeometry(8, c8, FrameTensor(8, 3, H8)))
+    res6 = decompose(direct_sum(_su2(), _flat(3)))
+    res8 = decompose(direct_sum(_su2(), _su2(), _flat(2)))
 
     ok = (res6.kernel_dim == 3 and res6.flat_block_factors == ["su(2)"]
           and res8.kernel_dim == 2
@@ -243,10 +233,7 @@ def test_criterion_8_dilaton_solver():
 
 def test_criterion_9_negative_controls():
     # open torsion: pair symmetry fails with a concrete witness
-    c = np.zeros((6, 6, 6))
-    c[:3, :3, :3] = EPS3
-    c[3:, 3:, 3:] = EPS3
-    geom_bad = LieFrameGeometry(6, c, basis_form(6, (0, 3, 4)))
+    geom_bad = LieFrameGeometry(6, direct_sum(_su2(), _su2()).c, basis_form(6, (0, 3, 4)))
     pair = bianchi_report(geom_bad)[2]
     witness_pair = pair.row("pair_symmetry").value
     refused = False

@@ -1,33 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from torsiongeo.catalog import epsilon3
+from torsiongeo.catalog import _flat, _su2, epsilon3
 from torsiongeo.decomposition import (
     TorsionGram,
     decompose,
     eigen_split,
     torsion_gram,
 )
-from torsiongeo.frame_algebra import FrameTensor, antisymmetrize, zero_form
+from torsiongeo.frame_algebra import FrameTensor, antisymmetrize, basis_form, zero_form
 from torsiongeo.invariant_geometry import (
     HypothesesNotMet,
     LieFrameGeometry,
+    direct_sum,
     lie_jacobi_residual,
 )
-from torsiongeo.random_geometry import random_orthogonal, rotate_structure
+from torsiongeo.random_geometry import _block_library, random_orthogonal, rotate_structure
 
 RNG = np.random.default_rng(99)
 
 
-def block_geometry(blocks, dim, scales=None):
-    """su(2)-blocks at given offsets with H equal to the scaled blocks."""
-    c = np.zeros((dim, dim, dim))
-    H = np.zeros((dim, dim, dim))
-    scales = scales or [1.0] * len(blocks)
-    for off, s in zip(blocks, scales):
-        c[off:off + 3, off:off + 3, off:off + 3] = epsilon3()
-        H[off:off + 3, off:off + 3, off:off + 3] = s * epsilon3()
-    return LieFrameGeometry(dim, c, FrameTensor(dim, 3, H))
+def block_geometry(dim, scales=(1.0,)):
+    """su(2) blocks with H equal to the scaled blocks, then flat up to dim."""
+    factors = [_su2(s) for s in scales]
+    if dim > 3 * len(scales):
+        factors.append(_flat(dim - 3 * len(scales)))
+    return direct_sum(*factors)
 
 
 # ---------------------------------------------------------------- jacobi
@@ -37,10 +36,7 @@ def test_jacobi_epsilon_zero():
 
 
 def test_jacobi_block_sum_zero():
-    H = np.zeros((6, 6, 6))
-    H[:3, :3, :3] = epsilon3()
-    H[3:, 3:, 3:] = epsilon3()
-    assert lie_jacobi_residual(H) == 0.0
+    assert lie_jacobi_residual(direct_sum(_su2(), _su2()).c) == 0.0
 
 
 def test_jacobi_generic_three_form_positive():
@@ -70,9 +66,7 @@ def test_gram_zero_torsion():
 
 
 def test_gram_block_in_dim7():
-    H = np.zeros((7, 7, 7))
-    H[:3, :3, :3] = epsilon3()
-    gram = torsion_gram(FrameTensor(7, 3, H))
+    gram = torsion_gram(direct_sum(_su2(), _flat(4)).H)
     assert np.abs(gram.h - np.diag([1, 1, 1, 0, 0, 0, 0.0])).max() == 0.0
 
 
@@ -119,7 +113,7 @@ def test_eigen_split_bases_orthonormal():
 # --------------------------------------------------------------- decompose
 
 def test_decompose_su2_plus_abelian3():
-    geom = block_geometry([0], 6)
+    geom = block_geometry(6)
     res = decompose(geom)
     assert res.kernel_dim == 3
     assert res.block_names == ["su(2)"]
@@ -138,7 +132,7 @@ def test_decompose_su3(su3_built):
 
 
 def test_decompose_su2su2_plus_abelian2():
-    geom = block_geometry([0, 3], 8)
+    geom = block_geometry(8, [1.0, 1.0])
     res = decompose(geom)
     assert res.kernel_dim == 2
     assert res.block_names == ["su(2)+su(2)"]
@@ -153,18 +147,14 @@ def test_decompose_zero_torsion_all_kernel():
 
 
 def test_decompose_refuses_open_torsion():
-    from torsiongeo.frame_algebra import basis_form
-    c = np.zeros((6, 6, 6))
-    c[:3, :3, :3] = epsilon3()
-    c[3:, 3:, 3:] = epsilon3()
-    geom = LieFrameGeometry(6, c, basis_form(6, [0, 3, 4]))
+    geom = LieFrameGeometry(6, direct_sum(_su2(), _su2()).c, basis_form(6, [0, 3, 4]))
     with pytest.raises(HypothesesNotMet):
         decompose(geom)
 
 
 def test_decompose_unidentified_block_dimension():
     # scale the two blocks apart: two separate dim-3 clusters, both su(2)
-    geom = block_geometry([0, 3], 8, scales=[1.0, 2.0])
+    geom = block_geometry(8, [1.0, 2.0])
     res = decompose(geom)
     assert res.kernel_dim == 2
     assert res.block_names == ["su(2)", "su(2)"]
@@ -174,7 +164,7 @@ def test_decompose_unidentified_block_dimension():
 
 def test_decompose_dimension_outside_catalog():
     # three equal-scale blocks form one dim-9 cluster, outside the catalog
-    geom = block_geometry([0, 3, 6], 9)
+    geom = block_geometry(9, [1.0] * 3)
     res = decompose(geom)
     assert res.kernel_dim == 0
     assert res.block_names == ["semisimple (dim 9, unidentified)"]
@@ -182,7 +172,7 @@ def test_decompose_dimension_outside_catalog():
 
 
 def test_decompose_orthogonal_invariance():
-    geom = block_geometry([0, 3], 8)
+    geom = block_geometry(8, [1.0, 1.0])
     base = decompose(geom)
     for seed in range(3):
         O = random_orthogonal(np.random.default_rng(seed), 8)
@@ -196,7 +186,7 @@ def test_decompose_orthogonal_invariance():
 
 
 def test_decompose_scaling_scales_eigenvalues():
-    geom = block_geometry([0], 6)
+    geom = block_geometry(6)
     scaled = LieFrameGeometry(6, geom.c, 2.0 * geom.H)
     res1, res2 = decompose(geom), decompose(scaled)
     assert res2.kernel_dim == res1.kernel_dim
@@ -214,8 +204,63 @@ def test_decompose_block_diagonality_of_torsion(parallel_torsion_suite):
 
 
 def test_result_roundtrips_to_dict():
-    res = decompose(block_geometry([0], 6))
+    res = decompose(block_geometry(6))
     d = res.to_dict()
     assert d["kernel_dim"] == 3
     assert d["block_names"] == ["su(2)"]
     assert "verdict" in d
+
+
+# ------------------------------------------------- splitting theorem on N + G
+
+# non-abelian factors of N (H = 0 on them): heis, e(1,1), n4
+_, _HEIS, _, _E11, _N4 = _block_library(True)
+N_BLOCKS = {"heis": _HEIS, "e11": _E11, "n4": _N4}
+
+
+def split_product(n_names, su2_scales, order, seed, perturb=0.0):
+    """N (the named blocks, H = 0) plus su(2) factors at the given scales
+    (torsion +-s epsilon), in the given order, conjugated by a random
+    O(n) frame.  ``perturb`` adds perturb * e^{ijk} with i in N and j, k
+    in the first su(2) factor, before the frame change."""
+    factors = [LieFrameGeometry(N_BLOCKS[n].shape[0], N_BLOCKS[n],
+                                zero_form(N_BLOCKS[n].shape[0], 3)) for n in n_names]
+    factors += [LieFrameGeometry(3, abs(s) * epsilon3(), FrameTensor(3, 3, s * epsilon3()))
+                for s in su2_scales]
+    factors = [factors[k] for k in order]
+    geom = direct_sum(*factors)
+    starts = np.cumsum([0] + [f.dim for f in factors])
+    i = starts[order.index(0)]
+    j = starts[order.index(len(n_names))]
+    H = geom.H + perturb * basis_form(geom.dim, (i, j, j + 1))
+    O = random_orthogonal(np.random.default_rng(seed), geom.dim)
+    c_rot, H_rot = rotate_structure(geom.c, H, O)
+    return LieFrameGeometry(geom.dim, c_rot, H_rot)
+
+
+@st.composite
+def split_cases(draw):
+    n_names = draw(st.lists(st.sampled_from(sorted(N_BLOCKS)), min_size=1, max_size=3,
+                            unique=True))
+    scales = draw(st.lists(st.sampled_from([1.0, 1.7, 2.5]), min_size=1, max_size=2,
+                           unique=True))
+    scales = [s * draw(st.sampled_from([1.0, -1.0])) for s in scales]
+    order = draw(st.permutations(range(len(n_names) + len(scales))))
+    return n_names, scales, list(order), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(split_cases())
+def test_decompose_recovers_product_split(case):
+    n_names, scales, order, seed = case
+    res = decompose(split_product(n_names, scales, order, seed))
+    assert res.kernel_dim == sum(N_BLOCKS[n].shape[0] for n in n_names)
+    assert res.block_names == ["su(2)"] * len(scales)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(split_cases())
+def test_decompose_refuses_torsion_across_n_and_g(case):
+    # 1e-6 e^{ijk} with i in N and j, k in G breaks dH = 0 or nabla^ H = 0
+    with pytest.raises(HypothesesNotMet):
+        decompose(split_product(*case, perturb=1e-6))

@@ -15,7 +15,9 @@ connections moved into the geometry's cache; numbers must agree to
 holds the SHA-256 of ``c`` and ``H.coeffs`` bytes of random_geometry
 samples, recorded before the structure-constant packing moved onto
 ``index_tuples`` gathers (numpy 2.4, OpenBLAS 0.3.31; another LAPACK
-build may round the projection differently).
+build may round the projection differently).  ``golden/catalog_sha256.json``
+holds the SHA-256 of ``c`` and of ``H.coeffs`` bytes of every catalog
+geometry entry, recorded before the entries were rebuilt as direct sums.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from torsiongeo.catalog import CATALOG
 from torsiongeo.cli import main
 from torsiongeo.random_geometry import random_geometry
 
@@ -33,6 +36,7 @@ GOLDEN = json.loads((GOLDEN_DIR / "verify_catalog.json").read_text())
 GOLDEN_TEXT = json.loads((GOLDEN_DIR / "verify_catalog_text.json").read_text())
 GOLDEN_DECOMPOSE = json.loads((GOLDEN_DIR / "decompose_catalog.json").read_text())
 GOLDEN_SAMPLES = json.loads((GOLDEN_DIR / "random_geometry_sha256.json").read_text())
+GOLDEN_CATALOG = json.loads((GOLDEN_DIR / "catalog_sha256.json").read_text())
 
 
 def verify(name, capsys):
@@ -105,3 +109,18 @@ def test_random_geometry_samples_are_bit_identical(closed, dim):
         digest = hashlib.sha256(geom.c.tobytes() + geom.H.coeffs.tobytes()).hexdigest()
         key = f"{'closed' if closed else 'open'} dim={dim} seed={seed}"
         assert digest == GOLDEN_SAMPLES[key], key
+
+
+def sha256(arr):
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CATALOG))
+def test_catalog_geometries_are_bit_identical(name):
+    geom, _ = CATALOG[name].build()
+    assert {"c": sha256(geom.c), "H": sha256(geom.H.coeffs)} == GOLDEN_CATALOG[name]
+
+
+def test_catalog_golden_covers_every_geometry_entry():
+    assert sorted(GOLDEN_CATALOG) == sorted(n for n, e in CATALOG.items()
+                                            if e.kind != "fibration")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import torsiongeo.invariant_geometry as invariant_geometry
-from torsiongeo.catalog import epsilon3
+from torsiongeo.catalog import _flat, _su2 as su2, epsilon3
 from torsiongeo.cli import main
 from torsiongeo.frame_algebra import (
     EpsilonOrientation,
@@ -24,6 +24,7 @@ from torsiongeo.invariant_geometry import (
     codifferential,
     curvature,
     d_invariant,
+    direct_sum,
     lee_form,
     levi_civita,
     lie_jacobi_residual,
@@ -35,17 +36,8 @@ from torsiongeo.invariant_geometry import (
 RNG = np.random.default_rng(618)
 
 
-def su2(H_scale=1.0):
-    c = epsilon3()
-    return LieFrameGeometry(3, c, FrameTensor(3, 3, H_scale * epsilon3()))
-
-
-def su2_plus_abelian(dim=6, H=None):
-    c = np.zeros((dim, dim, dim))
-    c[:3, :3, :3] = epsilon3()
-    if H is None:
-        H = zero_form(dim, 3)
-    return LieFrameGeometry(dim, c, H)
+def su2_plus_abelian():
+    return direct_sum(su2(0.0), _flat(3))
 
 
 # ---------------------------------------------------------------- connections
@@ -64,10 +56,7 @@ def test_levi_civita_su2_is_half_epsilon():
 def test_levi_civita_blockwise():
     geom = su2_plus_abelian()
     gamma = levi_civita(geom).gamma
-    assert np.abs(gamma[:3, :3, :3] - 0.5 * epsilon3()).max() == 0.0
-    assert np.abs(gamma[3:, :, :]).max() == 0.0
-    assert np.abs(gamma[:, 3:, :]).max() == 0.0
-    assert np.abs(gamma[:, :, 3:]).max() == 0.0
+    assert np.abs(gamma - 0.5 * geom.c).max() == 0.0
 
 
 def test_levi_civita_torsion_free_on_random_samples(open_torsion_suite):
@@ -97,13 +86,7 @@ def test_with_torsion_flat_sign_su2():
 
 
 def test_with_torsion_blockwise_su2su2():
-    c = np.zeros((6, 6, 6))
-    c[:3, :3, :3] = epsilon3()
-    c[3:, 3:, 3:] = epsilon3()
-    H = np.zeros((6, 6, 6))
-    H[:3, :3, :3] = epsilon3()
-    H[3:, 3:, 3:] = epsilon3()
-    geom = LieFrameGeometry(6, c, FrameTensor(6, 3, H))
+    geom = direct_sum(su2(), su2())
     assert np.abs(with_torsion(geom, -1).gamma).max() == 0.0
 
 
@@ -284,10 +267,7 @@ def test_bianchi_identities_generic_torsion(open_torsion_suite):
 def test_pair_symmetry_requires_closed_torsion():
     # witness: two group blocks with H = e^{145} has dH != 0 and the
     # exchange symmetry visibly fails
-    c = np.zeros((6, 6, 6))
-    c[:3, :3, :3] = epsilon3()
-    c[3:, 3:, 3:] = epsilon3()
-    geom = LieFrameGeometry(6, c, basis_form(6, [0, 3, 4]))
+    geom = LieFrameGeometry(6, direct_sum(su2(), su2()).c, basis_form(6, [0, 3, 4]))
     rep = bianchi_report(geom)[2]
     assert rep.row("dH").value > 0.5
     assert rep.row("pair_symmetry").value > 0.1
@@ -295,10 +275,7 @@ def test_pair_symmetry_requires_closed_torsion():
 
 
 def test_lccc_hypotheses_not_met_path():
-    c = np.zeros((6, 6, 6))
-    c[:3, :3, :3] = epsilon3()
-    c[3:, 3:, 3:] = epsilon3()
-    geom = LieFrameGeometry(6, c, basis_form(6, [0, 3, 4]))
+    geom = LieFrameGeometry(6, direct_sum(su2(), su2()).c, basis_form(6, [0, 3, 4]))
     rep = bianchi_report(geom)[3]
     assert not rep.hypotheses_met
     assert all(not row.asserted for row in rep.rows)
@@ -383,13 +360,7 @@ def test_soliton_flat_abelian():
 
 
 def test_soliton_blockwise_su2su2():
-    c = np.zeros((6, 6, 6))
-    c[:3, :3, :3] = epsilon3()
-    c[3:, 3:, 3:] = epsilon3()
-    H = np.zeros((6, 6, 6))
-    H[:3, :3, :3] = epsilon3()
-    H[3:, 3:, 3:] = epsilon3()
-    geom = LieFrameGeometry(6, c, FrameTensor(6, 3, H))
+    geom = direct_sum(su2(), su2())
     rep = soliton_report(geom)
     assert rep.passed
 
@@ -404,10 +375,7 @@ def test_soliton_scaled_torsion_residual_value():
 
 
 def test_soliton_refuses_open_torsion():
-    c = np.zeros((6, 6, 6))
-    c[:3, :3, :3] = epsilon3()
-    c[3:, 3:, 3:] = epsilon3()
-    geom = LieFrameGeometry(6, c, basis_form(6, [0, 3, 4]))
+    geom = LieFrameGeometry(6, direct_sum(su2(), su2()).c, basis_form(6, [0, 3, 4]))
     with pytest.raises(HypothesesNotMet):
         soliton_report(geom)
 
@@ -440,12 +408,14 @@ def test_bochner_linearity():
 
 def test_verify_derives_torsion_geometry_once(su3_built, monkeypatch, capsys):
     """`tg verify --example su3-hkt` reads dH, the three connections and
-    their curvatures from the geometry's cache: one curvature per
-    connection and one d(H), however many reports use them.  The cached
+    their curvatures from the geometry's cache: one Levi-Civita
+    derivation, one curvature per connection and one d(H), however many
+    reports use them.  The cached
     arrays are read-only, so no report can alter what the next reads."""
-    calls = {"curvature": 0, "dH": 0}
+    calls = {"curvature": 0, "dH": 0, "levi_civita": 0}
     curvature_fn = invariant_geometry.curvature
     d_fn = invariant_geometry.d_invariant
+    lc_fn = invariant_geometry.levi_civita
 
     def counted_curvature(geom, conn):
         calls["curvature"] += 1
@@ -455,16 +425,21 @@ def test_verify_derives_torsion_geometry_once(su3_built, monkeypatch, capsys):
         calls["dH"] += chi is geom.H
         return d_fn(chi, geom)
 
+    def counted_lc(geom):
+        calls["levi_civita"] += 1
+        return lc_fn(geom)
+
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] != "torsiongeo":
             continue
         for attr, orig, counted in (("curvature", curvature_fn, counted_curvature),
-                                    ("d_invariant", d_fn, counted_d)):
+                                    ("d_invariant", d_fn, counted_d),
+                                    ("levi_civita", lc_fn, counted_lc)):
             if getattr(module, attr, None) is orig:
                 monkeypatch.setattr(module, attr, counted)
     assert main(["verify", "--example", "su3-hkt", "--format", "json"]) == 0
     capsys.readouterr()
-    assert calls == {"curvature": 3, "dH": 1}
+    assert calls == {"curvature": 3, "dH": 1, "levi_civita": 1}
 
     geom = su3_built[0]
     assert geom.dH is geom.dH

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from torsiongeo.catalog import CATALOG, catalog_entry, epsilon3
+from torsiongeo.catalog import CATALOG, _flat, _su2, catalog_entry, epsilon3
 from torsiongeo.cli import main
 from torsiongeo.frame_algebra import FrameTensor, antisymmetrize
 from torsiongeo.geometry_io import (
@@ -16,7 +16,7 @@ from torsiongeo.geometry_io import (
     structures_from_dict,
     structures_to_dict,
 )
-from torsiongeo.invariant_geometry import LieFrameGeometry, bianchi_report
+from torsiongeo.invariant_geometry import LieFrameGeometry, bianchi_report, direct_sum
 from torsiongeo.special_structures import build_su3
 
 RNG = np.random.default_rng(7321)
@@ -36,11 +36,7 @@ def test_sparse_form_round_trip_bit_exact():
 
 
 def test_geometry_dict_round_trip():
-    c = np.zeros((6, 6, 6))
-    c[:3, :3, :3] = epsilon3()
-    H = np.zeros((6, 6, 6))
-    H[:3, :3, :3] = 1.25 * epsilon3()
-    geom = LieFrameGeometry(6, c, FrameTensor(6, 3, H), name="block")
+    geom = direct_sum(_su2(1.25), _flat(3), name="block")
     data = geometry_to_dict(geom)
     back = geometry_from_dict(data)
     assert np.array_equal(back.c, geom.c)
@@ -125,11 +121,8 @@ def test_cli_decompose_desk_cases(tmp_path):
 
 
 def test_cli_decompose_hypothesis_failure(tmp_path):
-    c = np.zeros((6, 6, 6))
-    c[:3, :3, :3] = epsilon3()
-    c[3:, 3:, 3:] = epsilon3()
     from torsiongeo.frame_algebra import basis_form
-    geom = LieFrameGeometry(6, c, basis_form(6, (0, 3, 4)))
+    geom = LieFrameGeometry(6, direct_sum(_su2(), _su2()).c, basis_form(6, (0, 3, 4)))
     path = tmp_path / "bad_geom.json"
     save_geometry(path, geom)
     out = tmp_path / "rep.json"
@@ -204,6 +197,15 @@ NON_FINITE_STRUCTURE_FILES = [
      "I3": [[0, 3, float("inf")]]},
 ]
 
+# su(2) structure constants under a size that is not an integer
+SU2_C = [[0, 1, 2, 1.0], [1, 0, 2, -1.0], [2, 0, 1, 1.0]]
+NON_INTEGER_DIM_FILES = [
+    {"dim": 3.9, "c": SU2_C},
+    {"dim": 3.0, "c": SU2_C},
+    {"dim": True},
+    {"dim": "3", "c": SU2_C},
+]
+
 
 @pytest.mark.parametrize("command, doc",
                          [("verify", d) for d in BAD_GEOMETRY_FILES + BAD_STRUCTURE_FILES]
@@ -211,7 +213,9 @@ NON_FINITE_STRUCTURE_FILES = [
                          # last, so that the positional ids of the cases above stay put
                          + [("verify", {"dim": 6, "Phi": [[0, 1, 2, 3, 1.0]]})]
                          + [("verify", d) for d in NON_FINITE_STRUCTURE_FILES]
-                         + [(cmd, {"dim": float("inf")}) for cmd in ("verify", "decompose")])
+                         + [(cmd, {"dim": float("inf")}) for cmd in ("verify", "decompose")]
+                         + [(cmd, doc) for doc in NON_INTEGER_DIM_FILES
+                            for cmd in ("verify", "decompose")])
 def test_cli_malformed_geometry_file_exit_2(command, doc, tmp_path, capsys):
     doc = {"c": [], "H": [], **doc}
     path = tmp_path / "bad.json"
@@ -255,6 +259,25 @@ def test_cli_verify_file_matches_example(name, tmp_path):
         code = run_cli(["verify", *source, "--format", "json", "--output", str(out)])
         reports.append((code, json.loads(out.read_text())["reports"]))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("scale, code", [(100.0, 0), (1e3, 1)])
+def test_cli_verify_scaled_su3_hkt_completes(scale, code, tmp_path):
+    # su3-hkt with c and H scaled: its Weitzenboeck curvature term cancels
+    # to roundoff from terms of size ~scale^3, which must not stop the run
+    geom, structures = catalog_entry("su3-hkt").build()
+    path = tmp_path / "su3.json"
+    save_geometry(path, LieFrameGeometry(8, scale * geom.c, scale * geom.H),
+                  extra=structures_to_dict(**structures))
+    out = tmp_path / "rep.json"
+    assert run_cli(["verify", "--input", str(path), "--format", "json",
+                    "--output", str(out)]) == code
+    reports = json.loads(out.read_text())["reports"]
+    # every report is there, through the last structure report
+    assert [r["title"] for r in reports][-3:] \
+        == ["bochner-weitzenboeck", "connection-survey", "hkt"]
+    bwf = [row for r in reports for row in r["rows"] if row["name"] == "bwf_residual"]
+    assert [row["passed"] for row in bwf] == [code == 0]
 
 
 def test_cli_topology_and_negative_control(tmp_path):
@@ -349,10 +372,28 @@ NON_FINITE_DILATON_FILES = [
     {"grid": [8, 8], "scalar_curvature": 1.0, "h": INF},
 ]
 
+# sizes and topological numbers must be integers: no floats, no bools
+NON_INTEGER_DILATON_FILES = [
+    {"grid": [16.7, 16]},
+    {"grid": [8, 8.0]},
+    {"grid": [True, 8]},
+    {"grid": [8, 8], "max_iter": 10.5},
+    {"grid": [8, 8], "max_iter": 100.0},
+]
+NON_INTEGER_TOPOLOGY_FILES = [
+    {"k": 1.0, "n": [1], "chi": 3, "tau": -1},
+    {"k": 1, "n": [1.5], "chi": 3, "tau": -1},
+    {"k": 1, "n": [1], "chi": 3.2, "tau": -1},
+    {"k": 1, "n": [1], "chi": 3, "tau": -1.0},
+    {"k": 1, "n": [True], "chi": 3, "tau": -1},
+]
+
 
 @pytest.mark.parametrize("command, doc",
                          [("dilaton", d) for d in NON_FINITE_DILATON_FILES]
-                         + [("topology", {"k": INF, "chi": 2, "tau": 0})])
+                         + [("topology", {"k": INF, "chi": 2, "tau": 0})]
+                         + [("dilaton", d) for d in NON_INTEGER_DILATON_FILES]
+                         + [("topology", d) for d in NON_INTEGER_TOPOLOGY_FILES])
 def test_cli_non_finite_input_exit_2(command, doc, tmp_path, capsys):
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps(doc))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torsiongeo.catalog import epsilon3
+from torsiongeo.catalog import _flat, _su2, epsilon3
 from torsiongeo.decomposition import decompose
 from torsiongeo.frame_algebra import (
     EpsilonOrientation,
@@ -18,6 +18,7 @@ from torsiongeo.frame_algebra import (
 from torsiongeo.invariant_geometry import (
     LieFrameGeometry,
     d_invariant,
+    direct_sum,
     levi_civita,
     lie_jacobi_residual,
     nabla_invariant,
@@ -74,10 +75,7 @@ def test_nijenhuis_su3_structures(su3_built):
 def test_nijenhuis_generic_witness():
     # a generic orthogonal complex structure on two group blocks plus a
     # flat plane is not integrable
-    c = np.zeros((8, 8, 8))
-    c[:3, :3, :3] = epsilon3()
-    c[3:6, 3:6, 3:6] = epsilon3()
-    geom = LieFrameGeometry(8, c, zero_form(8, 3))
+    geom = LieFrameGeometry(8, direct_sum(_su2(), _su2(), _flat(2)).c, zero_form(8, 3))
     q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((8, 8)))
     J = AlmostComplexStructure(q @ standard_block_J(8).J @ q.T)
     assert np.abs(nijenhuis(J, geom)).max() > 0.05
@@ -295,11 +293,7 @@ def test_g2_product_mode_span_violation():
 def test_g2_product_desk_model_structure():
     """Flat 4-space times the group 3-sphere: torsion closed and the
     product fundamental form parallel for the plus connection."""
-    c = np.zeros((7, 7, 7))
-    c[:3, :3, :3] = epsilon3()
-    H = np.zeros((7, 7, 7))
-    H[:3, :3, :3] = -epsilon3()
-    geom = LieFrameGeometry(7, c, FrameTensor(7, 3, H))
+    geom = direct_sum(_su2(-1.0), _flat(4))
     lams = [basis_vector(7, r) for r in range(3)]
     oms = hyperkahler_two_forms(7, (3, 4, 5, 6))
     g2 = build_g2("product", lambda_coframe=lams, omegas=oms)
