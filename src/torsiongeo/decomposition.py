@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 CLUSTER_TOL = 1e-8
+# TorsionGram rejects h with an eigenvalue below -PSD_TOL * max(1, |h|)
+PSD_TOL = 1e-10
 
 # compact semisimple algebras by dimension, as far as the splitting
 # theorems here need them
@@ -45,7 +47,6 @@ class TorsionGram:
     """h_{ij} = (1/2) H_{ipq} H_j{}^{pq}; symmetric positive semidefinite."""
 
     h: np.ndarray
-    psd_tol: float = 1e-10
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=np.float64)
@@ -54,7 +55,7 @@ class TorsionGram:
         scale = max(1.0, np.abs(h).max())
         if np.abs(h - h.T).max() > 1e-12 * scale:
             raise ValueError("h must be symmetric")
-        if np.linalg.eigvalsh(h).min() < -self.psd_tol * scale:
+        if np.linalg.eigvalsh(h).min() < -PSD_TOL * scale:
             raise ValueError("h must be positive semidefinite")
         h = h.copy()
         h.setflags(write=False)
@@ -79,13 +80,13 @@ class EigenCluster:
     basis: np.ndarray  # (dim, multiplicity), orthonormal columns
 
 
-def eigen_split(gram: TorsionGram, cluster_tol: float = CLUSTER_TOL):
+def eigen_split(gram: TorsionGram):
     """Eigenvalues sorted ascending, grouped when gaps fall below
-    cluster_tol relative to the largest eigenvalue; the kernel is the
+    CLUSTER_TOL relative to the largest eigenvalue; the kernel is the
     cluster with |lambda| below the same threshold."""
     vals, vecs = np.linalg.eigh(gram.h)
     scale = max(abs(vals[-1]), 1.0) if vals.size else 1.0
-    gap = cluster_tol * scale
+    gap = CLUSTER_TOL * scale
     clusters = []
     start = 0
     for k in range(1, len(vals) + 1):
@@ -153,8 +154,7 @@ def _block_killing_residual(block_H: np.ndarray, eigenvalue: float) -> float:
     return float(np.abs(-0.5 * killing - eigenvalue * np.eye(block_H.shape[0])).max())
 
 
-def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL,
-              cluster_tol: float = CLUSTER_TOL) -> DecompositionResult:
+def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL) -> DecompositionResult:
     """Run the splitting algorithm on a geometry with closed,
     torsion-parallel H; refuses when the hypotheses fail numerically."""
     dH = geom.dH.sup_norm
@@ -166,7 +166,7 @@ def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL,
             f"sup|nabla^ H| = {nH:.3e}")
 
     gram = torsion_gram(geom.H)
-    clusters = eigen_split(gram, cluster_tol)
+    clusters = eigen_split(gram)
     lam_scale = max((abs(c.eigenvalue) for c in clusters), default=1.0)
     lam_scale = max(lam_scale, 1.0)
 
@@ -176,12 +176,12 @@ def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL,
     H = geom.H.components
     # torsion components in the full eigenbasis, for cross-block mixing
     full_basis = np.concatenate([c.basis for c in clusters], axis=1)
-    H_eig = np.einsum("pa,qb,rc,pqr->abc", full_basis, full_basis, full_basis, H)
+    H_eig = np.einsum("pa,qb,rc,pqr->abc", *(full_basis,) * 3, H, optimize=True)
     labels = np.concatenate([[k] * c.multiplicity
                              for k, c in enumerate(clusters)]) if clusters else []
 
     for k, c in enumerate(clusters):
-        if abs(c.eigenvalue) <= cluster_tol * lam_scale:
+        if abs(c.eigenvalue) <= CLUSTER_TOL * lam_scale:
             kernel_dim += c.multiplicity
             for col in range(c.multiplicity):
                 v = FrameTensor(geom.dim, 1, c.basis[:, col])

@@ -79,22 +79,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=None)
-def _binomials(n: int) -> np.ndarray:
-    """C(a, b) for 0 <= a <= n and 0 <= b <= n + 1."""
-    return _frozen(np.array([[math.comb(a, b) for b in range(n + 2)]
-                             for a in range(n + 1)], dtype=np.intp))
-
-
 def _rank(n: int, idx: np.ndarray) -> np.ndarray:
     """Lexicographic position of strictly increasing tuples (last axis)
     among all tuples of that length drawn from range(n)."""
-    p = idx.shape[-1]
-    # i -> n-1-i turns lexicographic into reversed colexicographic order,
-    # whose rank is the combinatorial number system sum_k C(s_k, k+1)
-    s = (n - 1 - idx)[..., ::-1]
-    colex = _binomials(n)[s, np.arange(1, p + 1)].sum(axis=-1)
-    return math.comb(n, p) - 1 - colex
+    # increasing tuples sort lexicographically as their flat positions do
+    return np.searchsorted(_packing(n, idx.shape[-1]), _flat(n, idx))
 
 
 def _parity(seq: np.ndarray) -> np.ndarray:

@@ -30,9 +30,9 @@ from .frame_algebra import (
     EpsilonOrientation,
     _antisym_over,
     _frozen,
-    antisymmetrize,
     derivation_matrix,
     hodge_star,
+    index_tuples,
     wedge,
     zero_form,
 )
@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+# LieFrameGeometry rejects c whose Jacobi residual exceeds this * max(1, |c|^2)
+JACOBI_TOL = 1e-9
 
 
 class HypothesesNotMet(ValueError):
@@ -91,7 +93,6 @@ class LieFrameGeometry:
     c: np.ndarray
     H: FrameTensor
     name: str = ""
-    jacobi_tol: float = 1e-9
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=np.float64)
@@ -102,7 +103,7 @@ class LieFrameGeometry:
         if np.abs(c + np.swapaxes(c, 1, 2)).max() > 1e-12 * max(1.0, np.abs(c).max()):
             raise ValueError("structure constants not antisymmetric in the lower pair")
         jac = lie_jacobi_residual(c)
-        if jac > self.jacobi_tol * max(1.0, np.abs(c).max() ** 2):
+        if jac > JACOBI_TOL * max(1.0, np.abs(c).max() ** 2):
             raise ValueError(f"Jacobi residual {jac:.3e} above tolerance")
         if self.H.dim != self.dim or self.H.rank != 3:
             raise ValueError("torsion must be a 3-form on the same frame")
@@ -421,22 +422,10 @@ def bochner_term(geom: LieFrameGeometry) -> FrameTensor:
     riem_H = 2.0 * np.einsum("akbm,ckm->abc", cur.riemann, H)
     t = ric_H - riem_H
     out = t + np.einsum("abc->bca", t) + np.einsum("abc->cab", t)
-    # the size of the terms before they cancel; |c|^2 |H| stands in for
-    # them when the curvature itself is roundoff (flat, non-abelian c)
-    scale = max(np.abs(ric_H).max(), np.abs(riem_H).max(),
-                np.abs(geom.c).max() ** 2 * np.abs(H).max())
-    return FrameTensor(geom.dim, 3, antisymmetrize_if_needed(out, scale))
-
-
-def antisymmetrize_if_needed(arr: np.ndarray, scale: float) -> np.ndarray:
-    """Clean up roundoff: the cyclic curvature sum is antisymmetric
-    analytically; symmetrize away float noise so FrameTensor accepts it.
-    The noise is measured against ``scale``, the size of the summed
-    terms, since the sum itself may cancel to roundoff."""
-    anti = antisymmetrize(arr)
-    if np.abs(anti - arr).max() > 1e-8 * scale:
-        raise AssertionError("cyclic curvature sum unexpectedly non-antisymmetric")
-    return anti
+    # the cyclic sum is antisymmetric analytically: keep its packed
+    # entries a < b < c (bwf_residual gates the identity it feeds)
+    i, j, k = index_tuples(geom.dim, 3).T
+    return FrameTensor(geom.dim, 3, coeffs=out[i, j, k])
 
 
 def bochner_report(geom: LieFrameGeometry,

@@ -1,22 +1,25 @@
 """Randomized Lie-frame geometries for property suites.
 
 Uniform sampling of Lie algebras is not tractable; instead a random
-antisymmetric candidate is projected onto the Jacobi variety with a few
-Gauss-Newton steps (optionally onto the unimodular slice as well) and
-rejected unless the projected residual is below 1e-12.  Near-abelian
-fixed points are rejected too, so the suites see genuinely curved
-samples.
+antisymmetric candidate is projected onto the Jacobi variety (optionally
+onto the unimodular slice as well) by damped Levenberg-Marquardt steps,
+whose residual and Jacobian are evaluated on the packed triples
+i < j < k only, and rejected unless the projected residual is below
+PROJECTION_TOL.  Near-abelian fixed points are rejected too, so the
+suites see genuinely curved samples.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .frame_algebra import (
     EpsilonOrientation,
     FrameTensor,
+    _frozen,
     antisymmetrize,
     derivation_matrix,
     index_tuples,
@@ -34,6 +37,7 @@ __all__ = [
 ]
 
 PROJECTION_TOL = 1e-12
+MAX_TRIES = 40
 
 
 def _vec_to_c(vec: np.ndarray, dim: int) -> np.ndarray:
@@ -48,8 +52,9 @@ def _vec_to_c(vec: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _c_to_vec(c: np.ndarray) -> np.ndarray:
+    """Independent entries of the lower-antisymmetric part of c."""
     b, cc = index_tuples(c.shape[0], 2).T
-    return c[:, b, cc].ravel()
+    return (0.5 * (c[:, b, cc] - c[:, cc, b])).ravel()
 
 
 def _residual(c: np.ndarray, unimodular: bool) -> np.ndarray:
@@ -60,34 +65,51 @@ def _residual(c: np.ndarray, unimodular: bool) -> np.ndarray:
     return res
 
 
-def project_to_jacobi(c0: np.ndarray, unimodular: bool = True,
-                      max_steps: int = 80, tol: float = PROJECTION_TOL):
-    """Gauss-Newton projection of an antisymmetric candidate onto the
-    Jacobi variety, with backtracking so the minimum-norm step cannot
-    jump to the trivial (abelian) solution.  Returns (c, residual_sup);
-    the residual may stay above tol when the iteration stalls and the
-    caller rejects those samples."""
-    dim = c0.shape[0]
-    vec = _c_to_vec(antisymmetrize_lower(c0))
-    nvar = vec.size
-    # stacked coordinate directions of the antisymmetric-pair space
-    basis = _vec_to_c(np.eye(nvar), dim)
+@lru_cache(maxsize=None)
+def _directions(dim: int):
+    """The stacked coordinate directions basis[n] = _vec_to_c(e_n),
+    gathered as basis[:, :, x, y] and basis[:, :, :, z] for each cyclic
+    rotation (x, y, z) of the packed triples; and their traces."""
+    basis = _vec_to_c(np.eye(dim * math.comb(dim, 2)), dim)
     i, j, k = index_tuples(dim, 3).T
+    rotations = tuple(
+        (x, y, z, _frozen(basis[:, :, x, y]), _frozen(basis[:, :, :, z]))
+        for x, y, z in ((i, j, k), (k, i, j), (j, k, i)))
+    return rotations, _frozen(np.einsum("xaba->xb", basis))
+
+
+def _jacobian(c: np.ndarray, unimodular: bool) -> np.ndarray:
+    """d _residual / d vec at c, one row per residual entry.
+
+    The Jacobi map is bilinear, so along a coordinate direction each
+    rotation t(x, y, z) = c^p_{xy} c^m_{pz} of the cyclic sum is one
+    exact product; it is evaluated on the packed triples only and the
+    rotations are added in _jacobi_tensor's order."""
+    rotations, traces = _directions(c.shape[0])
+    t = [np.einsum("npr,mpr->nmr", bxy, c[:, :, z])
+         + np.einsum("pr,nmpr->nmr", c[:, x, y], bz)
+         for x, y, z, bxy, bz in rotations]
+    dres = t[0] + t[1] + t[2]
+    cols = dres.reshape(dres.shape[0], -1)
+    if unimodular:
+        cols = np.concatenate([cols, traces], axis=1)
+    return cols.T
+
+
+def project_to_jacobi(c0: np.ndarray, max_steps: int, unimodular: bool = True):
+    """Levenberg-Marquardt projection of an antisymmetric candidate onto
+    the Jacobi variety.  Returns (c, residual_sup); the residual may stay
+    above PROJECTION_TOL when the iteration stalls and the caller
+    rejects those samples."""
+    dim = c0.shape[0]
+    vec = _c_to_vec(c0)
+    nvar = vec.size
     r = _residual(_vec_to_c(vec, dim), unimodular)
     for _ in range(max_steps):
         sup = np.abs(r).max() if r.size else 0.0
-        if sup < tol:
+        if sup < PROJECTION_TOL:
             break
-        c = _vec_to_c(vec, dim)
-        t = (np.einsum("xpij,mpk->xmijk", basis, c)
-             + np.einsum("pij,xmpk->xmijk", c, basis))
-        dres = (t + np.einsum("xmijk->xmjki", t)
-                + np.einsum("xmijk->xmkij", t))
-        cols = dres[:, :, i, j, k].reshape(nvar, -1)
-        if unimodular:
-            traces = np.einsum("xaba->xb", basis)
-            cols = np.concatenate([cols, traces], axis=1)
-        jac_mat = cols.T
+        jac_mat = _jacobian(_vec_to_c(vec, dim), unimodular)
         # Levenberg-Marquardt step: the plain minimum-norm Gauss-Newton
         # solution contains the direction -c/2, which collapses every
         # start to the abelian point; damping keeps the iterate near the
@@ -111,10 +133,6 @@ def project_to_jacobi(c0: np.ndarray, unimodular: bool = True,
     c = _vec_to_c(vec, dim)
     r = _residual(c, unimodular)
     return c, float(np.abs(r).max() if r.size else 0.0)
-
-
-def antisymmetrize_lower(c: np.ndarray) -> np.ndarray:
-    return 0.5 * (c - np.swapaxes(c, 1, 2))
 
 
 def _block_library(unimodular: bool):
@@ -163,12 +181,13 @@ def _seed_structure(rng: np.random.Generator, dim: int,
         factors.append(LieFrameGeometry(k, b, zero_form(k, 3)))
         pos += k
     O = random_orthogonal(rng, dim)
+    # unoptimized on purpose: the sample golden pins the bytes of this sum
     return np.einsum("ma,pb,qc,mpq->abc", O, O, O, direct_sum(*factors).c)
 
 
 def random_geometry(rng: np.random.Generator, dim: int,
-                    unimodular: bool = True, closed_torsion: bool = False,
-                    max_tries: int = 40) -> LieFrameGeometry:
+                    unimodular: bool = True,
+                    closed_torsion: bool = False) -> LieFrameGeometry:
     """A random valid geometry: structure constants obtained by seeding a
     noisy candidate near a block algebra and projecting onto the Jacobi
     variety, plus a random antisymmetric torsion (optionally closed).
@@ -176,7 +195,7 @@ def random_geometry(rng: np.random.Generator, dim: int,
     When the projection stalls (singular strata of the variety) the
     exact conjugated seed is used instead; it already lies on the
     variety, so sampling stays fast and never fails."""
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         seed = _seed_structure(rng, dim, unimodular)
         c0 = seed + 0.08 * rng.standard_normal((dim, dim, dim))
         c, sup = project_to_jacobi(c0, unimodular=unimodular, max_steps=25)
@@ -190,7 +209,7 @@ def random_geometry(rng: np.random.Generator, dim: int,
             continue
         return LieFrameGeometry(dim, c, H)
     raise RuntimeError(f"failed to sample a dim-{dim} geometry "
-                       f"in {max_tries} tries")
+                       f"in {MAX_TRIES} tries")
 
 
 def closed_3form_kernel(c: np.ndarray) -> np.ndarray:
@@ -229,6 +248,6 @@ def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def rotate_structure(c: np.ndarray, H: FrameTensor, O: np.ndarray):
     """Conjugate (c, H) by an orthogonal frame change e'_a = e_b O_{ba}."""
-    c_rot = np.einsum("ma,pb,qc,mpq->abc", O, O, O, c)
-    H_rot = np.einsum("pa,qb,rc,pqr->abc", O, O, O, H.components)
+    c_rot = np.einsum("ma,pb,qc,mpq->abc", O, O, O, c, optimize=True)
+    H_rot = np.einsum("pa,qb,rc,pqr->abc", O, O, O, H.components, optimize=True)
     return c_rot, FrameTensor(H.dim, 3, H_rot)

@@ -1,5 +1,5 @@
-"""Dense reference implementations of wedge, Hodge star and the invariant
-exterior derivative.
+"""Dense reference implementations of wedge, Hodge star, the invariant
+exterior derivative and the sampler's Levenberg-Marquardt Jacobian.
 
 These are straightforward loops over sorted index tuples on dense
 ``(dim,) * p`` component arrays, written independently of the packed
@@ -65,3 +65,27 @@ def d_invariant(a: np.ndarray, c: np.ndarray) -> np.ndarray:
                                                 a[(slice(None),) + rest])
         fill_antisymmetric(comp, combo, val)
     return comp
+
+
+def lm_jacobian(c: np.ndarray, unimodular: bool) -> np.ndarray:
+    """Jacobian of the sampler's packed Jacobi residual (and, if
+    unimodular, the traces c^a_{ba}) with respect to the independent
+    entries c[a, b, cc], b < cc, a-major: the derivative of the full
+    (dim,)*4 Jacobi tensor along every stacked coordinate direction,
+    restricted to the sorted triples afterwards."""
+    dim = c.shape[0]
+    pairs = list(itertools.combinations(range(dim), 2))
+    basis = np.zeros((dim * len(pairs),) + (dim,) * 3)
+    for n, (a, (b, cc)) in enumerate(itertools.product(range(dim), pairs)):
+        basis[n, a, b, cc] = 1.0
+        basis[n, a, cc, b] = -1.0
+    t = (np.einsum("xpij,mpk->xmijk", basis, c)
+         + np.einsum("pij,xmpk->xmijk", c, basis))
+    dres = (t + np.einsum("xmijk->xmjki", t)
+            + np.einsum("xmijk->xmkij", t))
+    i, j, k = np.array(list(itertools.combinations(range(dim), 3)),
+                       dtype=np.intp).reshape(-1, 3).T
+    cols = dres[:, :, i, j, k].reshape(basis.shape[0], -1)
+    if unimodular:
+        cols = np.concatenate([cols, np.einsum("xaba->xb", basis)], axis=1)
+    return cols.T

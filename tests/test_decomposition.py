@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from torsiongeo.invariant_geometry import (
     lie_jacobi_residual,
 )
 from torsiongeo.random_geometry import _block_library, random_orthogonal, rotate_structure
+from torsiongeo.special_structures import build_su3
 
 RNG = np.random.default_rng(99)
 
@@ -99,7 +102,7 @@ def test_eigen_split_identity_single_cluster():
 
 
 def test_eigen_split_clustering_contract():
-    clusters = eigen_split(TorsionGram(np.diag([1.0, 1.0 + 1e-14])), 1e-9)
+    clusters = eigen_split(TorsionGram(np.diag([1.0, 1.0 + 1e-14])))
     assert len(clusters) == 1 and clusters[0].multiplicity == 2
 
 
@@ -218,15 +221,26 @@ _, _HEIS, _, _E11, _N4 = _block_library(True)
 N_BLOCKS = {"heis": _HEIS, "e11": _E11, "n4": _N4}
 
 
-def split_product(n_names, su2_scales, order, seed, perturb=0.0):
+@lru_cache(maxsize=None)
+def su3_factor(sign):
+    """su(3) at scale 1 with torsion sign * sigma, sigma(X,Y,Z) = g([X,Y],Z)
+    (build_su3's torsion is -sigma).  Its Gram eigenvalue 3 * 1**2 lies
+    apart from every su(2) eigenvalue s**2, s in {1, 1.7, 2.5}."""
+    geom = build_su3()[0]
+    return LieFrameGeometry(8, geom.c, FrameTensor(8, 3, coeffs=-sign * geom.H.coeffs))
+
+
+def split_product(n_names, su2_scales, su3_signs, order, seed, perturb=0.0):
     """N (the named blocks, H = 0) plus su(2) factors at the given scales
-    (torsion +-s epsilon), in the given order, conjugated by a random
-    O(n) frame.  ``perturb`` adds perturb * e^{ijk} with i in N and j, k
-    in the first su(2) factor, before the frame change."""
+    (torsion +-s epsilon) and su(3) factors with the given torsion signs,
+    in the given order, conjugated by a random O(n) frame.  ``perturb``
+    adds perturb * e^{ijk} with i in N and j, k in the first su(2)
+    factor, before the frame change."""
     factors = [LieFrameGeometry(N_BLOCKS[n].shape[0], N_BLOCKS[n],
                                 zero_form(N_BLOCKS[n].shape[0], 3)) for n in n_names]
     factors += [LieFrameGeometry(3, abs(s) * epsilon3(), FrameTensor(3, 3, s * epsilon3()))
                 for s in su2_scales]
+    factors += [su3_factor(sign) for sign in su3_signs]
     factors = [factors[k] for k in order]
     geom = direct_sum(*factors)
     starts = np.cumsum([0] + [f.dim for f in factors])
@@ -245,17 +259,20 @@ def split_cases(draw):
     scales = draw(st.lists(st.sampled_from([1.0, 1.7, 2.5]), min_size=1, max_size=2,
                            unique=True))
     scales = [s * draw(st.sampled_from([1.0, -1.0])) for s in scales]
-    order = draw(st.permutations(range(len(n_names) + len(scales))))
-    return n_names, scales, list(order), draw(st.integers(0, 2**32 - 1))
+    su3_signs = draw(st.lists(st.sampled_from([1.0, -1.0]), max_size=1))
+    order = draw(st.permutations(range(len(n_names) + len(scales) + len(su3_signs))))
+    return n_names, scales, su3_signs, list(order), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(split_cases())
 def test_decompose_recovers_product_split(case):
-    n_names, scales, order, seed = case
-    res = decompose(split_product(n_names, scales, order, seed))
+    n_names, scales, su3_signs, order, seed = case
+    res = decompose(split_product(n_names, scales, su3_signs, order, seed))
     assert res.kernel_dim == sum(N_BLOCKS[n].shape[0] for n in n_names)
-    assert res.block_names == ["su(2)"] * len(scales)
+    # blocks come in ascending Gram eigenvalue: s**2 for su(2), 3 for su(3)
+    blocks = sorted([(s * s, "su(2)") for s in scales] + [(3.0, "su(3)")] * len(su3_signs))
+    assert res.block_names == [name for _, name in blocks]
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

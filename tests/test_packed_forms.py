@@ -29,7 +29,9 @@ from torsiongeo.invariant_geometry import (
     d_invariant,
 )
 from torsiongeo.random_geometry import (
+    _jacobian,
     _seed_structure,
+    _vec_to_c,
     closed_3form_kernel,
     random_closed_torsion,
     random_geometry,
@@ -234,3 +236,32 @@ def test_closed_kernel_dimension_matches_dense_construction(su3_built):
         if H is not None:
             geom = LieFrameGeometry(c.shape[0], c, H)
             assert d_invariant(H, geom).sup_norm < 1e-10
+
+
+@pytest.mark.parametrize("unimodular", [True, False], ids=["unimodular", "general"])
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_lm_jacobian_matches_stacked_basis_oracle(dim, unimodular):
+    """The projection's packed-row Jacobian is bit-identical to the
+    derivative of the full Jacobi tensor along the stacked coordinate
+    directions, restricted to the packed triples."""
+    rng = np.random.default_rng(700 + dim)
+    nvar = dim * math.comb(dim, 2)
+    samples = [_vec_to_c(rng.standard_normal(nvar), dim) for _ in range(5)]
+    samples.append(random_geometry(rng, dim, unimodular=unimodular).c)
+    for c in samples:
+        jac = _jacobian(c, unimodular)
+        assert jac.shape == (dim * math.comb(dim, 3) + dim * unimodular, nvar)
+        assert np.array_equal(jac, dense_oracle.lm_jacobian(c, unimodular))
+
+
+@pytest.mark.parametrize("dim", [8, 16])
+def test_rotate_structure_matches_unoptimized_einsum(dim):
+    rng = np.random.default_rng(800 + dim)
+    c = rng.standard_normal((dim,) * 3)
+    c = c - np.swapaxes(c, 1, 2)
+    H = FrameTensor(dim, 3, antisymmetrize(rng.standard_normal((dim,) * 3)))
+    O = random_orthogonal(rng, dim)
+    c_rot, H_rot = rotate_structure(c, H, O)
+    for got, arr in ((c_rot, c), (H_rot.components, H.components)):
+        want = np.einsum("ma,pb,qc,mpq->abc", O, O, O, arr)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
