@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .frame_algebra import (
     FrameTensor,
-    EpsilonOrientation,
     wedge,
     interior_product,
     form_inner,
@@ -47,8 +46,6 @@ from .decomposition import (
 from .special_structures import (
     AlmostComplexStructure,
     HypercomplexTriple,
-    G2Data,
-    CayleyData,
     nijenhuis,
     kt_report,
     hkt_report,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frame_algebra import EpsilonOrientation, FrameTensor, basis_vector, zero_form
+from .frame_algebra import FrameTensor, basis_vector, epsilon3, zero_form
 from .invariant_geometry import LieFrameGeometry, direct_sum
 from .special_structures import (
     build_g2,
@@ -23,11 +23,6 @@ from .special_structures import (
 )
 
 __all__ = ["CATALOG", "catalog_entry", "epsilon3"]
-
-
-def epsilon3() -> np.ndarray:
-    """A writable copy of the 3-index epsilon symbol."""
-    return EpsilonOrientation(3).epsilon.copy()
 
 
 def _su2(H_scale=1.0):
@@ -59,11 +54,11 @@ def _su3_entry():
 def _g2_product_entry():
     lams = [basis_vector(7, r) for r in range(3)]
     oms = hyperkahler_two_forms(7, (3, 4, 5, 6))
-    g2 = build_g2("product", lambda_coframe=lams, omegas=oms)
+    phi = build_g2("product", lambda_coframe=lams, omegas=oms)
     # the desk model of a flat 4-space times the 3-sphere group: torsion
     # is minus the group block's canonical 3-form so the plus-torsion
     # connection parallelizes the product fundamental form
-    return direct_sum(_su2(-1.0), _flat(4), name="g2-su2-product"), {"phi": g2.phi}
+    return direct_sum(_su2(-1.0), _flat(4), name="g2-su2-product"), {"phi": phi}
 
 
 def _fibration_entry():
@@ -105,7 +100,7 @@ CATALOG = {
         "g2-standard", "g2",
         "standard positive 3-form in an adapted flat coframe",
         lambda: (direct_sum(_flat(7), name="g2-standard"),
-                 {"phi": build_g2("standard").phi})),
+                 {"phi": build_g2("standard")})),
     "g2-su2-product": CatalogEntry(
         "g2-su2-product", "g2",
         "product-mode positive 3-form from a group coframe and the flat "
@@ -115,7 +110,7 @@ CATALOG = {
         "spin7-standard", "spin7",
         "Cayley 4-form built from the standard positive 3-form",
         lambda: (direct_sum(_flat(8), name="spin7-standard"),
-                 {"Phi": build_spin7(build_g2("standard")).Phi})),
+                 {"Phi": build_spin7(build_g2("standard"))})),
     "su3-fibration": CatalogEntry(
         "su3-fibration", "fibration",
         "curvature data of the homogeneous fibration of the 8-dim group "

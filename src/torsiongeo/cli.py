@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .frame_algebra import EpsilonOrientation
+from .frame_algebra import epsilon3
 from .invariant_geometry import (
     HypothesesNotMet,
     LieFrameGeometry,
@@ -27,8 +27,6 @@ from .invariant_geometry import (
 )
 from .decomposition import decompose
 from .special_structures import (
-    CayleyData,
-    G2Data,
     bryant_positivity,
     hkt_report,
     kt_report,
@@ -86,9 +84,9 @@ def _geometry_reports(geom, tol):
     return reports
 
 
-def _g2_report(geom, g2: G2Data, tol):
+def _g2_report(geom, phi, tol):
     rep = StructureReport("g2-positivity")
-    B = bryant_positivity(g2)
+    B = bryant_positivity(phi)
     eigs = np.linalg.eigvalsh(B)
     rep.add("bryant_min_eig_positive", min(0.0, float(eigs.min())), tol,
             identity="positivity-of-the-3-form",
@@ -96,7 +94,7 @@ def _g2_report(geom, g2: G2Data, tol):
     if np.abs(geom.c).max() > 0:
         rep.add("dH", geom.dH.sup_norm, tol,
                 identity="torsion-closure")
-        rep.add("nabla_hat_phi", parallel_residual(g2.phi.components, geom, 1), tol,
+        rep.add("nabla_hat_phi", parallel_residual(phi.components, geom, 1), tol,
                 identity="torsion-parallelism")
     return rep
 
@@ -110,11 +108,9 @@ def _structure_reports(geom, structures, tol):
     if "J" in structures:
         reports.append(kt_report(geom, structures["J"], tol=tol))
     if "phi" in structures:
-        reports.append(_g2_report(
-            geom, G2Data(structures["phi"], EpsilonOrientation(7)), tol))
+        reports.append(_g2_report(geom, structures["phi"], tol))
     if "Phi" in structures:
-        reports.append(spin7_report(
-            CayleyData(structures["Phi"], EpsilonOrientation(8)), tol))
+        reports.append(spin7_report(structures["Phi"], tol))
     return reports
 
 
@@ -126,7 +122,7 @@ def _fibration_reports(pc, tol):
             identity="horizontality-constraint")
     rep.add("rotation_B0", float(np.abs(B[0]).max()), tol,
             identity="commuting-line-acts-trivially")
-    eps = EpsilonOrientation(3).epsilon
+    eps = epsilon3()
     h_fit = float(B[1][1, 2])
     rep.add("rotation_eps_pattern",
             float(np.abs(B[1:] - h_fit * eps).max()), tol,
@@ -134,8 +130,8 @@ def _fibration_reports(pc, tol):
             note=f"fitted scale h = {h_fit:g}")
     rep.add("wedge_trace", wedge_trace(pc).sup_norm, max(tol, 1e-12),
             identity="closure-obstruction")
-    orient = quaternionic_orientation(pc.hermitian_forms)
-    plus, _ = sd_asd_split(pc.component(0), orient)
+    plus, _ = sd_asd_split(pc.component(0),
+                           quaternionic_orientation(pc.hermitian_forms))
     rep.add("u1_self_dual_part", plus.sup_norm, tol,
             identity="abelian-curvature-anti-self-dual")
     rep.add("fiber_jacobi", lie_jacobi_residual(pc.fiber_structure), tol,
@@ -196,10 +192,10 @@ def run_topology(cfg) -> tuple:
                            _integer(data["chi"], "chi"), _integer(data["tau"], "tau"))
         fiber = data.get("fiber", "s(u1xu2)")
         table = chern_topology(top, fiber)
+        listing = [{"k": k, "n": list(n)}
+                   for k, n in enumerate_diophantine(int(cfg.get("kmax", 12)))]
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"bad topology file: {exc}") from exc
-    listing = [{"k": k, "n": list(n)}
-               for k, n in enumerate_diophantine(int(cfg.get("kmax", 12)))]
     verdict = ("admits the required fibration class"
                if table["admits_hkt_fibration"]
                else "no HKT fibration: topological condition fails")
@@ -386,6 +382,8 @@ def main(argv=None) -> int:
     cfg.setdefault("tol", 1e-10)
     cfg.setdefault("format", "text")
     try:
+        if not 0 < cfg["tol"] < np.inf:
+            raise InputError(f"--tol must be positive and finite, not {cfg['tol']}")
         report, status = _RUNNERS[args.command](cfg)
     except (InputError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -156,7 +156,9 @@ def _block_killing_residual(block_H: np.ndarray, eigenvalue: float) -> float:
 
 def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL) -> DecompositionResult:
     """Run the splitting algorithm on a geometry with closed,
-    torsion-parallel H; refuses when the hypotheses fail numerically."""
+    torsion-parallel H; raises HypothesesNotMet when the hypotheses, or
+    the kernel, mixing and block-Jacobi checks of the split, fail
+    numerically."""
     dH = geom.dH.sup_norm
     nH = parallel_residual(geom.H.components, geom, +1)
     scale = max(1.0, geom.H.sup_norm)
@@ -212,15 +214,14 @@ def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL) -> Decomposition
         "dH": dH,
         "nabla_hat_H": nH,
     }
-    hscale = max(1.0, geom.H.sup_norm)
-    if kernel_transversality > tol * hscale:
-        raise AssertionError(
+    if kernel_transversality > tol * scale:
+        raise HypothesesNotMet(
             f"kernel transversality violated: {kernel_transversality:.3e}")
-    if mixing > tol * hscale:
-        raise AssertionError(f"cross-cluster torsion mixing: {mixing:.3e}")
+    if mixing > tol * scale:
+        raise HypothesesNotMet(f"cross-cluster torsion mixing: {mixing:.3e}")
     for j, name in enumerate(names):
-        if block_jacobi[j] > tol * max(1.0, hscale ** 2):
-            raise AssertionError(
+        if block_jacobi[j] > tol * scale ** 2:
+            raise HypothesesNotMet(
                 f"block {j} ({name}) fails the Jacobi identity: "
                 f"{block_jacobi[j]:.3e}")
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from .frame_algebra import (
     FrameTensor,
-    EpsilonOrientation,
     hodge_star,
     wedge,
     wedge_top_coefficient,
@@ -70,11 +69,12 @@ class PrincipalCurvature:
         return FrameTensor(self.base_dim, 2, self.F[alpha])
 
 
-def sd_asd_split(F2: FrameTensor, orient: EpsilonOrientation):
-    """F = F_+ + F_- with F_+- = (F +- *F)/2 on a 4-dim frame."""
+def sd_asd_split(F2: FrameTensor, sign: int = 1):
+    """F = F_+ + F_- with F_+- = (F +- *F)/2 on a 4-dim frame oriented
+    by ``sign``."""
     if F2.dim != 4 or F2.rank != 2:
         raise ValueError("self-dual split needs a 2-form on a 4-dim frame")
-    star = hodge_star(F2, orient)
+    star = hodge_star(F2, sign)
     plus = 0.5 * (F2 + star)
     minus = 0.5 * (F2 - star)
     return plus, minus
@@ -119,16 +119,16 @@ def fit_fiber_rotation(pc: PrincipalCurvature, I_perp) -> np.ndarray:
     return B
 
 
-def quaternionic_orientation(omegas) -> EpsilonOrientation:
-    """Orientation on a 4-dim base in which the given Hermitian triple
-    is self-dual (volume positive against sum of wedge squares)."""
+def quaternionic_orientation(omegas) -> int:
+    """Orientation sign (+1 or -1) of a 4-dim base in which the given
+    Hermitian triple is self-dual (volume positive against sum of wedge
+    squares)."""
     total = 0.0
-    plus = EpsilonOrientation(4, 1)
     for om in omegas:
-        total += wedge_top_coefficient(om, om, plus)
+        total += wedge_top_coefficient(om, om)
     if total == 0.0:
         raise ValueError("degenerate Hermitian forms")
-    return plus if total > 0 else EpsilonOrientation(4, -1)
+    return 1 if total > 0 else -1
 
 
 def build_su3_fibration() -> PrincipalCurvature:

@@ -20,13 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "FrameTensor",
-    "EpsilonOrientation",
     "wedge",
     "wedge_top_coefficient",
     "interior_product",
@@ -40,6 +39,7 @@ __all__ = [
     "antisymmetrize",
     "index_tuples",
     "derivation_matrix",
+    "epsilon3",
 ]
 
 
@@ -142,15 +142,6 @@ def _shuffles(n: int, p: int, q: int):
     R = _complements(S, p + q)
     return (_frozen(_rank(n, K[:, S])), _frozen(_rank(n, K[:, R])),
             _frozen(_parity(np.concatenate([S, R], axis=1))))
-
-
-@lru_cache(maxsize=None)
-def _complement_table(n: int, p: int):
-    """For each packed p-tuple S: the packed index of its complement C
-    among the (n-p)-tuples and the sign of the permutation S + C."""
-    S = index_tuples(n, p)
-    C = _complements(S, n)
-    return _frozen(_rank(n, C)), _frozen(_parity(np.concatenate([S, C], axis=1)))
 
 
 def _insertions(n: int, J: np.ndarray):
@@ -338,33 +329,16 @@ def basis_vector(dim: int, index: int) -> FrameTensor:
     return FrameTensor(dim, 1, coeffs=coeffs)
 
 
-@dataclass(frozen=True)
-class EpsilonOrientation:
-    """Orientation choice: the totally antisymmetric symbol scaled by sign.
+def epsilon3() -> np.ndarray:
+    """A writable copy of the 3-index epsilon symbol, eps[0, 1, 2] = 1."""
+    return _expand(3, 3, np.ones(1))
 
-    ``epsilon[0, 1, ..., dim-1] = sign``.  The dense symbol is built
-    lazily (dim^dim entries; only sensible for small dims), all
-    orientation-sensitive operations use index parities instead.
-    """
 
-    dim: int
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("orientation sign must be +1 or -1")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-
-    @cached_property
-    def epsilon(self) -> np.ndarray:
-        eps = np.zeros((self.dim,) * self.dim)
-        perms, signs = _signed_permutations(self.dim)
-        eps[tuple(perms.T)] = self.sign * signs
-        return _frozen(eps)
-
-    def flipped(self) -> "EpsilonOrientation":
-        return EpsilonOrientation(self.dim, -self.sign)
+def _orientation(sign: int) -> int:
+    """The orientation sign: eps_{01...} = sign, which must be +1 or -1."""
+    if sign not in (1, -1):
+        raise ValueError("orientation sign must be +1 or -1")
+    return sign
 
 
 def wedge(chi: FrameTensor, psi: FrameTensor) -> FrameTensor:
@@ -384,15 +358,12 @@ def wedge(chi: FrameTensor, psi: FrameTensor) -> FrameTensor:
     return FrameTensor(n, p + q, coeffs=(chi.coeffs[left] * psi.coeffs[right]) @ sign)
 
 
-def wedge_top_coefficient(chi: FrameTensor, psi: FrameTensor,
-                          orient: EpsilonOrientation) -> float:
+def wedge_top_coefficient(chi: FrameTensor, psi: FrameTensor, sign: int = 1) -> float:
     """Coefficient c in chi ^ psi = c * volume, for p + q = dim."""
     if chi.rank + psi.rank != chi.dim:
         raise ValueError("wedge_top_coefficient needs p + q = dim")
-    if orient.dim != chi.dim:
-        raise ValueError("orientation dim mismatch")
-    rest, sign = _complement_table(chi.dim, chi.rank)
-    return float((sign * chi.coeffs) @ psi.coeffs[rest]) * orient.sign
+    _, rest, parity = _shuffles(chi.dim, chi.rank, psi.rank)
+    return float((parity * chi.coeffs) @ psi.coeffs[rest[0]]) * _orientation(sign)
 
 
 def interior_product(v: FrameTensor, chi: FrameTensor) -> FrameTensor:
@@ -418,34 +389,31 @@ def form_inner(chi: FrameTensor, psi: FrameTensor) -> float:
     return float(chi.coeffs @ psi.coeffs)
 
 
-def hodge_star(chi: FrameTensor, orient: EpsilonOrientation) -> FrameTensor:
+def hodge_star(chi: FrameTensor, sign: int = 1) -> FrameTensor:
     """(*chi)_{j1..j(n-p)} = (1/p!) chi^{i1..ip} eps_{i1..ip j1..j(n-p)}.
 
     Each packed (n-p)-tuple J takes the coefficient of its complement I
     times the parity of I + J; satisfies ** = (-1)^{p(n-p)} in this
     Riemannian setting.
     """
-    if orient.dim != chi.dim:
-        raise ValueError("orientation dim mismatch")
     n, p = chi.dim, chi.rank
     if p > n:
         raise ValueError("form degree exceeds dimension")
-    # the table gives the parity of J + I; moving I in front of J costs
+    # the shuffles of the one top-degree tuple pair each J with its
+    # complement I and the parity of J + I; moving I in front of J costs
     # (-1)^{p(n-p)}
-    rest, sign = _complement_table(n, n - p)
-    scale = (-1.0) ** (p * (n - p)) * orient.sign
-    return FrameTensor(n, n - p, coeffs=chi.coeffs[rest] * (sign * scale))
+    _, rest, parity = _shuffles(n, n - p, p)
+    scale = (-1.0) ** (p * (n - p)) * _orientation(sign)
+    return FrameTensor(n, n - p, coeffs=chi.coeffs[rest[0]] * (parity * scale))
 
 
-def volume_form(orient: EpsilonOrientation) -> FrameTensor:
+def volume_form(dim: int, sign: int = 1) -> FrameTensor:
     """The unit volume form in the given orientation."""
-    return FrameTensor(orient.dim, orient.dim, coeffs=np.array([float(orient.sign)]))
+    return FrameTensor(dim, dim, coeffs=np.array([float(_orientation(sign))]))
 
 
-def top_coefficient(chi: FrameTensor, orient: EpsilonOrientation) -> float:
+def top_coefficient(chi: FrameTensor, sign: int = 1) -> float:
     """Coefficient of the volume form in a top-degree form."""
     if chi.rank != chi.dim:
         raise ValueError("top_coefficient needs a top-degree form")
-    if orient.dim != chi.dim:
-        raise ValueError("orientation dim mismatch")
-    return float(chi.coeffs[0]) * orient.sign
+    return float(chi.coeffs[0]) * _orientation(sign)

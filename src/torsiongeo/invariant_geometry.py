@@ -27,7 +27,6 @@ import numpy as np
 
 from .frame_algebra import (
     FrameTensor,
-    EpsilonOrientation,
     _antisym_over,
     _frozen,
     derivation_matrix,
@@ -243,11 +242,11 @@ def d_invariant(chi: FrameTensor, geom: LieFrameGeometry) -> FrameTensor:
 
 
 def codifferential(chi: FrameTensor, geom: LieFrameGeometry,
-                   orient: EpsilonOrientation | None = None,
                    warn: list | None = None) -> FrameTensor:
     """Codifferential delta = (-1)^{n(p+1)+1} * d * on invariant p-forms.
 
-    The sign makes (d alpha, beta) = (alpha, delta beta) hold as
+    * enters twice, so delta does not depend on the orientation.  The
+    sign makes (d alpha, beta) = (alpha, delta beta) hold as
     constants on unimodular algebras; non-unimodular input is flagged
     through ``warn`` (a list collecting messages) but still computed.
     """
@@ -257,13 +256,11 @@ def codifferential(chi: FrameTensor, geom: LieFrameGeometry,
     if p > n:
         # over-top forms are identically zero (they arise as d of a top form)
         return zero_form(n, p - 1)
-    if orient is None:
-        orient = EpsilonOrientation(n)
     if not geom.unimodular and warn is not None:
         warn.append("non-unimodular algebra: codifferential adjointness "
                     "only holds pointwise, not by parts")
     sgn = (-1.0) ** (n * (p + 1) + 1)
-    return sgn * hodge_star(d_invariant(hodge_star(chi, orient), geom), orient)
+    return sgn * hodge_star(d_invariant(hodge_star(chi), geom))
 
 
 def nabla_invariant(T: np.ndarray, conn: ConnectionCoeffs) -> np.ndarray:
@@ -355,24 +352,20 @@ def bianchi_report(geom: LieFrameGeometry,
     return [first, second, pair, lccc]
 
 
-def lee_form(geom: LieFrameGeometry, phi: FrameTensor, c_norm: float = 1.0,
-             orient: EpsilonOrientation | None = None) -> FrameTensor:
-    """Lee form c * *(phi ^ *(delta phi)).
+def lee_form(geom: LieFrameGeometry, phi: FrameTensor) -> FrameTensor:
+    """Lee form *(phi ^ *(delta phi)).
 
     The wedge degree p + (n - p + 1) always exceeds the top degree, so
     the product - and with it the returned form - is identically zero;
     the overflow is resolved to the zero form by construction rather
-    than an error.  Kept literal so scaling/parallelism statements about
-    the Lee form remain checkable in degenerate form.
+    than an error.  Kept literal so parallelism statements about the Lee
+    form remain checkable in degenerate form.
     """
-    if orient is None:
-        orient = EpsilonOrientation(geom.dim)
-    delta_phi = codifferential(phi, geom, orient)
-    inner = hodge_star(delta_phi, orient)
+    inner = hodge_star(codifferential(phi, geom))
     product = wedge(phi, inner)  # degree overflow -> zero 0-form
     if product.rank == 0 and geom.dim > 1:
         return zero_form(geom.dim, 1)
-    return c_norm * hodge_star(product, orient)
+    return hodge_star(product)
 
 
 def soliton_report(geom: LieFrameGeometry,

@@ -17,11 +17,11 @@ from functools import lru_cache
 import numpy as np
 
 from .frame_algebra import (
-    EpsilonOrientation,
     FrameTensor,
     _frozen,
     antisymmetrize,
     derivation_matrix,
+    epsilon3,
     index_tuples,
     zero_form,
 )
@@ -66,33 +66,42 @@ def _residual(c: np.ndarray, unimodular: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _directions(dim: int):
-    """The stacked coordinate directions basis[n] = _vec_to_c(e_n),
-    gathered as basis[:, :, x, y] and basis[:, :, :, z] for each cyclic
-    rotation (x, y, z) of the packed triples; and their traces."""
-    basis = _vec_to_c(np.eye(dim * math.comb(dim, 2)), dim)
-    i, j, k = index_tuples(dim, 3).T
-    rotations = tuple(
-        (x, y, z, _frozen(basis[:, :, x, y]), _frozen(basis[:, :, :, z]))
-        for x, y, z in ((i, j, k), (k, i, j), (j, k, i)))
-    return rotations, _frozen(np.einsum("xaba->xb", basis))
+def _vec_index(dim: int):
+    """For each entry c[a, b, cc]: the vec column of its independent
+    entry and the sign relating the two, with the spare column nvar and
+    sign 0 where b == cc; and the derivatives of the traces c^a_{ba},
+    one row per column (the spare one last)."""
+    b, cc = index_tuples(dim, 2).T
+    nvar = dim * b.size
+    col = np.full((dim,) * 3, nvar)
+    sign = np.zeros((dim,) * 3)
+    col[:, b, cc] = col[:, cc, b] = np.arange(nvar).reshape(dim, b.size)
+    sign[:, b, cc], sign[:, cc, b] = 1.0, -1.0
+    traces = np.zeros((nvar + 1, dim))
+    traces[np.einsum("aba->ab", col), np.arange(dim)] = np.einsum("aba->ab", sign)
+    return _frozen(col), _frozen(sign), _frozen(traces)
 
 
 def _jacobian(c: np.ndarray, unimodular: bool) -> np.ndarray:
-    """d _residual / d vec at c, one row per residual entry.
+    """d _residual / d vec at c, one row per residual entry, column-major
+    (the layout that pins the rounding of the LM normal equations).
 
-    The Jacobi map is bilinear, so along a coordinate direction each
-    rotation t(x, y, z) = c^p_{xy} c^m_{pz} of the cyclic sum is one
-    exact product; it is evaluated on the packed triples only and the
+    For each rotation t(x, y, z) = c^p_{xy} c^m_{pz} of the cyclic sum on
+    the packed triples, the derivative along c^a_{xy} is c^m_{az} and
+    along c^m_{pz} it is c^p_{xy}, never in the same column; the
     rotations are added in _jacobi_tensor's order."""
-    rotations, traces = _directions(c.shape[0])
-    t = [np.einsum("npr,mpr->nmr", bxy, c[:, :, z])
-         + np.einsum("pr,nmpr->nmr", c[:, x, y], bz)
-         for x, y, z, bxy, bz in rotations]
-    dres = t[0] + t[1] + t[2]
-    cols = dres.reshape(dres.shape[0], -1)
+    dim = c.shape[0]
+    col, sign, traces = _vec_index(dim)
+    nvar = traces.shape[0] - 1
+    i, j, k = index_tuples(dim, 3).T
+    m, r = np.arange(dim)[:, None, None], np.arange(i.size)
+    dres = np.zeros((nvar + 1, dim, i.size))
+    for x, y, z in ((i, j, k), (k, i, j), (j, k, i)):
+        dres[col[:, x, y], m, r] += sign[:, x, y] * c[:, :, z]
+        dres[col[:, :, z], m, r] += sign[:, :, z] * c[:, x, y]
+    cols = dres[:nvar].reshape(nvar, dim * i.size)
     if unimodular:
-        cols = np.concatenate([cols, traces], axis=1)
+        cols = np.concatenate([cols, traces[:nvar]], axis=1)
     return cols.T
 
 
@@ -137,7 +146,7 @@ def project_to_jacobi(c0: np.ndarray, max_steps: int, unimodular: bool = True):
 
 def _block_library(unimodular: bool):
     """Small unimodular Lie algebras used to seed the projection."""
-    su2 = EpsilonOrientation(3).epsilon
+    su2 = epsilon3()
     heis = np.zeros((3, 3, 3))
     heis[2, 0, 1] = 1.0
     heis[2, 1, 0] = -1.0

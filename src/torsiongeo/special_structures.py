@@ -16,7 +16,6 @@ import numpy as np
 
 from .frame_algebra import (
     FrameTensor,
-    EpsilonOrientation,
     basis_form,
     basis_vector,
     form_inner,
@@ -37,8 +36,6 @@ from .reporting import StructureReport
 __all__ = [
     "AlmostComplexStructure",
     "HypercomplexTriple",
-    "G2Data",
-    "CayleyData",
     "nijenhuis",
     "kt_report",
     "hkt_report",
@@ -106,28 +103,6 @@ class HypercomplexTriple:
 
     def structures(self):
         return (self.I1, self.I2, self.I3)
-
-
-@dataclass(frozen=True)
-class G2Data:
-    phi: FrameTensor
-    orient: EpsilonOrientation
-
-    def __post_init__(self):
-        if self.phi.dim != 7 or self.phi.rank != 3:
-            raise ValueError("G2 data needs a 3-form on a 7-dim frame")
-        if self.orient.dim != 7:
-            raise ValueError("orientation must be 7-dimensional")
-
-
-@dataclass(frozen=True)
-class CayleyData:
-    Phi: FrameTensor
-    orient: EpsilonOrientation
-
-    def __post_init__(self):
-        if self.Phi.dim != 8 or self.Phi.rank != 4:
-            raise ValueError("Cayley data needs a 4-form on an 8-dim frame")
 
 
 def nijenhuis(J: AlmostComplexStructure, geom: LieFrameGeometry) -> np.ndarray:
@@ -345,9 +320,7 @@ _G2_LINES = (
 )
 
 
-def build_g2(mode: str = "standard",
-             orient: EpsilonOrientation | None = None,
-             lambda_coframe=None, omegas=None) -> G2Data:
+def build_g2(mode: str = "standard", lambda_coframe=None, omegas=None) -> FrameTensor:
     """Positive 3-form builders in 7 dimensions.
 
     mode="standard": the adapted-coframe normal form
@@ -358,13 +331,11 @@ def build_g2(mode: str = "standard",
     mode="product": phi = l1^l2^l3 + sum_r l^r ^ omega_r from a 3-frame
     of 1-forms and three 2-forms annihilated by the frame's duals.
     """
-    if orient is None:
-        orient = EpsilonOrientation(7)
     if mode == "standard":
         phi = zero_form(7, 3)
         for line, sign in _G2_LINES:
             phi = phi + sign * basis_form(7, line)
-        return G2Data(phi, orient)
+        return phi
     if mode == "product":
         if lambda_coframe is None or omegas is None:
             raise ValueError("product mode needs lambda_coframe and omegas")
@@ -385,50 +356,58 @@ def build_g2(mode: str = "standard",
         phi = wedge(wedge(lams[0], lams[1]), lams[2])
         for lam, om in zip(lams, oms):
             phi = phi + wedge(lam, om)
-        return G2Data(phi, orient)
+        return phi
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def bryant_positivity(g2: G2Data) -> np.ndarray:
+def bryant_positivity(phi: FrameTensor, sign: int = 1) -> np.ndarray:
     """B(X,Y) dvol = (1/6) iota_X phi ^ iota_Y phi ^ phi, extracted
-    against the orientation's volume form; symmetric by construction."""
-    phi, orient = g2.phi, g2.orient
+    against the volume form of orientation ``sign``; symmetric by
+    construction."""
+    if phi.dim != 7 or phi.rank != 3:
+        raise ValueError("G2 positivity needs a 3-form on a 7-dim frame")
     contractions = [interior_product(basis_vector(7, i), phi) for i in range(7)]
     B = np.zeros((7, 7))
     for i in range(7):
         for j in range(i, 7):
             top = wedge_top_coefficient(wedge(contractions[i], contractions[j]),
-                                        phi, orient)
+                                        phi, sign)
             B[i, j] = B[j, i] = top / 6.0
     return B
 
 
-def build_spin7(g2: G2Data) -> CayleyData:
+def build_spin7(phi: FrameTensor, sign: int = 1) -> FrameTensor:
     """Cayley 4-form Phi = e0 ^ phi + *phi on an 8-dim frame with the
-    new index 0 prepended.
+    new index 0 prepended; ``sign`` orients the 7-dim frame and with it
+    the 8-dim one.
 
     Prepending index 0 shifts every index tuple by one, onto the last
     C(7, p) tuples of the 8-dim packing order (all others start with 0),
     so a 7-dim form lifts by zero-padding its packed coefficients."""
+    if phi.dim != 7 or phi.rank != 3:
+        raise ValueError("the Cayley form needs a 3-form on a 7-dim frame")
+
     def lift(form: FrameTensor) -> FrameTensor:
         pad = np.zeros(math.comb(7, form.rank - 1))
         return FrameTensor(8, form.rank, coeffs=np.concatenate([pad, form.coeffs]))
 
-    e0phi = wedge(basis_vector(8, 0), lift(g2.phi))
-    Phi = lift(hodge_star(g2.phi, g2.orient)) + e0phi
-    return CayleyData(Phi, EpsilonOrientation(8, g2.orient.sign))
+    e0phi = wedge(basis_vector(8, 0), lift(phi))
+    return lift(hodge_star(phi, sign)) + e0phi
 
 
-def spin7_report(data: CayleyData, tol: float = DEFAULT_TOL) -> StructureReport:
-    """Cayley-form identities of Phi: self-duality, Phi ^ Phi = 14 vol
-    (both gated at no less than 1e-12), and unit length of the triple
-    contraction iota_1 iota_2 iota_3 Phi."""
-    Phi, orient = data.Phi, data.orient
+def spin7_report(Phi: FrameTensor, tol: float = DEFAULT_TOL,
+                 sign: int = 1) -> StructureReport:
+    """Cayley-form identities of Phi in orientation ``sign``:
+    self-duality, Phi ^ Phi = 14 vol (both gated at no less than
+    1e-12), and unit length of the triple contraction
+    iota_1 iota_2 iota_3 Phi."""
+    if Phi.dim != 8 or Phi.rank != 4:
+        raise ValueError("the Cayley identities need a 4-form on an 8-dim frame")
     report = StructureReport("spin7")
-    report.add("self_duality", (hodge_star(Phi, orient) - Phi).sup_norm,
+    report.add("self_duality", (hodge_star(Phi, sign) - Phi).sup_norm,
                max(1e-12, tol), identity="cayley-self-duality")
     report.add("wedge_square_vs_14vol",
-               wedge_top_coefficient(Phi, Phi, orient) - 14.0, max(1e-12, tol),
+               wedge_top_coefficient(Phi, Phi, sign) - 14.0, max(1e-12, tol),
                identity="cayley-wedge-square")
     x = Phi
     for idx in (3, 2, 1):

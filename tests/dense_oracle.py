@@ -1,5 +1,6 @@
-"""Dense reference implementations of wedge, Hodge star, the invariant
-exterior derivative and the sampler's Levenberg-Marquardt Jacobian.
+"""Dense reference implementations of the epsilon symbol, wedge, Hodge
+star, the invariant exterior derivative and the sampler's
+Levenberg-Marquardt Jacobian.
 
 These are straightforward loops over sorted index tuples on dense
 ``(dim,) * p`` component arrays, written independently of the packed
@@ -18,6 +19,14 @@ def parity(seq) -> int:
     inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
                      if seq[i] > seq[j])
     return -1 if inversions % 2 else 1
+
+
+def epsilon(dim: int, sign: int = 1) -> np.ndarray:
+    """The dense dim-index epsilon symbol, eps[0, 1, ..., dim-1] = sign."""
+    eps = np.zeros((dim,) * dim)
+    for perm in itertools.permutations(range(dim)):
+        eps[perm] = sign * parity(perm)
+    return eps
 
 
 def fill_antisymmetric(comp: np.ndarray, combo, value: float):

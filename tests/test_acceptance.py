@@ -38,7 +38,6 @@ from torsiongeo.invariant_geometry import (
     direct_sum,
 )
 from torsiongeo.special_structures import (
-    G2Data,
     HypercomplexTriple,
     bryant_positivity,
     build_g2,
@@ -131,11 +130,11 @@ def test_criterion_4_splitting_desk_cases():
 
 
 def test_criterion_5_g2_spin7():
-    g2 = build_g2("standard")
-    B = bryant_positivity(g2)
+    phi = build_g2("standard")
+    B = bryant_positivity(phi)
     bryant_dev = float(np.abs(B - np.eye(7)).max())
 
-    cayley = spin7_report(build_spin7(g2))
+    cayley = spin7_report(build_spin7(phi))
     sd = cayley.row("self_duality").value
     ww = cayley.row("wedge_square_vs_14vol").value
 
@@ -143,8 +142,7 @@ def test_criterion_5_g2_spin7():
     oms = hyperkahler_two_forms(7, (3, 4, 5, 6))
     prod = build_g2("product", lambda_coframe=lams, omegas=oms)
     plus = np.linalg.eigvalsh(bryant_positivity(prod))
-    minus = np.linalg.eigvalsh(
-        bryant_positivity(G2Data(prod.phi, prod.orient.flipped())))
+    minus = np.linalg.eigvalsh(bryant_positivity(prod, -1))
     exactly_one = ((plus > 0).all() and not (minus > 0).all()) or \
                   ((minus > 0).all() and not (plus > 0).all())
 
@@ -163,8 +161,8 @@ def test_criterion_6_su3_fibration():
     eps_dev = max(eps_dev, float(np.abs(B[0]).max()))
     fres = frestrict_residual(pc, B, omegas)
     wt = wedge_trace(pc).sup_norm
-    orient = quaternionic_orientation(pc.hermitian_forms)
-    asd = sd_asd_split(pc.component(0), orient)[0].sup_norm
+    sign = quaternionic_orientation(pc.hermitian_forms)
+    asd = sd_asd_split(pc.component(0), sign)[0].sup_norm
     ok = fres < 1e-10 and eps_dev < 1e-10 and wt < 1e-12 and asd < 1e-10
     report(f"criterion 6: frestrict {fres:.2e} (eps-rep dev {eps_dev:.2e}), "
            f"wedge trace {wt:.2e}, abelian self-dual part {asd:.2e}", ok)

@@ -14,7 +14,6 @@ from torsiongeo.fibration_topology import (
     wedge_trace,
 )
 from torsiongeo.frame_algebra import (
-    EpsilonOrientation,
     FrameTensor,
     antisymmetrize,
     basis_form,
@@ -22,7 +21,7 @@ from torsiongeo.frame_algebra import (
     top_coefficient,
 )
 from torsiongeo.invariant_geometry import lie_jacobi_residual
-from torsiongeo.special_structures import standard_quaternion_triple
+from torsiongeo.special_structures import hyperkahler_two_forms, standard_quaternion_triple
 
 RNG = np.random.default_rng(55)
 EPS3 = np.zeros((3, 3, 3))
@@ -35,31 +34,41 @@ for (i, j, k), s in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
 
 def test_split_basis_self_dual():
     F = basis_form(4, (0, 1)) + basis_form(4, (2, 3))
-    plus, minus = sd_asd_split(F, EpsilonOrientation(4))
+    plus, minus = sd_asd_split(F)
     assert minus.sup_norm == 0.0
     assert np.abs(plus.components - F.components).max() == 0.0
+    # the opposite orientation swaps the two parts
+    plus, minus = sd_asd_split(F, -1)
+    assert plus.sup_norm == 0.0
 
 
 def test_split_basis_anti_self_dual():
     F = basis_form(4, (0, 1)) - basis_form(4, (2, 3))
-    plus, minus = sd_asd_split(F, EpsilonOrientation(4))
+    plus, minus = sd_asd_split(F)
     assert plus.sup_norm == 0.0
 
 
 def test_split_recombines_and_orthogonal():
     F = FrameTensor(4, 2, antisymmetrize(RNG.standard_normal((4, 4))))
-    orient = EpsilonOrientation(4)
-    plus, minus = sd_asd_split(F, orient)
+    plus, minus = sd_asd_split(F)
     assert np.abs((plus + minus).components - F.components).max() < 1e-13
     assert abs(form_inner(plus, minus)) < 1e-13
-    again, rest = sd_asd_split(plus, orient)
+    again, rest = sd_asd_split(plus)
     assert np.abs(again.components - plus.components).max() < 1e-13
     assert rest.sup_norm < 1e-13
 
 
 def test_split_rejects_wrong_dimension():
     with pytest.raises(ValueError):
-        sd_asd_split(basis_form(5, (0, 1)), EpsilonOrientation(5))
+        sd_asd_split(basis_form(5, (0, 1)))
+
+
+@pytest.mark.parametrize("anti, sign", [(False, 1), (True, -1)])
+def test_quaternionic_orientation_is_a_sign(anti, sign):
+    omegas = hyperkahler_two_forms(4, (0, 1, 2, 3), anti=anti)
+    assert quaternionic_orientation(omegas) == sign
+    for om in omegas:
+        assert sd_asd_split(om, sign)[1].sup_norm == 0.0
 
 
 # ---------------------------------------------------------------- frestrict
@@ -127,16 +136,16 @@ def test_fibration_fiber_algebra(fibration):
 
 
 def test_fibration_u1_component_anti_self_dual(fibration):
-    orient = quaternionic_orientation(fibration.hermitian_forms)
-    plus, minus = sd_asd_split(fibration.component(0), orient)
+    sign = quaternionic_orientation(fibration.hermitian_forms)
+    plus, minus = sd_asd_split(fibration.component(0), sign)
     assert plus.sup_norm < 1e-13
     assert minus.sup_norm > 0.1
 
 
 def test_fibration_su2_self_dual_parts_span_quaternionic_forms(fibration):
-    orient = quaternionic_orientation(fibration.hermitian_forms)
+    sign = quaternionic_orientation(fibration.hermitian_forms)
     for r in (1, 2, 3):
-        plus, _ = sd_asd_split(fibration.component(r), orient)
+        plus, _ = sd_asd_split(fibration.component(r), sign)
         # frozen from the construction: F^r_+ = -(1/2) omega_r
         expect = -0.5 * fibration.hermitian_forms[r - 1].components
         assert np.abs(plus.components - expect).max() < 1e-12
@@ -175,7 +184,7 @@ def test_fibration_wedge_trace_invariance(fibration):
 def test_abelian_wedge_trace_nonzero():
     F = (basis_form(4, (0, 1)) - basis_form(4, (2, 3))).components
     pc = PrincipalCurvature(4, 1, F[None], np.eye(1), np.zeros((1, 1, 1)))
-    coeff = top_coefficient(wedge_trace(pc), EpsilonOrientation(4))
+    coeff = top_coefficient(wedge_trace(pc))
     assert coeff == pytest.approx(-2.0)
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from dense_oracle import epsilon
 from torsiongeo.frame_algebra import (
-    EpsilonOrientation,
     FrameTensor,
     antisymmetrize,
     basis_form,
@@ -132,7 +132,7 @@ def test_form_inner_normalization():
 
 
 def test_form_inner_epsilon_dim3():
-    H = volume_form(EpsilonOrientation(3))
+    H = volume_form(3)
     assert form_inner(H, H) == pytest.approx(1.0)
 
 
@@ -147,69 +147,72 @@ def test_form_inner_rank_mismatch():
 
 
 def test_hodge_star_dim4_basis():
-    out = hodge_star(wedge(basis_form(4, [0]), basis_form(4, [1])),
-                     EpsilonOrientation(4))
+    out = hodge_star(wedge(basis_form(4, [0]), basis_form(4, [1])))
     assert np.abs(out.components - basis_form(4, [2, 3]).components).max() == 0.0
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
 def test_hodge_star_involution_sign(dim):
-    orient = EpsilonOrientation(dim)
     for p in range(0, dim + 1):
         chi = rand_form(dim, p)
-        ss = hodge_star(hodge_star(chi, orient), orient)
+        ss = hodge_star(hodge_star(chi))
         sign = (-1.0) ** (p * (dim - p))
         assert np.abs(ss.components - sign * chi.components).max() < 1e-12
 
 
 @pytest.mark.parametrize("dim", [4, 5])
 def test_hodge_star_matches_dense_epsilon_oracle(dim):
-    orient = EpsilonOrientation(dim)
-    eps = orient.epsilon
+    eps = epsilon(dim)
     for p in (1, 2, 3):
         chi = rand_form(dim, p)
         axes = list(range(p))
         oracle = np.tensordot(chi.components, eps, axes=(axes, axes)) \
             / math.factorial(p)
-        assert np.abs(hodge_star(chi, orient).components - oracle).max() < 1e-12
+        assert np.abs(hodge_star(chi).components - oracle).max() < 1e-12
 
 
 def test_hodge_star_isometry():
     for dim in (4, 5, 6):
-        orient = EpsilonOrientation(dim)
         for p in range(0, dim + 1):
             a, b = rand_form(dim, p), rand_form(dim, p)
-            assert form_inner(hodge_star(a, orient), hodge_star(b, orient)) \
+            assert form_inner(hodge_star(a), hodge_star(b)) \
                 == pytest.approx(form_inner(a, b), abs=1e-11)
 
 
 def test_orientation_sign_flips_star():
     chi = rand_form(5, 2)
-    plus = hodge_star(chi, EpsilonOrientation(5, 1))
-    minus = hodge_star(chi, EpsilonOrientation(5, -1))
+    plus = hodge_star(chi, 1)
+    minus = hodge_star(chi, -1)
     assert np.abs(plus.components + minus.components).max() == 0.0
 
 
 def test_epsilon_leading_entry_is_sign():
     for sign in (1, -1):
-        orient = EpsilonOrientation(4, sign)
-        assert orient.epsilon[0, 1, 2, 3] == sign
+        assert volume_form(4, sign).components[0, 1, 2, 3] == sign
+        assert top_coefficient(volume_form(4, sign), sign) == 1.0
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, 0.5])
+def test_orientation_sign_must_be_unit(sign):
+    chi = rand_form(4, 2)
+    for call in (lambda: hodge_star(chi, sign), lambda: volume_form(4, sign),
+                 lambda: wedge_top_coefficient(chi, chi, sign),
+                 lambda: top_coefficient(volume_form(4), sign)):
+        with pytest.raises(ValueError, match="orientation sign"):
+            call()
 
 
 def test_wedge_top_coefficient_matches_dense_path():
-    orient = EpsilonOrientation(6)
     a, b = rand_form(6, 2), rand_form(6, 4)
-    c1 = wedge_top_coefficient(a, b, orient)
-    c2 = top_coefficient(wedge(a, b), orient)
+    c1 = wedge_top_coefficient(a, b)
+    c2 = top_coefficient(wedge(a, b))
     assert c1 == pytest.approx(c2, abs=1e-12)
 
 
 def test_operations_round_to_unit_scale():
     # on unit-scale inputs chained operations stay exact below 1e-12
     a, b = rand_form(6, 2), rand_form(6, 2)
-    orient = EpsilonOrientation(6)
     assert np.abs(wedge(a, b).components - wedge(b, a).components).max() < 1e-12
-    assert abs(form_inner(hodge_star(a, orient), hodge_star(b, orient))
-               - form_inner(a, b)) < 1e-12
-    back = hodge_star(hodge_star(wedge(a, b), orient), orient)
+    assert abs(form_inner(hodge_star(a), hodge_star(b)) - form_inner(a, b)) < 1e-12
+    back = hodge_star(hodge_star(wedge(a, b)))
     assert np.abs(back.components - wedge(a, b).components).max() < 1e-12

@@ -133,6 +133,38 @@ def test_cli_decompose_hypothesis_failure(tmp_path):
     assert rep["passed"] is False and "hypotheses" in rep["error"]
 
 
+def test_cli_decompose_split_check_failure_is_a_report(tmp_path):
+    # dH and nabla^ H pass at --tol 1e-3, but H mixes the su(2) block
+    # with the flat one: the split's own check refuses with a report
+    from torsiongeo.frame_algebra import basis_form
+    block = direct_sum(_su2(), _flat(2))
+    geom = LieFrameGeometry(5, block.c, block.H + 1e-3 * basis_form(5, (0, 3, 4)))
+    path = tmp_path / "mixed.json"
+    save_geometry(path, geom)
+    out = tmp_path / "rep.json"
+    code = run_cli(["decompose", "--input", str(path), "--tol", "1e-3",
+                    "--format", "json", "--output", str(out)])
+    assert code == 1
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is False and "verdict" not in rep
+    assert "cross-cluster torsion mixing" in rep["error"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_cli_tol_must_be_positive_and_finite(command, tol, tmp_path, capsys):
+    # torsion that is not closed: no tolerance may certify it
+    from torsiongeo.frame_algebra import basis_form
+    geom = LieFrameGeometry(6, direct_sum(_su2(), _su2()).c, basis_form(6, (0, 3, 4)))
+    path = tmp_path / "geom.json"
+    save_geometry(path, geom)
+    out = tmp_path / "rep.json"
+    assert run_cli([command, "--input", str(path), f"--tol={tol}",
+                    "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "input error" in capsys.readouterr().err
+
+
 def test_cli_decompose_refuses_fibration_data(tmp_path):
     # the fibration entry is principal-curvature data, not a Lie frame:
     # a mathematical refusal with a report, not a crash
@@ -354,6 +386,16 @@ def test_cli_dilaton_w_recipe(tmp_path):
                     "--output", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert np.abs(np.array(rep["u"]) - 2.0).max() < 1e-8
+
+
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+def test_cli_topology_kmax_below_one_exit_2(kmax, tmp_path, capsys):
+    cp2 = tmp_path / "cp2.json"
+    cp2.write_text(json.dumps({"k": 1, "n": [1], "chi": 3, "tau": -1}))
+    assert run_cli(["topology", "--input", str(cp2), f"--kmax={kmax}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "input error" in err
 
 
 NAN, INF = float("nan"), float("inf")

@@ -4,7 +4,6 @@ import pytest
 from torsiongeo.catalog import _flat, _su2, epsilon3
 from torsiongeo.decomposition import decompose
 from torsiongeo.frame_algebra import (
-    EpsilonOrientation,
     FrameTensor,
     antisymmetrize,
     basis_form,
@@ -26,7 +25,6 @@ from torsiongeo.invariant_geometry import (
 )
 from torsiongeo.special_structures import (
     AlmostComplexStructure,
-    G2Data,
     HypercomplexTriple,
     bryant_positivity,
     build_g2,
@@ -223,12 +221,12 @@ def test_su3_full_hypothesis_set(su3_built):
 # ------------------------------------------------------------------ g2 forms
 
 def test_g2_standard_norm_squared():
-    phi = build_g2("standard").phi
+    phi = build_g2("standard")
     assert form_inner(phi, phi) == pytest.approx(7.0)
 
 
 def test_g2_standard_interior_contraction():
-    phi = build_g2("standard").phi
+    phi = build_g2("standard")
     expect = (basis_form(7, [1, 2]) + basis_form(7, [3, 4])
               + basis_form(7, [5, 6])).components
     out = interior_product(basis_vector(7, 0), phi)
@@ -241,44 +239,40 @@ def test_bryant_standard_is_identity():
 
 
 def test_g2_standard_double_dual():
-    g2 = build_g2("standard")
-    back = hodge_star(hodge_star(g2.phi, g2.orient), g2.orient)
-    assert np.abs(back.components - g2.phi.components).max() < 1e-13
+    phi = build_g2("standard")
+    back = hodge_star(hodge_star(phi))
+    assert np.abs(back.components - phi.components).max() < 1e-13
 
 
 def test_bryant_sign_flips():
-    g2 = build_g2("standard")
-    B = bryant_positivity(g2)
-    assert np.abs(bryant_positivity(G2Data(-1.0 * g2.phi, g2.orient)) + B).max() \
-        < 1e-12
-    assert np.abs(bryant_positivity(G2Data(g2.phi, g2.orient.flipped())) + B).max() \
-        < 1e-12
+    phi = build_g2("standard")
+    B = bryant_positivity(phi)
+    assert np.abs(bryant_positivity(-1.0 * phi) + B).max() < 1e-12
+    assert np.abs(bryant_positivity(phi, -1) + B).max() < 1e-12
 
 
 def test_bryant_definite_never_indefinite():
-    g2 = build_g2("standard")
-    for data in (g2, G2Data(g2.phi, g2.orient.flipped())):
-        eigs = np.linalg.eigvalsh(bryant_positivity(data))
+    phi = build_g2("standard")
+    for sign in (1, -1):
+        eigs = np.linalg.eigvalsh(bryant_positivity(phi, sign))
         assert (eigs > 0).all() or (eigs < 0).all()
 
 
 def test_g2_product_mode_positive_exactly_one_orientation():
     lams = [basis_vector(7, r) for r in range(3)]
     oms = hyperkahler_two_forms(7, (3, 4, 5, 6))
-    g2 = build_g2("product", lambda_coframe=lams, omegas=oms)
-    plus = np.linalg.eigvalsh(bryant_positivity(g2))
-    minus = np.linalg.eigvalsh(
-        bryant_positivity(G2Data(g2.phi, g2.orient.flipped())))
+    phi = build_g2("product", lambda_coframe=lams, omegas=oms)
+    plus = np.linalg.eigvalsh(bryant_positivity(phi))
+    minus = np.linalg.eigvalsh(bryant_positivity(phi, -1))
     assert (plus > 0).all() and (minus < 0).all()
 
 
 def test_g2_product_mode_duality_dichotomy():
     lams = [basis_vector(7, r) for r in range(3)]
     oms = hyperkahler_two_forms(7, (3, 4, 5, 6), anti=True)
-    g2 = build_g2("product", lambda_coframe=lams, omegas=oms)
-    plus = np.linalg.eigvalsh(bryant_positivity(g2))
-    minus = np.linalg.eigvalsh(
-        bryant_positivity(G2Data(g2.phi, g2.orient.flipped())))
+    phi = build_g2("product", lambda_coframe=lams, omegas=oms)
+    plus = np.linalg.eigvalsh(bryant_positivity(phi))
+    minus = np.linalg.eigvalsh(bryant_positivity(phi, -1))
     # the opposite duality flips the positive orientation
     assert (plus < 0).all() and (minus > 0).all()
 
@@ -296,9 +290,9 @@ def test_g2_product_desk_model_structure():
     geom = direct_sum(_su2(-1.0), _flat(4))
     lams = [basis_vector(7, r) for r in range(3)]
     oms = hyperkahler_two_forms(7, (3, 4, 5, 6))
-    g2 = build_g2("product", lambda_coframe=lams, omegas=oms)
+    phi = build_g2("product", lambda_coframe=lams, omegas=oms)
     assert d_invariant(geom.H, geom).sup_norm < 1e-12
-    assert parallel_residual(g2.phi.components, geom, 1) < 1e-12
+    assert parallel_residual(phi.components, geom, 1) < 1e-12
     assert np.abs(nabla_invariant(geom.H.components, with_torsion(geom, 1))).max() < 1e-12
 
 
@@ -311,14 +305,13 @@ def test_spin7_standard_identities():
 
 
 def test_spin7_self_duality_against_dense_star():
-    data = build_spin7(build_g2("standard"))
-    star = hodge_star(data.Phi, data.orient)
-    assert np.abs(star.components - data.Phi.components).max() < 1e-12
+    Phi = build_spin7(build_g2("standard"))
+    star = hodge_star(Phi)
+    assert np.abs(star.components - Phi.components).max() < 1e-12
 
 
 def test_spin7_triple_contraction_unit_length():
-    data = build_spin7(build_g2("standard"))
-    x = data.Phi
+    x = build_spin7(build_g2("standard"))
     for idx in (3, 2, 1):
         x = interior_product(basis_vector(8, idx), x)
     assert np.sqrt(form_inner(x, x)) == pytest.approx(1.0, abs=1e-12)
@@ -331,15 +324,27 @@ def test_spin7_packed_lift_matches_dense_embedding(sign):
     """build_spin7 lifts packed forms; the reference embeds dense
     components in the last seven slots of an 8-dim frame."""
     rng = np.random.default_rng(11 + sign)
-    for g2 in (build_g2("standard", EpsilonOrientation(7, sign)),
-               G2Data(FrameTensor(7, 3, coeffs=rng.standard_normal(35)),
-                      EpsilonOrientation(7, sign))):
+    for phi in (build_g2("standard"), FrameTensor(7, 3, coeffs=rng.standard_normal(35))):
         star8 = np.zeros((8,) * 4)
-        star8[1:, 1:, 1:, 1:] = hodge_star(g2.phi, g2.orient).components
+        star8[1:, 1:, 1:, 1:] = hodge_star(phi, sign).components
         phi8 = np.zeros((8,) * 3)
-        phi8[1:, 1:, 1:] = g2.phi.components
+        phi8[1:, 1:, 1:] = phi.components
         dense = FrameTensor(8, 4, star8) + wedge(basis_vector(8, 0), FrameTensor(8, 3, phi8))
-        assert build_spin7(g2).Phi.coeffs.tobytes() == dense.coeffs.tobytes()
+        assert build_spin7(phi, sign).coeffs.tobytes() == dense.coeffs.tobytes()
+
+
+def test_spin7_orientation_and_shape():
+    # Phi built and checked in the opposite orientation passes the same
+    # identities; forms of the wrong degree or dimension are refused
+    report = spin7_report(build_spin7(build_g2("standard"), -1), sign=-1)
+    assert report.passed
+    assert not spin7_report(build_spin7(build_g2("standard"), -1)).passed
+    with pytest.raises(ValueError):
+        build_spin7(basis_form(8, (0, 1, 2)))
+    with pytest.raises(ValueError):
+        bryant_positivity(basis_form(7, (0, 1, 2, 3)))
+    with pytest.raises(ValueError):
+        spin7_report(build_g2("standard"))
 
 
 # --------------------------------------------------------- parallel residual
