@@ -44,8 +44,6 @@ from .decomposition import (
     decompose,
 )
 from .special_structures import (
-    AlmostComplexStructure,
-    HypercomplexTriple,
     nijenhuis,
     kt_report,
     hkt_report,

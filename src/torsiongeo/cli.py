@@ -237,9 +237,20 @@ def run_dilaton(cfg) -> tuple:
                 raise InputError("w length does not match the grid")
             if not np.isfinite(w).all():
                 raise InputError("w must be finite everywhere")
-        for key in ("scalar_curvature", "h"):
-            if not np.isfinite(np.asarray(data.get(key, 0.0), dtype=np.float64)).all():
-                raise InputError(f"{key} must be finite")
+        R = h = None
+        if "scalar_curvature" in data:
+            R = np.asarray(data["scalar_curvature"], dtype=np.float64)
+            if R.ndim == 0:
+                R = np.full(domain.node_count, float(R))
+            if R.shape != (domain.node_count,) or not np.isfinite(R).all():
+                raise InputError(f"scalar_curvature needs 1 or {domain.node_count} "
+                                 "finite numbers")
+        if "h" in data:
+            h = data["h"]
+            real = isinstance(h, (int, float)) and not isinstance(h, bool)
+            if not real or not np.isfinite(float(h)):
+                raise InputError(f"h must be a finite real number, not {h!r}")
+            h = float(h)
         solver_cfg = SolverConfig(
             lambda_policy=data.get("lambda", "auto"),
             tol=float(data.get("tol", 1e-10)),
@@ -257,12 +268,8 @@ def run_dilaton(cfg) -> tuple:
     res_sup = float(np.abs(dilaton_residual(domain, u, w)).max())
     report = _report("dilaton", input=cfg["input"], passed=True, u=u.tolist(),
                      trace=trace.summary(), residual_sup=res_sup)
-    if "scalar_curvature" in data and "h" in data:
-        R = data["scalar_curvature"]
-        R = (np.full(domain.node_count, float(R)) if np.isscalar(R)
-             else np.asarray(R, dtype=np.float64))
-        report["fibration_diagnostics"] = fibration_diagnostics(
-            R, u, float(data["h"]))
+    if R is not None and h is not None:
+        report["fibration_diagnostics"] = fibration_diagnostics(R, u, h)
     return report, EXIT_OK
 
 
@@ -340,26 +347,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_example=True):
-        if needs_example:
+    def common(p, geometry=True):
+        """--input/--output/--format; verify and decompose add --example, --tol."""
+        if geometry:
             group = p.add_mutually_exclusive_group(required=True)
             group.add_argument("--example", help="catalog entry name")
             group.add_argument("--input", help="path to a geometry JSON file")
+            p.add_argument("--tol", type=float, default=1e-10,
+                           help="assertion tolerance (default 1e-10)")
         else:
             p.add_argument("--input", required=True, help="path to the input JSON")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="assertion tolerance (default 1e-10)")
         p.add_argument("--output", help="write the report to this path")
         p.add_argument("--format", choices=("json", "text"), default="text")
 
     common(sub.add_parser("verify", help="run all applicable residual checks"))
     common(sub.add_parser("decompose", help="run the torsion splitting algorithm"))
     p_top = sub.add_parser("topology", help="characteristic-class arithmetic")
-    common(p_top, needs_example=False)
+    common(p_top, geometry=False)
     p_top.add_argument("--kmax", type=int, default=12,
                        help="search bound for the integer condition")
     common(sub.add_parser("dilaton", help="solve the conformal-factor equation"),
-           needs_example=False)
+           geometry=False)
     p_cat = sub.add_parser("catalog", help="list example geometries")
     p_cat.add_argument("--output", help="write the listing to this path")
     p_cat.add_argument("--format", choices=("json", "text"), default="text")
@@ -379,10 +387,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = vars(args)
-    cfg.setdefault("tol", 1e-10)
     cfg.setdefault("format", "text")
     try:
-        if not 0 < cfg["tol"] < np.inf:
+        if "tol" in cfg and not 0 < cfg["tol"] < np.inf:
             raise InputError(f"--tol must be positive and finite, not {cfg['tol']}")
         report, status = _RUNNERS[args.command](cfg)
     except (InputError, KeyError) as exc:

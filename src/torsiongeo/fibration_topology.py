@@ -166,9 +166,8 @@ def build_su3_fibration() -> PrincipalCurvature:
     # bracket of B_i, B_j expanded over fiber slots, then re-expressed
     br = np.einsum("ia,jb,mab->mij", S, S, raw_f)
     cs = np.linalg.solve(S.T, br.reshape(4, -1)).reshape(4, 4, 4)
-    herm = [FrameTensor(4, 2, 0.5 * (J.J[np.ix_(base, base)]
-                                     - J.J[np.ix_(base, base)].T))
-            for J in triple.structures()]
+    herm = [FrameTensor(4, 2, 0.5 * (J - J.T))
+            for J in triple[np.ix_(range(3), base, base)]]
     return PrincipalCurvature(4, 4, F, fiber_metric, cs, herm)
 
 

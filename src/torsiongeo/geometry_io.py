@@ -7,7 +7,8 @@ antisymmetric completion is implied).  H is a sparse list
 [[i, j, k, value], ...] with i < j < k.  Sparse values round-trip
 bit-exactly.  Optional structure keys: I1/I2/I3 as sparse [[i, j,
 value], ...] matrices (one structure needs an even dim, a triple a dim
-divisible by 4), phi as a sparse 3-form list (dim 7), Phi as a sparse
+divisible by 4; they load as a dim x dim "J" array or a (3, dim, dim)
+"triple" stack), phi as a sparse 3-form list (dim 7), Phi as a sparse
 4-form list (dim 8).  dim must be an integer and every index an
 integer in [0, dim); anything else raises ValueError.
 """
@@ -21,7 +22,6 @@ import numpy as np
 
 from .frame_algebra import FrameTensor, basis_form, index_tuples
 from .invariant_geometry import LieFrameGeometry
-from .special_structures import AlmostComplexStructure, HypercomplexTriple
 
 __all__ = [
     "geometry_to_dict",
@@ -107,13 +107,12 @@ def geometry_from_dict(data: dict) -> LieFrameGeometry:
     return LieFrameGeometry(dim, c, H, name=str(data.get("name", "")))
 
 
-def structures_to_dict(triple: HypercomplexTriple | None = None,
+def structures_to_dict(triple: np.ndarray | None = None,
                        phi: FrameTensor | None = None,
                        Phi: FrameTensor | None = None) -> dict:
     out = {}
     if triple is not None:
-        for key, s in zip(("I1", "I2", "I3"), triple.structures()):
-            J = s.J
+        for key, J in zip(("I1", "I2", "I3"), triple):
             out[key] = [[int(i), int(j), float(J[i, j])]
                         for i in range(J.shape[0]) for j in range(J.shape[1])
                         if J[i, j] != 0.0]
@@ -134,11 +133,11 @@ def structures_from_dict(data: dict, dim: int) -> dict:
                 J[_index(i, dim), _index(j, dim)] = float(val)
             if not np.isfinite(J).all():
                 raise ValueError(f"{key} has a non-finite entry")
-            mats.append(AlmostComplexStructure(J))
+            mats.append(J)
     if len(mats) == 3:
         if dim % 4:
             raise ValueError(f"a hypercomplex triple needs dim divisible by 4, not {dim}")
-        out["triple"] = HypercomplexTriple(*mats)
+        out["triple"] = np.stack(mats)
     elif len(mats) == 1:
         if dim % 2:
             raise ValueError(f"a complex structure needs an even dim, not {dim}")

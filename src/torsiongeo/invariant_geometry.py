@@ -241,14 +241,13 @@ def d_invariant(chi: FrameTensor, geom: LieFrameGeometry) -> FrameTensor:
                        coeffs=derivation_matrix(geom.c, chi.rank) @ chi.coeffs)
 
 
-def codifferential(chi: FrameTensor, geom: LieFrameGeometry,
-                   warn: list | None = None) -> FrameTensor:
+def codifferential(chi: FrameTensor, geom: LieFrameGeometry) -> FrameTensor:
     """Codifferential delta = (-1)^{n(p+1)+1} * d * on invariant p-forms.
 
     * enters twice, so delta does not depend on the orientation.  The
     sign makes (d alpha, beta) = (alpha, delta beta) hold as
-    constants on unimodular algebras; non-unimodular input is flagged
-    through ``warn`` (a list collecting messages) but still computed.
+    constants on unimodular algebras; on other algebras delta is still
+    computed, but the adjointness holds only pointwise.
     """
     if chi.rank < 1:
         raise ValueError("codifferential of a 0-form is undefined")
@@ -256,9 +255,6 @@ def codifferential(chi: FrameTensor, geom: LieFrameGeometry,
     if p > n:
         # over-top forms are identically zero (they arise as d of a top form)
         return zero_form(n, p - 1)
-    if not geom.unimodular and warn is not None:
-        warn.append("non-unimodular algebra: codifferential adjointness "
-                    "only holds pointwise, not by parts")
     sgn = (-1.0) ** (n * (p + 1) + 1)
     return sgn * hodge_star(d_invariant(hodge_star(chi), geom))
 
@@ -423,10 +419,11 @@ def bochner_term(geom: LieFrameGeometry) -> FrameTensor:
 
 def bochner_report(geom: LieFrameGeometry,
                    tol: float = DEFAULT_TOL) -> StructureReport:
-    """Both sides of (d delta + delta d) H = -nabla^2 H + R(H)."""
-    warn: list = []
-    lhs = (d_invariant(codifferential(geom.H, geom, warn=warn), geom)
-           + codifferential(geom.dH, geom, warn=warn))
+    """Both sides of (d delta + delta d) H = -nabla^2 H + R(H), with a
+    note when the algebra is not unimodular (from dim 3, where H is not
+    over-top)."""
+    lhs = (d_invariant(codifferential(geom.H, geom), geom)
+           + codifferential(geom.dH, geom))
     lc = geom.connections[0]
     ddH = nabla_invariant(nabla_invariant(geom.H.components, lc), lc)
     rough = np.einsum("aabcd->bcd", ddH)
@@ -434,6 +431,7 @@ def bochner_report(geom: LieFrameGeometry,
     report = StructureReport("bochner-weitzenboeck")
     report.add("bwf_residual", np.abs(lhs.components - rhs).max(), tol,
                identity="weitzenboeck-3-form")
-    for w in set(warn):
-        report.notes.append(w)
+    if not geom.unimodular and geom.dim >= 3:
+        report.notes.append("non-unimodular algebra: codifferential adjointness "
+                            "only holds pointwise, not by parts")
     return report

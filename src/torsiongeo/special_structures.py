@@ -4,13 +4,14 @@ Contains the explicit bi-invariant torsion geometry on the compact
 group with 8-dimensional root system A2 (su(3)) together with its
 hypercomplex pair, the 7-dimensional positive 3-form builders, and the
 Cayley 4-form, plus the verification reports for Hermitian-with-torsion
-(KT) and hyper-Hermitian-with-torsion (HKT) conditions.
+(KT) and hyper-Hermitian-with-torsion (HKT) conditions.  A complex
+structure is a dim x dim matrix, a triple the (3, dim, dim) stack
+(I1, I2, I3 = I1 I2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +35,6 @@ from .invariant_geometry import (
 from .reporting import StructureReport
 
 __all__ = [
-    "AlmostComplexStructure",
-    "HypercomplexTriple",
     "nijenhuis",
     "kt_report",
     "hkt_report",
@@ -51,85 +50,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AlmostComplexStructure:
-    """An orthogonal almost complex structure as a dim x dim matrix.
-
-    Invariants (J^2 = -1, J orthogonal) are exposed as residuals rather
-    than enforced, so deliberately broken inputs can flow through the
-    reports as negative controls.
-    """
-
-    J: np.ndarray
-
-    def __post_init__(self):
-        J = np.asarray(self.J, dtype=np.float64)
-        if J.ndim != 2 or J.shape[0] != J.shape[1]:
-            raise ValueError("J must be a square matrix")
-        J = J.copy()
-        J.setflags(write=False)
-        object.__setattr__(self, "J", J)
-
-    @property
-    def dim(self) -> int:
-        return self.J.shape[0]
-
-    def square_residual(self) -> float:
-        return float(np.abs(self.J @ self.J + np.eye(self.dim)).max())
-
-    def orthogonality_residual(self) -> float:
-        return float(np.abs(self.J.T @ self.J - np.eye(self.dim)).max())
-
-    def hermitian_form(self) -> FrameTensor:
-        """omega(X, Y) = g(X, J Y); in the orthonormal frame the lowered
-        matrix of J itself (antisymmetric when J is orthogonal)."""
-        return FrameTensor(self.dim, 2, 0.5 * (self.J - self.J.T))
-
-
-@dataclass(frozen=True)
-class HypercomplexTriple:
-    I1: AlmostComplexStructure
-    I2: AlmostComplexStructure
-    I3: AlmostComplexStructure
-
-    def quaternion_residual(self) -> float:
-        a = np.abs(self.I1.J @ self.I2.J + self.I2.J @ self.I1.J).max()
-        b = np.abs(self.I3.J - self.I1.J @ self.I2.J).max()
-        return float(max(a, b))
-
-    @property
-    def dim(self) -> int:
-        return self.I1.dim
-
-    def structures(self):
-        return (self.I1, self.I2, self.I3)
-
-
-def nijenhuis(J: AlmostComplexStructure, geom: LieFrameGeometry) -> np.ndarray:
+def nijenhuis(J: np.ndarray, geom: LieFrameGeometry) -> np.ndarray:
     """Frame components of N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y],
     evaluated on left-invariant vector fields via structure constants."""
-    if J.dim != geom.dim:
+    if np.shape(J) != (geom.dim, geom.dim):
         raise ValueError("dimension mismatch")
-    Jm, c = J.J, geom.c
-    return (np.einsum("pa,qb,mpq->mab", Jm, Jm, c)
-            - np.einsum("mq,pa,qpb->mab", Jm, Jm, c)
-            - np.einsum("mq,pb,qap->mab", Jm, Jm, c)
+    c = geom.c
+    return (np.einsum("pa,qb,mpq->mab", J, J, c)
+            - np.einsum("mq,pa,qpb->mab", J, J, c)
+            - np.einsum("mq,pb,qap->mab", J, J, c)
             - c)
 
 
-def type_3_0_projection(H: FrameTensor, J: AlmostComplexStructure) -> FrameTensor:
+def type_3_0_projection(H: FrameTensor, J: np.ndarray) -> FrameTensor:
     """(3,0)+(0,3) part of a 3-form with respect to J:
 
     P(H)(X,Y,Z) = (1/4)(H(X,Y,Z) - H(JX,JY,Z) - H(JX,Y,JZ) - H(X,JY,JZ)).
     """
-    Jm, comp = J.J, H.components
-    jjh = np.einsum("pa,qb,pqc->abc", Jm, Jm, comp)
-    jhj = np.einsum("pa,rc,pbr->abc", Jm, Jm, comp)
-    hjj = np.einsum("qb,rc,aqr->abc", Jm, Jm, comp)
+    comp = H.components
+    jjh = np.einsum("pa,qb,pqc->abc", J, J, comp)
+    jhj = np.einsum("pa,rc,pbr->abc", J, J, comp)
+    hjj = np.einsum("qb,rc,aqr->abc", J, J, comp)
     return FrameTensor(H.dim, 3, 0.25 * (comp - jjh - jhj - hjj))
 
 
-def kt_report(geom: LieFrameGeometry, J: AlmostComplexStructure,
+def kt_report(geom: LieFrameGeometry, J: np.ndarray,
               tol: float = DEFAULT_TOL, title: str = "kt") -> StructureReport:
     """Hermitian-with-torsion conditions for one complex structure:
     compatibility with the metric, parallelism under the torsion
@@ -137,37 +82,47 @@ def kt_report(geom: LieFrameGeometry, J: AlmostComplexStructure,
     (2,1)+(1,2) type of H."""
     if geom.dim % 2 != 0:
         raise ValueError("KT structures need an even-dimensional frame")
+    if np.shape(J) != (geom.dim, geom.dim):
+        raise ValueError(f"J must have shape {(geom.dim,) * 2}, not {np.shape(J)}")
+    one = np.eye(geom.dim)
     report = StructureReport(title)
-    report.add("hermitian_metric", J.orthogonality_residual(), tol,
+    report.add("hermitian_metric", float(np.abs(J.T @ J - one).max()), tol,
                identity="metric-compatibility")
-    report.add("almost_complex", J.square_residual(), tol,
+    report.add("almost_complex", float(np.abs(J @ J + one).max()), tol,
                identity="square-minus-one")
-    report.add("nabla_hat_J", parallel_residual(J.J, geom, 1), tol,
+    report.add("nabla_hat_J", parallel_residual(J, geom, 1), tol,
                identity="torsion-parallelism")
     report.add("nijenhuis", float(np.abs(nijenhuis(J, geom)).max()), tol,
                identity="integrability")
-    report.add("dH", geom.dH.sup_norm, tol,
-               identity="torsion-closure")
+    report.add("dH", geom.dH.sup_norm, tol, identity="torsion-closure")
     report.add("H_type_3_0", type_3_0_projection(geom.H, J).sup_norm, tol,
                identity="torsion-type-(2,1)+(1,2)")
     return report
 
 
-def hkt_report(geom: LieFrameGeometry, triple: HypercomplexTriple,
+def hkt_report(geom: LieFrameGeometry, triple: np.ndarray,
                tol: float = DEFAULT_TOL) -> StructureReport:
-    """Quaternion relations plus the KT conditions for each of the three
+    """Quaternion relations of the stacked triple (I1, I2, I3), closure
+    of H (gated once), the other KT conditions for each of the three
     complex structures, and equality of the three Lee forms."""
     if geom.dim % 4 != 0:
         raise ValueError("HKT structures need dim divisible by 4")
+    if np.shape(triple) != (3, geom.dim, geom.dim):
+        raise ValueError(f"a triple must be a 3 x {geom.dim} x {geom.dim} "
+                         f"array, not {np.shape(triple)}")
+    I1, I2, I3 = triple
     report = StructureReport("hkt")
-    report.add("quaternion_relations", triple.quaternion_residual(), tol,
-               identity="quaternion-algebra")
+    report.add("quaternion_relations",
+               float(max(np.abs(I1 @ I2 + I2 @ I1).max(), np.abs(I3 - I1 @ I2).max())),
+               tol, identity="quaternion-algebra")
+    report.add("dH", geom.dH.sup_norm, tol, identity="torsion-closure")
     lee = []
-    for r, J in enumerate(triple.structures(), start=1):
+    for r, J in enumerate(triple, start=1):
         sub = kt_report(geom, J, tol, title=f"kt[I{r}]")
         for row in sub.rows:
-            report.add(f"{row.name}_I{r}", row.value, row.tol, row.identity)
-        lee.append(lee_form(geom, J.hermitian_form()))
+            if row.name != "dH":
+                report.add(f"{row.name}_I{r}", row.value, row.tol, row.identity)
+        lee.append(lee_form(geom, FrameTensor(geom.dim, 2, 0.5 * (J - J.T))))
     report.add("lee_equal_12", (lee[0] - lee[1]).sup_norm, tol,
                identity="equal-lee-forms")
     report.add("lee_equal_13", (lee[0] - lee[2]).sup_norm, tol,
@@ -256,7 +211,7 @@ def build_su3():
     The torsion 3-form is minus the canonical 3-form sigma(X,Y,Z) =
     g([X,Y],Z), so that the plus-torsion connection has vanishing
     coefficients on left-invariant data and parallelizes I and J.
-    Returns (geometry, triple).
+    Returns (geometry, triple) with the triple stacked as (I, J, IJ).
     """
     s2 = np.sqrt(2.0)
     table, pairing, alpha, beta = _su3_complex_table()
@@ -282,7 +237,7 @@ def build_su3():
     for gi, mi in ((2, 5), (3, 6), (4, 7)):
         MI[gi, gi] = 1j
         MI[mi, mi] = -1j
-    I = AlmostComplexStructure(_real_matrix(MI, T))
+    I = _real_matrix(MI, T)
 
     # second structure: swaps the a and b root planes and pairs the
     # highest-root plane with the Cartan plane, normalized to an isometry
@@ -299,10 +254,8 @@ def build_su3():
     MJ[7, 0] = -1.0 / s2
     MJ[4, 1] = -1j / s2          # J(h2) = -i(e_g - e_-g)/sqrt(2)
     MJ[7, 1] = 1j / s2
-    J = AlmostComplexStructure(_real_matrix(MJ, T))
-
-    triple = HypercomplexTriple(I, J, AlmostComplexStructure(I.J @ J.J))
-    return geom, triple
+    J = _real_matrix(MJ, T)
+    return geom, np.stack([I, J, I @ J])
 
 
 # signed index triples (0-based) of the standard positive 3-form; the
@@ -418,16 +371,14 @@ def spin7_report(Phi: FrameTensor, tol: float = DEFAULT_TOL,
     return report
 
 
-def standard_quaternion_triple() -> HypercomplexTriple:
-    """Flat quaternion triple on a 4-dim frame, the matrices of the
-    self-dual forms e01 + e23, e02 - e13, e03 + e12."""
+def standard_quaternion_triple() -> np.ndarray:
+    """Flat quaternion triple on a 4-dim frame, stacked as (I1, I2, I1 I2),
+    the matrices of the self-dual forms e01 + e23, e02 - e13, e03 + e12."""
     I1 = np.zeros((4, 4))
     I2 = np.zeros((4, 4))
     I1[0, 1], I1[1, 0], I1[2, 3], I1[3, 2] = 1.0, -1.0, 1.0, -1.0
     I2[0, 2], I2[2, 0], I2[1, 3], I2[3, 1] = 1.0, -1.0, -1.0, 1.0
-    i1 = AlmostComplexStructure(I1)
-    i2 = AlmostComplexStructure(I2)
-    return HypercomplexTriple(i1, i2, AlmostComplexStructure(I1 @ I2))
+    return np.stack([I1, I2, I1 @ I2])
 
 
 def hyperkahler_two_forms(dim: int, indices, anti: bool = False):

@@ -38,7 +38,6 @@ from torsiongeo.invariant_geometry import (
     direct_sum,
 )
 from torsiongeo.special_structures import (
-    HypercomplexTriple,
     bryant_positivity,
     build_g2,
     build_spin7,
@@ -241,7 +240,7 @@ def test_criterion_9_negative_controls():
         refused = True
 
     tq = standard_quaternion_triple()
-    broken = HypercomplexTriple(tq.I1, tq.I1, tq.I3)
+    broken = tq[[0, 0, 2]]
     flat4 = LieFrameGeometry(4, np.zeros((4, 4, 4)),
                              FrameTensor(4, 3, np.zeros((4, 4, 4))))
     hkt = hkt_report(flat4, broken)

@@ -74,7 +74,7 @@ def test_quaternionic_orientation_is_a_sign(anti, sign):
 # ---------------------------------------------------------------- frestrict
 
 def _omega_matrices():
-    return [J.J for J in standard_quaternion_triple().structures()]
+    return list(standard_quaternion_triple())
 
 
 def test_frestrict_zero_for_one_one_curvature():

@@ -3,8 +3,11 @@ on every catalog entry, and random_geometry samples.
 
 ``golden/verify_catalog.json`` holds the exit status and JSON report of
 ``tg verify --example <name> --format json`` for each entry, recorded
-with the dense-form implementation.  Every row value must agree to 1e-15
-absolute, and every pass/assert flag and verdict must be identical.
+with the dense-form implementation; when the hkt report came to gate
+closure of H in one ``dH`` row instead of ``dH_I1``/``dH_I2``/``dH_I3``,
+those rows were replaced by it, keeping the recorded value.  Every row
+value must agree to 1e-15 absolute, and every pass/assert flag and
+verdict must be identical.
 ``golden/verify_catalog_text.json`` holds the exit status and the exact
 ``--format text`` output of the same commands, recorded before the text
 rendering moved onto the report dicts.  ``golden/decompose_catalog.json``

@@ -227,9 +227,14 @@ def test_codifferential_flags_non_unimodular():
     c[1, 2, 1], c[1, 1, 2] = -0.5, 0.5
     geom = LieFrameGeometry(3, c, zero_form(3, 3))
     assert not geom.unimodular
-    warn = []
-    codifferential(FrameTensor(3, 1, np.ones(3)), geom, warn=warn)
-    assert warn and "unimodular" in warn[0]
+    notes = bochner_report(geom).notes
+    assert len(notes) == 1 and "unimodular" in notes[0]
+    # below dim 3, H is over-top and there is nothing to flag
+    c2 = np.zeros((2, 2, 2))
+    c2[0, 0, 1], c2[0, 1, 0] = 1.0, -1.0
+    geom2 = LieFrameGeometry(2, c2, zero_form(2, 3))
+    assert not geom2.unimodular
+    assert bochner_report(geom2).notes == []
 
 
 # ------------------------------------------------------- covariant derivative
@@ -252,7 +257,7 @@ def test_nabla_biinvariant_torsion_parallel():
 
 def test_nabla_su3_complex_structure(su3_built):
     geom, triple = su3_built
-    I = triple.I1.J
+    I = triple[0]
     assert np.abs(nabla_invariant(I, with_torsion(geom, 1))).max() < 1e-13
     # under the Levi-Civita connection the structure is not parallel
     assert np.abs(nabla_invariant(I, levi_civita(geom))).max() > 0.1
@@ -340,7 +345,8 @@ def test_lee_form_flat_case_zero():
 
 def test_lee_form_parallel_su3(su3_built):
     geom, triple = su3_built
-    theta = lee_form(geom, triple.I1.hermitian_form())
+    I = triple[0]
+    theta = lee_form(geom, FrameTensor(8, 2, 0.5 * (I - I.T)))
     assert np.abs(nabla_invariant(theta.components, with_torsion(geom, 1))).max() < 1e-13
 
 

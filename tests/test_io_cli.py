@@ -61,7 +61,7 @@ def test_geometry_file_round_trip(tmp_path):
     loaded, raw = load_geometry(path)
     assert np.abs(loaded.c - geom.c).max() == 0.0
     structures = structures_from_dict(raw, 8)
-    assert np.abs(structures["triple"].I2.J - triple.I2.J).max() == 0.0
+    assert np.abs(structures["triple"][1] - triple[1]).max() == 0.0
 
 
 def test_structures_dict_rejects_partial_triple():
@@ -430,12 +430,19 @@ NON_INTEGER_TOPOLOGY_FILES = [
     {"k": 1, "n": [True], "chi": 3, "tau": -1},
 ]
 
+# the fibration diagnostics inputs: R a number or one per node, h a number
+MALFORMED_DIAGNOSTICS_FILES = [
+    {"grid": [8, 8], "scalar_curvature": [1, 2, 3], "h": 0.5},
+    {"grid": [8, 8], "scalar_curvature": 1.0, "h": [0.5, 1]},
+]
+
 
 @pytest.mark.parametrize("command, doc",
                          [("dilaton", d) for d in NON_FINITE_DILATON_FILES]
                          + [("topology", {"k": INF, "chi": 2, "tau": 0})]
                          + [("dilaton", d) for d in NON_INTEGER_DILATON_FILES]
-                         + [("topology", d) for d in NON_INTEGER_TOPOLOGY_FILES])
+                         + [("topology", d) for d in NON_INTEGER_TOPOLOGY_FILES]
+                         + [("dilaton", d) for d in MALFORMED_DIAGNOSTICS_FILES])
 def test_cli_non_finite_input_exit_2(command, doc, tmp_path, capsys):
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps(doc))
@@ -443,6 +450,22 @@ def test_cli_non_finite_input_exit_2(command, doc, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "input error" in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("dilaton", {"grid": [8, 8]}),
+    ("topology", {"k": 1, "n": [1], "chi": 3, "tau": -1}),
+])
+def test_cli_tol_only_on_geometry_commands(command, doc, tmp_path, capsys):
+    # neither runner has a tolerance to set: the flag is a usage error
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--input", str(prob), "--tol", "1e-3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --tol" in err
 
 
 @pytest.mark.parametrize("lam", [NAN, INF])

@@ -24,8 +24,6 @@ from torsiongeo.invariant_geometry import (
     with_torsion,
 )
 from torsiongeo.special_structures import (
-    AlmostComplexStructure,
-    HypercomplexTriple,
     bryant_positivity,
     build_g2,
     build_spin7,
@@ -51,7 +49,7 @@ def standard_block_J(dim):
     J = np.zeros((dim, dim))
     for k in range(0, dim, 2):
         J[k, k + 1], J[k + 1, k] = 1.0, -1.0
-    return AlmostComplexStructure(J)
+    return J
 
 
 # --------------------------------------------------------------- nijenhuis
@@ -60,13 +58,13 @@ def test_nijenhuis_abelian_always_zero():
     geom = flat_geometry(6)
     for _ in range(3):
         q, _ = np.linalg.qr(RNG.standard_normal((6, 6)))
-        J = AlmostComplexStructure(q @ standard_block_J(6).J @ q.T)
+        J = q @ standard_block_J(6) @ q.T
         assert np.abs(nijenhuis(J, geom)).max() < 1e-12
 
 
 def test_nijenhuis_su3_structures(su3_built):
     geom, triple = su3_built
-    for J in triple.structures():
+    for J in triple:
         assert np.abs(nijenhuis(J, geom)).max() < 1e-12
 
 
@@ -75,7 +73,7 @@ def test_nijenhuis_generic_witness():
     # flat plane is not integrable
     geom = LieFrameGeometry(8, direct_sum(_su2(), _su2(), _flat(2)).c, zero_form(8, 3))
     q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((8, 8)))
-    J = AlmostComplexStructure(q @ standard_block_J(8).J @ q.T)
+    J = q @ standard_block_J(8) @ q.T
     assert np.abs(nijenhuis(J, geom)).max() > 0.05
 
 
@@ -84,9 +82,9 @@ def test_nijenhuis_generic_witness():
 def test_type_projector_vs_complex_frame_oracle(su3_built):
     """Brute-force complex-frame decomposition validates the projector."""
     _, triple = su3_built
-    J = triple.I1
+    J = triple[0]
     X = FrameTensor(8, 3, antisymmetrize(RNG.standard_normal((8, 8, 8))))
-    evals, evecs = np.linalg.eig(J.J.astype(complex))
+    evals, evecs = np.linalg.eig(J.astype(complex))
     order = np.argsort(-evals.imag)
     W = evecs[:, order]  # first four holomorphic, last four antiholomorphic
     Xc = np.einsum("pa,qb,rc,pqr->abc", W.conj(), W.conj(), W.conj(),
@@ -103,8 +101,8 @@ def test_type_projector_vs_complex_frame_oracle(su3_built):
 def test_type_projector_idempotent(su3_built):
     _, triple = su3_built
     X = FrameTensor(8, 3, antisymmetrize(RNG.standard_normal((8, 8, 8))))
-    P1 = type_3_0_projection(X, triple.I2)
-    P2 = type_3_0_projection(P1, triple.I2)
+    P1 = type_3_0_projection(X, triple[1])
+    P2 = type_3_0_projection(P1, triple[1])
     assert np.abs(P1.components - P2.components).max() < 1e-12
 
 
@@ -118,7 +116,7 @@ def test_kt_flat_kahler_r4():
 
 def test_kt_su3(su3_built):
     geom, triple = su3_built
-    rep = kt_report(geom, triple.I1)
+    rep = kt_report(geom, triple[0])
     assert rep.passed
     assert max(r.value for r in rep.rows) < 1e-10
 
@@ -126,26 +124,47 @@ def test_kt_su3(su3_built):
 def test_kt_su3_without_torsion_not_parallel(su3_built):
     geom, triple = su3_built
     bare = LieFrameGeometry(8, geom.c, zero_form(8, 3))
-    rep = kt_report(bare, triple.I1)
+    rep = kt_report(bare, triple[0])
     assert rep.row("nabla_hat_J").value > 0.1
     assert not rep.passed
 
 
 def test_kt_rejects_odd_dimension():
     with pytest.raises(ValueError):
-        kt_report(flat_geometry(3), AlmostComplexStructure(np.zeros((3, 3))))
+        kt_report(flat_geometry(3), np.zeros((3, 3)))
 
 
 def test_kt_invariant_under_conjugation(su3_built):
     geom, triple = su3_built
-    rep0 = kt_report(geom, triple.I1)
+    rep0 = kt_report(geom, triple[0])
     O = random_orthogonal(np.random.default_rng(7), 8)
     c_rot, H_rot = rotate_structure(geom.c, geom.H, O)
     geom_rot = LieFrameGeometry(8, c_rot, H_rot)
-    J_rot = AlmostComplexStructure(O.T @ triple.I1.J @ O)
+    J_rot = O.T @ triple[0] @ O
     rep1 = kt_report(geom_rot, J_rot)
     for r0, r1 in zip(rep0.rows, rep1.rows):
         assert abs(r0.value - r1.value) < 1e-10
+    # the whole triple conjugates along with the frame, as one stack
+    hkt0 = hkt_report(geom, triple)
+    hkt1 = hkt_report(geom_rot, O.T @ triple @ O)
+    assert [r.name for r in hkt0.rows] == [r.name for r in hkt1.rows]
+    for r0, r1 in zip(hkt0.rows, hkt1.rows):
+        assert abs(r0.value - r1.value) < 1e-10
+    assert hkt1.passed
+
+
+@pytest.mark.parametrize("shape", [(8, 6), (6, 8), (4, 4), (8,), (1, 8, 8)])
+def test_kt_rejects_wrong_shape(su3_built, shape):
+    geom, _ = su3_built
+    with pytest.raises(ValueError):
+        kt_report(geom, np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (2, 8, 8), (4, 8, 8), (3, 4, 4), (3, 8, 6)])
+def test_hkt_rejects_wrong_shape(su3_built, shape):
+    geom, _ = su3_built
+    with pytest.raises(ValueError):
+        hkt_report(geom, np.zeros(shape))
 
 
 # --------------------------------------------------------------- hkt report
@@ -164,7 +183,7 @@ def test_hkt_flat_r4():
 
 def test_hkt_non_anticommuting_fails():
     tq = standard_quaternion_triple()
-    broken = HypercomplexTriple(tq.I1, tq.I1, tq.I3)
+    broken = tq[[0, 0, 2]]
     rep = hkt_report(flat_geometry(4), broken)
     assert rep.row("quaternion_relations").value == pytest.approx(2.0)
     assert not rep.passed
@@ -358,7 +377,7 @@ def test_parallel_residual_metric():
 
 def test_parallel_residual_su3_dichotomy(su3_built):
     geom, triple = su3_built
-    I = triple.I1.J
+    I = triple[0]
     assert parallel_residual(I, geom, 1) < 1e-13
     lc = np.abs(nabla_invariant(I, levi_civita(geom))).max()
     assert lc > 0.1
