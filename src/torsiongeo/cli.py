@@ -215,7 +215,8 @@ def run_dilaton(cfg) -> tuple:
     data = _load_json(cfg["input"])
     try:
         n1, n2 = (_integer(x, "grid size") for x in data["grid"])
-        spacing = float(data.get("spacing", 2.0 * np.pi / n1))
+        # max(n1, 1): build_flat_torus refuses a side below 3 itself
+        spacing = float(data.get("spacing", 2.0 * np.pi / max(n1, 1)))
         domain = build_flat_torus(n1, n2, spacing)
         w_field = data.get("w", "constant4")
         if isinstance(w_field, dict):
@@ -251,8 +252,12 @@ def run_dilaton(cfg) -> tuple:
             if not real or not np.isfinite(float(h)):
                 raise InputError(f"h must be a finite real number, not {h!r}")
             h = float(h)
+        lam = data.get("lambda", "auto")
+        numeric = isinstance(lam, (int, float)) and not isinstance(lam, bool)
+        if lam != "auto" and not numeric:
+            raise InputError(f'lambda must be "auto" or a number, not {lam!r}')
         solver_cfg = SolverConfig(
-            lambda_policy=data.get("lambda", "auto"),
+            lambda_policy=lam,
             tol=float(data.get("tol", 1e-10)),
             max_iter=_integer(data.get("max_iter", 500), "max_iter"),
         )

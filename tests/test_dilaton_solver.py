@@ -15,6 +15,7 @@ from torsiongeo.dilaton import (
     pick_lambda,
     residual,
     _periodic_laplacian,
+    _ShiftedSolver,
 )
 
 RNG = np.random.default_rng(4096)
@@ -284,3 +285,108 @@ def test_periodic_laplacian_matches_loop_assembly(shape, spacing):
     for name in ("indptr", "indices", "data"):
         a, b = getattr(L, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+# ------------------------------------------- FFT path against sparse LU
+
+EPS = np.finfo(np.float64).eps
+
+
+def torus(shape, spacing):
+    """The torus builder's domain for shape, and the same Laplacian with
+    no Fourier symbol, which the solver factorizes by sparse LU."""
+    if len(shape) == 2:
+        domain = build_flat_torus(*shape, spacing)
+    else:
+        domain = build_flat_torus4(*shape, spacing)
+    return domain, DiscreteDomain(domain.node_count, domain.laplacian,
+                                  domain.weights)
+
+
+@pytest.mark.parametrize("symbol", [True, False], ids=["fft", "lu"])
+def test_fine_spacing_iteration_converges(symbol):
+    # ||Au - b|| / ||b|| grows like h^-2, so a gate on it refused this
+    # problem at its first solve; the backward error stays near eps
+    n = 32
+    domain, plain = torus((n, n), 1e-3)
+    w = np.random.default_rng(7).uniform(3.0, 5.0, n * n)
+    _, trace = monotone_iterate(domain if symbol else plain, w,
+                                SolverConfig(tol=1e-10))
+    assert trace.converged
+    assert all(s.monotone_ok and s.bounds_ok for s in trace.steps)
+
+
+CROSS_SHAPES = [(3, 3), (5, 4), (7, 9), (16, 16), (3, 4, 5, 6)]
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+@pytest.mark.parametrize("shape", CROSS_SHAPES)
+def test_fft_solve_matches_sparse_lu(shape):
+    domain, plain = torus(shape, 2.0 * np.pi / shape[-1])
+    assert domain.symbol is not None and plain.symbol is None
+    rng = np.random.default_rng(list(shape))
+    rhs = rng.standard_normal(domain.node_count)
+    assert np.abs(linear_solve(domain, 3.0, rhs)
+                  - linear_solve(plain, 3.0, rhs)).max() < 1e-12
+    w = rng.uniform(3.0, 5.0, domain.node_count)
+    u_fft, t_fft = monotone_iterate(domain, w, SolverConfig(tol=1e-10))
+    u_lu, t_lu = monotone_iterate(plain, w, SolverConfig(tol=1e-10))
+    assert t_fft.iterations == t_lu.iterations
+    assert np.abs(u_fft - u_lu).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", CROSS_SHAPES)
+def test_fft_matches_sparse_lu_at_fine_spacing(shape):
+    # the two solves differ by their forward errors, each at most
+    # cond(A) times the backward error, with cond(A) <= ||A|| / lambda
+    # for this diagonally dominant operator; along the iteration they add
+    # up to at most 1 / (1 - q) times that, q = (lambda - 2a) / lambda
+    # (about 3 here)
+    domain, plain = torus(shape, 1e-3)
+    rng = np.random.default_rng(list(shape))
+    w = rng.uniform(3.0, 5.0, domain.node_count)
+    u_fft, trace = monotone_iterate(domain, w, SolverConfig(tol=1e-10))
+    u_lu, _ = monotone_iterate(plain, w, SolverConfig(tol=1e-10))
+    op_norm = abs(domain.laplacian).sum(axis=1).max() + trace.lam
+    bound = 16 * EPS * (op_norm / trace.lam) * np.abs(u_fft).max()
+    assert np.abs(u_fft - u_lu).max() <= bound
+    rhs = rng.standard_normal(domain.node_count)
+    v = linear_solve(domain, trace.lam, rhs)
+    bound = 16 * EPS * (op_norm / trace.lam) * np.abs(v).max()
+    assert np.abs(v - linear_solve(plain, trace.lam, rhs)).max() <= bound
+
+
+def test_corrupted_symbol_rejected():
+    domain = build_flat_torus(5, 4, 0.3)
+    L, weights, good = domain.laplacian, domain.weights, domain.symbol
+
+    def corrupt(index, factor):
+        s = good.copy()
+        s[index] *= factor
+        return s
+
+    bad_symbols = [
+        corrupt((2, 1), 1.0 + 1e-6),
+        corrupt((1, 3), 1.0 + 1e-6),   # a mode rfftn leaves out of the solve
+        good * 1.01,
+        good.T,                        # the (4, 5) grid's numbering
+        np.zeros((5, 4)),
+        np.full((5, 4), np.nan),
+        good[:, :3],
+    ]
+    for bad in bad_symbols:
+        with pytest.raises(ValueError, match="symbol"):
+            DiscreteDomain(20, L, weights, bad)
+    assert np.array_equal(DiscreteDomain(20, L, weights, good).symbol, good)
+
+
+@pytest.mark.parametrize("spoil", [lambda u: u * (1.0 + 1e-9),
+                                   lambda u: np.full_like(u, np.nan)],
+                         ids=["perturbed", "nan"])
+def test_linear_solve_refuses_large_backward_error(spoil):
+    domain = build_flat_torus(8, 8)
+    solver = _ShiftedSolver(domain, 5.0)
+    exact = solver._solve
+    solver._solve = lambda rhs: spoil(exact(rhs))
+    with pytest.raises(SolverError, match="backward error"):
+        solver.solve(RNG.uniform(1.0, 2.0, domain.node_count))

@@ -476,3 +476,32 @@ def test_cli_dilaton_non_finite_lambda_rejected(lam, tmp_path):
     assert run_cli(["dilaton", "--input", str(prob), "--format", "json",
                     "--output", str(out)]) == 1
     assert "must be finite" in json.loads(out.read_text())["error"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"grid": [0, 8]}, "torus sides must be at least 3"),
+    ({"grid": [8, 8], "lambda": "foo"}, "lambda must be"),
+    ({"grid": [8, 8], "lambda": True}, "lambda must be"),
+    ({"grid": [8, 8], "lambda": [5]}, "lambda must be"),
+    ({"grid": [8, 8], "lambda": None}, "lambda must be"),
+])
+def test_cli_dilaton_bad_grid_or_lambda_exit_2(doc, message, tmp_path, capsys):
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps(doc))
+    assert run_cli(["dilaton", "--input", str(prob)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "input error" in err and message in err
+
+
+def test_cli_dilaton_256_sine_bump(tmp_path):
+    # ||Au - b|| / ||b|| exceeds 1e-12 here; the backward error does not
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({"grid": [256, 256], "spacing": 2 * np.pi / 256,
+                                "w": "sine-bump"}))
+    out = tmp_path / "sol.json"
+    assert run_cli(["dilaton", "--input", str(prob), "--format", "json",
+                    "--output", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["trace"]["converged"] is True
+    assert rep["trace"]["monotone_ok"] and rep["trace"]["bounds_ok"]
