@@ -94,8 +94,8 @@ def _g2_report(geom, phi, tol):
     if np.abs(geom.c).max() > 0:
         rep.add("dH", geom.dH.sup_norm, tol,
                 identity="torsion-closure")
-        rep.add("nabla_hat_phi", parallel_residual(phi.components, geom, 1), tol,
-                identity="torsion-parallelism")
+    rep.add("nabla_hat_phi", parallel_residual(phi.components, geom, 1), tol,
+            identity="torsion-parallelism")
     return rep
 
 

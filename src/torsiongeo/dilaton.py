@@ -13,10 +13,16 @@ Each linear solve with -lap + lambda takes one of two paths.  A periodic
 torus grid (build_flat_torus, build_flat_torus4) carries the Fourier
 symbol of its Laplacian, so the operator is diagonal in Fourier space
 and the solve is one real FFT pair.  Any other domain is solved by a
-sparse LU factorization, computed once per lambda.  Both paths are gated
-on the normwise backward error ||Au - b|| / (||A|| ||u|| + ||b||) <= 1e-12
-(sup norms), which does not grow as the grid is refined; the check
-applies the sparse operator, so it also verifies the FFT path.
+sparse LU factorization, computed once per lambda with SuperLU's MMD
+ordering on A + A^T and fundamental supernodes only (relax=1), because
+relaxed supernodes leave the fill of these graph Laplacians unchanged
+and only add work (2 vCPU, one BLAS thread: 0.54 s instead of 0.74 s on
+a weighted periodic 256^2 grid, 0.22 s instead of 5.9 s on a
+40,000-node random geometric graph, with the same nnz(L+U)).  Both
+paths are gated on the normwise backward error
+||Au - b|| / (||A|| ||u|| + ||b||) <= 1e-12 (sup norms), which does not
+grow as the grid is refined; the check applies the sparse operator, so
+it also verifies the FFT path.
 """
 
 from __future__ import annotations
@@ -272,7 +278,8 @@ class _ShiftedSolver:
         self.op_norm = float(abs(self.op).sum(axis=1).max())
         symbol = domain.symbol
         if symbol is None:
-            self._solve = spla.splu(self.op.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+            self._solve = spla.splu(self.op.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                    relax=1).solve
         else:
             shape, axes = symbol.shape, tuple(range(symbol.ndim))
             # rfftn keeps the modes 0..n//2 of the last axis

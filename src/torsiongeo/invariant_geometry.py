@@ -366,14 +366,10 @@ def lee_form(geom: LieFrameGeometry, phi: FrameTensor) -> FrameTensor:
 
 def soliton_report(geom: LieFrameGeometry,
                    tol: float = DEFAULT_TOL) -> StructureReport:
-    """Steady-soliton residual Ric^_{ij} - nabla^_i V_j for invariant V,
-    plus the scalar monotonicity identity specialized to invariant data.
+    """Steady-soliton residual Ric^_{ij} - nabla^_i V_j for invariant V.
 
     An invariant V has constant components, so it is a gradient only
-    when it vanishes and the residual is Ric^ itself.  Every scalar
-    (R^, H^2) is constant too, so the left side of the identity
-    vanishes and, whenever the soliton equation holds, |Ric^|^2 must
-    vanish with it.
+    when it vanishes and the residual is Ric^ itself.
     """
     dH = geom.dH.sup_norm
     if dH > tol:
@@ -385,15 +381,6 @@ def soliton_report(geom: LieFrameGeometry,
     soliton = float(np.abs(ric).max())
     report.add("soliton_residual", soliton, tol,
                identity="steady-soliton-equation")
-    ric_sq = float(np.sum(ric * ric))
-    # invariant data: nabla of any constant scalar is zero
-    report.add("steadyf_lhs", 0.0, tol,
-               identity="soliton-scalar-identity", asserted=False,
-               note="laplacian of a constant scalar")
-    report.add("steadyf_rhs", ric_sq, tol,
-               identity="soliton-scalar-identity",
-               asserted=soliton <= tol,
-               note="grad term vanishes; equals |Ric^|^2")
     return report
 
 

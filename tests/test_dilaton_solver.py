@@ -380,6 +380,50 @@ def test_corrupted_symbol_rejected():
     assert np.array_equal(DiscreteDomain(20, L, weights, good).symbol, good)
 
 
+# ------------------------------------------- sparse LU on an irregular graph
+
+def random_graph_domain(n=300, seed=11):
+    """A connected weighted graph on n random points of the unit square:
+    each point is joined to every point within distance 0.1 and to one
+    random earlier point (a spanning tree), with random positive
+    couplings.  Node masses are random too, so -lap is not symmetric."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    dist = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+    near = np.argwhere(np.triu(dist < 0.1, 1))
+    tree = np.column_stack([rng.integers(0, np.arange(1, n)), np.arange(1, n)])
+    i, j = np.concatenate([near, tree]).T
+    A = sp.coo_matrix((rng.uniform(0.5, 2.0, i.size), (i, j)), shape=(n, n))
+    A = (A + A.T).tocsr()
+    mass = rng.uniform(0.5, 2.0, n)
+    L = sp.diags(1.0 / mass) @ (A - sp.diags(np.asarray(A.sum(axis=1)).ravel()))
+    return DiscreteDomain(n, L, mass)
+
+
+def test_sparse_lu_matches_dense_solve_on_irregular_graph():
+    domain = random_graph_domain()
+    degrees = np.diff(domain.laplacian.indptr)
+    assert domain.symbol is None and degrees.min() < degrees.max()
+    lam = 3.0
+    rhs = np.random.default_rng(12).standard_normal(domain.node_count)
+    u = linear_solve(domain, lam, rhs)
+    dense = -domain.laplacian.toarray() + lam * np.eye(domain.node_count)
+    # -lap + lambda is row diagonally dominant by lambda, so
+    # cond(A) <= ||A|| / lambda in the sup norm
+    op_norm = np.abs(dense).sum(axis=1).max()
+    bound = 16 * EPS * (op_norm / lam) * np.abs(u).max()
+    assert np.abs(u - np.linalg.solve(dense, rhs)).max() <= bound
+
+
+def test_monotone_iterate_on_irregular_graph():
+    domain = random_graph_domain()
+    w = np.random.default_rng(13).uniform(3.0, 5.0, domain.node_count)
+    u, trace = monotone_iterate(domain, w, SolverConfig(tol=1e-10))
+    assert trace.converged
+    assert all(s.monotone_ok and s.bounds_ok for s in trace.steps)
+    assert np.abs(residual(domain, u, w)).max() < 1e-8
+
+
 @pytest.mark.parametrize("spoil", [lambda u: u * (1.0 + 1e-9),
                                    lambda u: np.full_like(u, np.nan)],
                          ids=["perturbed", "nan"])

@@ -5,7 +5,11 @@ on every catalog entry, and random_geometry samples.
 ``tg verify --example <name> --format json`` for each entry, recorded
 with the dense-form implementation; when the hkt report came to gate
 closure of H in one ``dH`` row instead of ``dH_I1``/``dH_I2``/``dH_I3``,
-those rows were replaced by it, keeping the recorded value.  Every row
+those rows were replaced by it, keeping the recorded value.  Both verify
+files later lost the steady-soliton rows ``steadyf_lhs`` (a constant 0)
+and ``steadyf_rhs`` (asserted only when the soliton residual passes),
+and ``g2-standard`` gained the ``nabla_hat_phi`` row (0.0) that the G2
+report now gates on every geometry, not only on non-abelian ones.  Every row
 value must agree to 1e-15 absolute, and every pass/assert flag and
 verdict must be identical.
 ``golden/verify_catalog_text.json`` holds the exit status and the exact

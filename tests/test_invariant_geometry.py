@@ -357,7 +357,6 @@ def test_soliton_su2_flat_scale():
     rep = soliton_report(geom)
     assert rep.passed
     assert rep.row("soliton_residual").value < 1e-13
-    assert rep.row("steadyf_rhs").value < 1e-13
 
 
 def test_soliton_flat_abelian():

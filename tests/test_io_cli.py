@@ -5,7 +5,7 @@ import pytest
 
 from torsiongeo.catalog import CATALOG, _flat, _su2, catalog_entry, epsilon3
 from torsiongeo.cli import main
-from torsiongeo.frame_algebra import FrameTensor, antisymmetrize
+from torsiongeo.frame_algebra import FrameTensor, antisymmetrize, basis_form
 from torsiongeo.geometry_io import (
     form_to_sparse,
     geometry_from_dict,
@@ -17,7 +17,7 @@ from torsiongeo.geometry_io import (
     structures_to_dict,
 )
 from torsiongeo.invariant_geometry import LieFrameGeometry, bianchi_report, direct_sum
-from torsiongeo.special_structures import build_su3
+from torsiongeo.special_structures import build_g2, build_su3
 
 RNG = np.random.default_rng(7321)
 
@@ -278,6 +278,21 @@ def test_cli_verify_non_cayley_phi_fails(tmp_path):
                     "--output", str(out)]) == 1
     spin7 = [r for r in json.loads(out.read_text())["reports"] if r["title"] == "spin7"]
     assert len(spin7) == 1 and spin7[0]["passed"] is False
+
+
+def test_cli_verify_phi_on_flat_torsion_fails_nabla_hat_phi(tmp_path):
+    # flat R^7 (c = 0) with H = e123: the standard phi is not parallel for
+    # the torsion connection (nabla^ phi = 0.5), so the g2 report fails
+    geom = LieFrameGeometry(7, np.zeros((7, 7, 7)), basis_form(7, [0, 1, 2]))
+    path = tmp_path / "g2.json"
+    save_geometry(path, geom, extra=structures_to_dict(phi=build_g2("standard")))
+    out = tmp_path / "rep.json"
+    assert run_cli(["verify", "--input", str(path), "--format", "json",
+                    "--output", str(out)]) == 1
+    g2 = [r for r in json.loads(out.read_text())["reports"] if r["title"] == "g2-positivity"]
+    assert len(g2) == 1 and g2[0]["passed"] is False
+    failed = {row["name"]: row["value"] for row in g2[0]["rows"] if not row["passed"]}
+    assert failed == {"nabla_hat_phi": pytest.approx(0.5, abs=1e-12)}
 
 
 @pytest.mark.parametrize("name", [n for n, e in CATALOG.items() if e.kind != "fibration"])
