@@ -110,7 +110,7 @@ def _structure_reports(geom, structures, tol):
     if "phi" in structures:
         reports.append(_g2_report(geom, structures["phi"], tol))
     if "Phi" in structures:
-        reports.append(spin7_report(structures["Phi"], tol))
+        reports.append(spin7_report(geom, structures["Phi"], tol))
     return reports
 
 
@@ -211,12 +211,20 @@ _W_PRESETS = {
 }
 
 
+def _real(value, what: str) -> float:
+    """A finite real number read from a file; bools and strings are refused."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not real or not np.isfinite(value):
+        raise InputError(f"{what} must be a finite real number, not {value!r}")
+    return float(value)
+
+
 def run_dilaton(cfg) -> tuple:
     data = _load_json(cfg["input"])
     try:
         n1, n2 = (_integer(x, "grid size") for x in data["grid"])
         # max(n1, 1): build_flat_torus refuses a side below 3 itself
-        spacing = float(data.get("spacing", 2.0 * np.pi / max(n1, 1)))
+        spacing = _real(data.get("spacing", 2.0 * np.pi / max(n1, 1)), "spacing")
         domain = build_flat_torus(n1, n2, spacing)
         w_field = data.get("w", "constant4")
         if isinstance(w_field, dict):
@@ -247,18 +255,14 @@ def run_dilaton(cfg) -> tuple:
                 raise InputError(f"scalar_curvature needs 1 or {domain.node_count} "
                                  "finite numbers")
         if "h" in data:
-            h = data["h"]
-            real = isinstance(h, (int, float)) and not isinstance(h, bool)
-            if not real or not np.isfinite(float(h)):
-                raise InputError(f"h must be a finite real number, not {h!r}")
-            h = float(h)
+            h = _real(data["h"], "h")
         lam = data.get("lambda", "auto")
         numeric = isinstance(lam, (int, float)) and not isinstance(lam, bool)
         if lam != "auto" and not numeric:
             raise InputError(f'lambda must be "auto" or a number, not {lam!r}')
         solver_cfg = SolverConfig(
             lambda_policy=lam,
-            tol=float(data.get("tol", 1e-10)),
+            tol=_real(data.get("tol", 1e-10), "tol"),
             max_iter=_integer(data.get("max_iter", 500), "max_iter"),
         )
     except InputError:

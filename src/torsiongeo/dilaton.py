@@ -7,7 +7,20 @@ holds, mirroring the order-preservation the continuous proof relies
 on).  Constants a = sqrt(w_min)/2 and b = sqrt(w_max) bracket the
 iteration u_{n+1} = (-lap + lambda)^{-1}(w - u_n^2 + lambda u_n), which
 is monotone nondecreasing from u_0 = a and stays below b; both facts
-are asserted at every step, never assumed.
+are asserted at every step, never assumed.  The step preserves order on
+[a, b] exactly when lambda u - u^2 is nondecreasing for u <= b, that is
+when lambda >= 2 b (the sub/supersolution argument of Sattinger, Indiana
+Univ. Math. J. 21, 1972).  Near the solution u* a step contracts by
+about (lambda - 2 u*) / lambda, so the default is the smallest
+admissible shift, lambda = 2 b.
+
+Each step reports sup |G(u_{n+1})| for G(u) = -lap(u) + u^2 - w without
+a second operator application: with r = (-lap + lambda) u_{n+1} - rhs,
+the vector the backward-error gate already computes,
+
+    G(u_{n+1}) = (u_{n+1} - u_n)(u_{n+1} + u_n - lambda) + r
+
+holds exactly, so the two sides differ by rounding only.
 
 Each linear solve with -lap + lambda takes one of two paths.  A periodic
 torus grid (build_flat_torus, build_flat_torus4) carries the Fourier
@@ -171,6 +184,25 @@ class IterationTrace:
     def final_residual(self) -> float:
         return self.steps[-1].residual_sup if self.steps else float("nan")
 
+    @property
+    def contraction(self) -> float | None:
+        """The last observed ratio rho = delta_n / delta_{n-1}, or None
+        with fewer than two steps or when rho >= 1."""
+        if len(self.steps) < 2:
+            return None
+        rho = self.steps[-1].delta_sup / self.steps[-2].delta_sup
+        return rho if rho < 1.0 else None
+
+    @property
+    def error_bound(self) -> float | None:
+        """delta_n rho / (1 - rho): the distance to the limit if the
+        iteration kept contracting by rho per step.  An estimate from
+        the observed ratio, not a certificate."""
+        rho = self.contraction
+        if rho is None:
+            return None
+        return self.steps[-1].delta_sup * rho / (1.0 - rho)
+
     def summary(self) -> dict:
         return {
             "iterations": self.iterations,
@@ -179,6 +211,8 @@ class IterationTrace:
             "b": self.b,
             "lambda": self.lam,
             "final_residual": self.final_residual,
+            "contraction": self.contraction,
+            "error_bound": self.error_bound,
             "monotone_ok": all(s.monotone_ok for s in self.steps),
             "bounds_ok": all(s.bounds_ok for s in self.steps),
             "steps": [s.to_dict() for s in self.steps],
@@ -247,19 +281,24 @@ def bounds(w: np.ndarray):
 
 
 def pick_lambda(b: float, policy="auto") -> float:
-    """lambda must exceed 2 b so the iteration map is order preserving;
-    the auto policy takes 2 b + 1."""
+    """The shift of the iteration map T(u) = (-lap + lambda)^{-1}(w - u^2
+    + lambda u).  Since -lap + lambda is an M-matrix, T preserves order
+    on [a, b] when f(u) = lambda u - u^2 is nondecreasing there, and
+    f'(u) = lambda - 2 u >= 0 for all u <= b exactly when lambda >= 2 b.
+    An explicit lambda must satisfy that; the auto policy takes the
+    smallest such shift, 2 b, which also contracts fastest, by about
+    (lambda - 2 u*) / lambda per step near the solution u*."""
     if b <= 0:
         raise ValueError("b must be positive")
     if isinstance(policy, str):
         if policy != "auto":
             raise ValueError(f"unknown lambda policy {policy!r}")
-        return 2.0 * b + 1.0
+        return 2.0 * b
     lam = float(policy)
     if not np.isfinite(lam):
         raise ValueError(f"lambda = {lam} rejected: must be finite")
-    if lam <= 2.0 * b:
-        raise ValueError(f"lambda = {lam} rejected: needs lambda > 2 b = {2 * b}")
+    if lam < 2.0 * b:
+        raise ValueError(f"lambda = {lam} rejected: needs lambda >= 2 b = {2 * b}")
     return lam
 
 
@@ -288,15 +327,18 @@ class _ShiftedSolver:
                 np.fft.rfftn(rhs.reshape(shape), axes=axes) / shifted,
                 s=shape, axes=axes).ravel()
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, r): the solution and its residual r = (-lap + lambda) u - rhs,
+        the vector the backward-error gate is computed from."""
         rhs = np.asarray(rhs, dtype=np.float64)
         u = self._solve(rhs)
-        err = np.abs(self.op @ u - rhs).max()
+        r = self.op @ u - rhs
+        err = np.abs(r).max()
         scale = self.op_norm * np.abs(u).max() + np.abs(rhs).max()
         if not err <= 1e-12 * scale:
             raise SolverError(f"linear solve backward error {err / scale:.3e} "
                               f"above 1e-12")
-        return u
+        return u, r
 
 
 def linear_solve(domain: DiscreteDomain, lam: float,
@@ -305,7 +347,7 @@ def linear_solve(domain: DiscreteDomain, lam: float,
     symbol and by sparse LU otherwise, with the normwise backward error
     ||Au - rhs|| / (||A|| ||u|| + ||rhs||) at most 1e-12 in the sup norm
     (SolverError otherwise)."""
-    return _ShiftedSolver(domain, lam).solve(rhs)
+    return _ShiftedSolver(domain, lam).solve(rhs)[0]
 
 
 def residual(domain: DiscreteDomain, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -324,7 +366,9 @@ def monotone_iterate(domain: DiscreteDomain, w: np.ndarray,
 
     Monotonicity a <= u_n <= u_{n+1} <= b is asserted at every step (a
     violation signals an M-matrix or convention bug and is a hard
-    failure).  Returns (u, IterationTrace).
+    failure).  Each step's residual_sup is sup |G(u_{n+1})| from the
+    identity G(u_{n+1}) = (u_{n+1} - u_n)(u_{n+1} + u_n - lambda) + r,
+    with r the linear solve's own residual.  Returns (u, IterationTrace).
     """
     w = np.asarray(w, dtype=np.float64)
     a, b = bounds(w)
@@ -335,12 +379,13 @@ def monotone_iterate(domain: DiscreteDomain, w: np.ndarray,
 
     u = np.full(domain.node_count, a)
     for step in range(1, cfg.max_iter + 1):
-        u_next = solver.solve(w - u * u + lam * u)
-        delta = float(np.abs(u_next - u).max())
+        u_next, r = solver.solve(w - u * u + lam * u)
+        step_vec = u_next - u
+        delta = float(np.abs(step_vec).max())
         monotone_ok = bool((u_next >= u - slack).all())
         bounds_ok = bool((u_next >= a - slack).all()
                          and (u_next <= b + slack).all())
-        res_sup = float(np.abs(residual(domain, u_next, w)).max())
+        res_sup = float(np.abs(step_vec * (u_next + u - lam) + r).max())
         trace.steps.append(StepRecord(step, delta, float(u_next.min()),
                                       float(u_next.max()), res_sup,
                                       monotone_ok, bounds_ok))

@@ -348,14 +348,17 @@ def build_spin7(phi: FrameTensor, sign: int = 1) -> FrameTensor:
     return lift(hodge_star(phi, sign)) + e0phi
 
 
-def spin7_report(Phi: FrameTensor, tol: float = DEFAULT_TOL,
-                 sign: int = 1) -> StructureReport:
+def spin7_report(geom: LieFrameGeometry, Phi: FrameTensor,
+                 tol: float = DEFAULT_TOL, sign: int = 1) -> StructureReport:
     """Cayley-form identities of Phi in orientation ``sign``:
     self-duality, Phi ^ Phi = 14 vol (both gated at no less than
-    1e-12), and unit length of the triple contraction
-    iota_1 iota_2 iota_3 Phi."""
+    1e-12), unit length of the triple contraction
+    iota_1 iota_2 iota_3 Phi, and parallelism of Phi under the plus
+    torsion connection of ``geom``."""
     if Phi.dim != 8 or Phi.rank != 4:
         raise ValueError("the Cayley identities need a 4-form on an 8-dim frame")
+    if geom.dim != 8:
+        raise ValueError(f"Phi needs an 8-dim geometry, not dim {geom.dim}")
     report = StructureReport("spin7")
     report.add("self_duality", (hodge_star(Phi, sign) - Phi).sup_norm,
                max(1e-12, tol), identity="cayley-self-duality")
@@ -368,6 +371,8 @@ def spin7_report(Phi: FrameTensor, tol: float = DEFAULT_TOL,
     report.add("triple_contraction_length_minus_1",
                float(np.sqrt(form_inner(x, x))) - 1.0, tol,
                identity="associative-triple-contraction")
+    report.add("nabla_hat_Phi", parallel_residual(Phi.components, geom, 1), tol,
+               identity="torsion-parallelism")
     return report
 
 

@@ -133,7 +133,7 @@ def test_criterion_5_g2_spin7():
     B = bryant_positivity(phi)
     bryant_dev = float(np.abs(B - np.eye(7)).max())
 
-    cayley = spin7_report(build_spin7(phi))
+    cayley = spin7_report(direct_sum(_flat(8)), build_spin7(phi))
     sd = cayley.row("self_duality").value
     ww = cayley.row("wedge_square_vs_14vol").value
 

@@ -4,8 +4,10 @@ import scipy.sparse as sp
 
 from torsiongeo.dilaton import (
     DiscreteDomain,
+    IterationTrace,
     SolverConfig,
     SolverError,
+    StepRecord,
     bounds,
     build_flat_torus,
     build_flat_torus4,
@@ -91,10 +93,12 @@ def test_bounds_rejects_zero_node():
 
 
 def test_pick_lambda_auto_and_explicit():
-    assert pick_lambda(2.0) == 5.0
+    # order preservation needs lambda >= 2 b; auto takes the boundary
+    assert pick_lambda(2.0) == 4.0
+    assert pick_lambda(2.0, 4.0) == 4.0
     assert pick_lambda(2.0, 4.5) == 4.5
     with pytest.raises(ValueError):
-        pick_lambda(2.0, 4.0)   # boundary is rejected: needs strict
+        pick_lambda(2.0, np.nextafter(4.0, 0.0))
     with pytest.raises(ValueError):
         pick_lambda(2.0, 3.0)
 
@@ -166,12 +170,16 @@ def test_residual_sub_and_supersolution_signs():
 # ---------------------------------------------------------------- iteration
 
 def test_monotone_iterate_constant_w():
+    # w = 4: a = 1, b = 2, and lambda = 2 b = 4, the boundary of the
+    # order-preserving range, where each step is u -> 1 + u - u^2 / 4
     domain = build_flat_torus(16, 16)
-    u, trace = monotone_iterate(domain, np.full(domain.node_count, 4.0),
-                                SolverConfig(tol=1e-10))
-    assert np.abs(u - 2.0).max() < 1e-8
-    assert trace.converged
-    assert all(s.monotone_ok and s.bounds_ok for s in trace.steps)
+    for policy in ("auto", 4.0):
+        u, trace = monotone_iterate(domain, np.full(domain.node_count, 4.0),
+                                    SolverConfig(lambda_policy=policy, tol=1e-10))
+        assert trace.lam == 2.0 * trace.b == 4.0
+        assert np.abs(u - 2.0).max() < 1e-8
+        assert trace.converged and trace.iterations > 1
+        assert all(s.monotone_ok and s.bounds_ok for s in trace.steps)
 
 
 def test_monotone_iterate_bump_64():
@@ -199,6 +207,91 @@ def test_final_residual_error_bound():
     u, trace = monotone_iterate(domain, w, cfg)
     bound = 10.0 * cfg.tol * (trace.lam + 2.0 * trace.b)
     assert trace.final_residual <= bound
+
+
+def weighted_periodic_domain(n, seed):
+    """A periodic n x n grid with seeded positive couplings in
+    [0.5, 1.5] / h^2 on every edge, h = 2 pi / n, and node masses h^2;
+    it carries no Fourier symbol, so it is solved by sparse LU."""
+    h = 2.0 * np.pi / n
+    rng = np.random.default_rng(seed)
+    idx = np.arange(n * n).reshape(n, n)
+    rows, cols, vals = [], [], []
+    for axis in (0, 1):
+        k = rng.uniform(0.5, 1.5, n * n) / h ** 2
+        nb = np.roll(idx, -1, axis=axis).ravel()
+        rows += [idx.ravel(), nb]
+        cols += [nb, idx.ravel()]
+        vals += [k, k]
+    A = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n * n, n * n)).tocsr()
+    L = A - sp.diags(np.asarray(A.sum(axis=1)).ravel())
+    domain = DiscreteDomain(n * n, L, np.full(n * n, h ** 2))
+    xs = np.arange(n) * h
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    w = (4.0 + 2.0 * np.sin(X) * np.cos(Y)).ravel()
+    return domain, w
+
+
+def test_smallest_shift_converges_in_fewer_steps_to_the_same_solution():
+    domain, w = weighted_periodic_domain(24, seed=5)
+    a, b = bounds(w)
+    u_auto, t_auto = monotone_iterate(domain, w, SolverConfig(tol=1e-10))
+    u_old, t_old = monotone_iterate(
+        domain, w, SolverConfig(lambda_policy=2.0 * b + 1.0, tol=1e-10))
+    assert t_auto.lam == 2.0 * b
+    assert t_auto.converged and t_old.converged
+    assert t_auto.iterations < t_old.iterations
+    # |G(u_{n+1})| <= lambda delta plus the linear solve's residual, and
+    # G(u) - G(v) = (-lap + u + v)(u - v) with u + v >= 2 a, so the
+    # maximum principle gives |u - v| <= (|G(u)| + |G(v)|) / (2 a)
+    res = []
+    for u, t in ((u_auto, t_auto), (u_old, t_old)):
+        g = float(np.abs(residual(domain, u, w)).max())
+        assert g <= t.lam * t.steps[-1].delta_sup + 1e-12 * (t.lam * b + w.max())
+        res.append(g)
+    assert np.abs(u_auto - u_old).max() <= sum(res) / (2.0 * a)
+
+
+@pytest.mark.parametrize("problem", ["torus", "graph"])
+def test_reported_residual_matches_independent_residual(problem):
+    # replay the iteration with the same solver: the reported residual_sup
+    # comes from G(u_{n+1}) = (u_{n+1} - u_n)(u_{n+1} + u_n - lambda) + r
+    domain, w = (bump_problem(16, amplitude=2.0) if problem == "torus"
+                 else weighted_periodic_domain(16, seed=3))
+    _, trace = monotone_iterate(domain, w, SolverConfig(tol=1e-10))
+    solver = _ShiftedSolver(domain, trace.lam)
+    op_norm = abs(solver.op).sum(axis=1).max()
+    u = np.full(domain.node_count, trace.a)
+    for step in trace.steps:
+        u = solver.solve(w - u * u + trace.lam * u)[0]
+        assert (step.u_min, step.u_max) == (u.min(), u.max())
+        direct = np.abs(residual(domain, u, w)).max()
+        bound = 16 * EPS * (op_norm * np.abs(u).max() + np.abs(w).max())
+        assert abs(step.residual_sup - direct) <= bound
+
+
+def test_contraction_and_error_estimate():
+    domain, w = bump_problem(64)
+    u, trace = monotone_iterate(domain, w, SolverConfig(tol=1e-10))
+    u_ref, _ = monotone_iterate(domain, w, SolverConfig(tol=1e-13))
+    summary = trace.summary()
+    assert summary["contraction"] == trace.contraction < 0.3
+    assert summary["error_bound"] == trace.error_bound
+    assert trace.error_bound >= np.abs(u - u_ref).max()
+
+
+def test_contraction_absent_without_two_contracting_steps():
+    domain = build_flat_torus(8, 8)
+    _, trace = monotone_iterate(domain, np.full(domain.node_count, 4.0),
+                                SolverConfig(tol=10.0))
+    assert trace.iterations == 1
+    assert trace.summary()["contraction"] is None
+    assert trace.summary()["error_bound"] is None
+    growing = IterationTrace(steps=[StepRecord(k, d, 0.0, 0.0, 0.0, True, True)
+                                    for k, d in ((1, 1.0), (2, 1.0))])
+    assert growing.contraction is None and growing.error_bound is None
 
 
 def test_max_iter_exhaustion():

@@ -9,7 +9,9 @@ those rows were replaced by it, keeping the recorded value.  Both verify
 files later lost the steady-soliton rows ``steadyf_lhs`` (a constant 0)
 and ``steadyf_rhs`` (asserted only when the soliton residual passes),
 and ``g2-standard`` gained the ``nabla_hat_phi`` row (0.0) that the G2
-report now gates on every geometry, not only on non-abelian ones.  Every row
+report now gates on every geometry, not only on non-abelian ones, and
+``spin7-standard`` gained the ``nabla_hat_Phi`` row (0.0) when the
+Spin(7) report came to check Phi against the torsion.  Every row
 value must agree to 1e-15 absolute, and every pass/assert flag and
 verdict must be identical.
 ``golden/verify_catalog_text.json`` holds the exit status and the exact

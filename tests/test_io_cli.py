@@ -17,7 +17,7 @@ from torsiongeo.geometry_io import (
     structures_to_dict,
 )
 from torsiongeo.invariant_geometry import LieFrameGeometry, bianchi_report, direct_sum
-from torsiongeo.special_structures import build_g2, build_su3
+from torsiongeo.special_structures import build_g2, build_spin7, build_su3
 
 RNG = np.random.default_rng(7321)
 
@@ -295,6 +295,26 @@ def test_cli_verify_phi_on_flat_torsion_fails_nabla_hat_phi(tmp_path):
     assert failed == {"nabla_hat_phi": pytest.approx(0.5, abs=1e-12)}
 
 
+@pytest.mark.parametrize("h_sign, code", [(1, 1), (-1, 0)])
+def test_cli_verify_spin7_checks_phi_against_the_torsion(h_sign, code, tmp_path):
+    # su(2) + R^5 with H = h_sign epsilon on the su(2) block, and Phi the
+    # Cayley form of the g2-su2-product 3-form: nabla^ Phi is 1 for
+    # H = +epsilon and 0 for H = -epsilon, which the spin7 report gates
+    _, structures = catalog_entry("g2-su2-product").build()
+    geom = direct_sum(_su2(float(h_sign)), _flat(5))
+    path = tmp_path / "spin7.json"
+    save_geometry(path, geom, extra=structures_to_dict(Phi=build_spin7(structures["phi"])))
+    out = tmp_path / "rep.json"
+    assert run_cli(["verify", "--input", str(path), "--format", "json",
+                    "--output", str(out)]) == code
+    spin7 = [r for r in json.loads(out.read_text())["reports"] if r["title"] == "spin7"]
+    assert len(spin7) == 1 and spin7[0]["passed"] is (code == 0)
+    rows = {row["name"]: row for row in spin7[0]["rows"]}
+    assert rows["nabla_hat_Phi"]["value"] == pytest.approx(float(h_sign == 1), abs=1e-12)
+    assert [n for n, row in rows.items() if not row["passed"]] == \
+        (["nabla_hat_Phi"] if code else [])
+
+
 @pytest.mark.parametrize("name", [n for n, e in CATALOG.items() if e.kind != "fibration"])
 def test_cli_verify_file_matches_example(name, tmp_path):
     geom, structures = catalog_entry(name).build()
@@ -507,6 +527,17 @@ def test_cli_dilaton_bad_grid_or_lambda_exit_2(doc, message, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "input error" in err and message in err
+
+
+@pytest.mark.parametrize("key", ["tol", "spacing", "h"])
+@pytest.mark.parametrize("value", [True, False, "1e-3", None, [0.5]])
+def test_cli_dilaton_non_numeric_real_exit_2(key, value, tmp_path, capsys):
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({"grid": [8, 8], "scalar_curvature": 1.0, key: value}))
+    assert run_cli(["dilaton", "--input", str(prob)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "input error" in err and f"{key} must be a finite real number" in err
 
 
 def test_cli_dilaton_256_sine_bump(tmp_path):

@@ -318,9 +318,10 @@ def test_g2_product_desk_model_structure():
 # -------------------------------------------------------------------- spin7
 
 def test_spin7_standard_identities():
-    report = spin7_report(build_spin7(build_g2("standard")))
+    report = spin7_report(direct_sum(_flat(8)), build_spin7(build_g2("standard")))
     assert report.row("self_duality").value < 1e-12
     assert report.row("wedge_square_vs_14vol").value < 1e-12
+    assert report.row("nabla_hat_Phi").value == 0.0
 
 
 def test_spin7_self_duality_against_dense_star():
@@ -355,15 +356,18 @@ def test_spin7_packed_lift_matches_dense_embedding(sign):
 def test_spin7_orientation_and_shape():
     # Phi built and checked in the opposite orientation passes the same
     # identities; forms of the wrong degree or dimension are refused
-    report = spin7_report(build_spin7(build_g2("standard"), -1), sign=-1)
+    flat = direct_sum(_flat(8))
+    report = spin7_report(flat, build_spin7(build_g2("standard"), -1), sign=-1)
     assert report.passed
-    assert not spin7_report(build_spin7(build_g2("standard"), -1)).passed
+    assert not spin7_report(flat, build_spin7(build_g2("standard"), -1)).passed
     with pytest.raises(ValueError):
         build_spin7(basis_form(8, (0, 1, 2)))
     with pytest.raises(ValueError):
         bryant_positivity(basis_form(7, (0, 1, 2, 3)))
     with pytest.raises(ValueError):
-        spin7_report(build_g2("standard"))
+        spin7_report(flat, build_g2("standard"))
+    with pytest.raises(ValueError):
+        spin7_report(_flat(7), build_spin7(build_g2("standard")))
 
 
 # --------------------------------------------------------- parallel residual
