@@ -47,6 +47,8 @@ from .special_structures import (
     nijenhuis,
     kt_report,
     hkt_report,
+    g2_report,
+    structure_reports,
     build_su3,
     build_g2,
     bryant_positivity,

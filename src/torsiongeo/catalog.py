@@ -2,10 +2,12 @@
 
 A geometry entry builds ``(geometry, structures)``, with ``structures``
 keyed like ``geometry_io.structures_from_dict``'s result (``triple``,
-``phi``, ``Phi``; empty for a bare geometry).  The fibration entry builds
-principal-curvature data instead.  Every block geometry is a
-``direct_sum`` of su(2) factors (torsion plus or minus the structure
-constants) and flat factors.
+``J``, ``phi``, ``Phi``; none for a bare geometry): the dict that
+``special_structures.structure_reports`` checks and
+``geometry_io.structures_to_dict`` writes.  The fibration entry (kind
+``fibration``) builds principal-curvature data instead.  Every block
+geometry is a ``direct_sum`` of su(2) factors (torsion plus or minus the
+structure constants) and flat factors.
 """
 
 from __future__ import annotations

@@ -18,20 +18,13 @@ from . import __version__
 from .frame_algebra import epsilon3
 from .invariant_geometry import (
     HypothesesNotMet,
-    LieFrameGeometry,
     bianchi_report,
     bochner_report,
     lie_jacobi_residual,
-    parallel_residual,
     soliton_report,
 )
 from .decomposition import decompose
-from .special_structures import (
-    bryant_positivity,
-    hkt_report,
-    kt_report,
-    spin7_report,
-)
+from .special_structures import structure_reports
 from .fibration_topology import (
     TopologyData,
     chern_topology,
@@ -84,36 +77,6 @@ def _geometry_reports(geom, tol):
     return reports
 
 
-def _g2_report(geom, phi, tol):
-    rep = StructureReport("g2-positivity")
-    B = bryant_positivity(phi)
-    eigs = np.linalg.eigvalsh(B)
-    rep.add("bryant_min_eig_positive", min(0.0, float(eigs.min())), tol,
-            identity="positivity-of-the-3-form",
-            note=f"eigenvalues in [{eigs.min():.3f}, {eigs.max():.3f}]")
-    if np.abs(geom.c).max() > 0:
-        rep.add("dH", geom.dH.sup_norm, tol,
-                identity="torsion-closure")
-    rep.add("nabla_hat_phi", parallel_residual(phi.components, geom, 1), tol,
-            identity="torsion-parallelism")
-    return rep
-
-
-def _structure_reports(geom, structures, tol):
-    """One report per structure in ``structures`` (the keys of
-    ``structures_from_dict``), in the order triple, J, phi, Phi."""
-    reports = []
-    if "triple" in structures:
-        reports.append(hkt_report(geom, structures["triple"], tol=tol))
-    if "J" in structures:
-        reports.append(kt_report(geom, structures["J"], tol=tol))
-    if "phi" in structures:
-        reports.append(_g2_report(geom, structures["phi"], tol))
-    if "Phi" in structures:
-        reports.append(spin7_report(geom, structures["Phi"], tol))
-    return reports
-
-
 def _fibration_reports(pc, tol):
     rep = StructureReport("su3-fibration")
     omegas = [o.components for o in pc.hermitian_forms]
@@ -139,45 +102,38 @@ def _fibration_reports(pc, tol):
     return [rep]
 
 
+def _load(cfg) -> tuple:
+    """(source, kind, built) for ``--example`` or ``--input``: ``built`` is
+    what a catalog entry of that ``kind`` builds, and a geometry file
+    loads as kind "geometry", ``(geometry, structures)``."""
+    if cfg.get("example"):
+        entry = catalog_entry(cfg["example"])
+        return cfg["example"], entry.kind, entry.build()
+    data = _load_json(cfg["input"])
+    try:
+        geom = geometry_from_dict(data)
+        return cfg["input"], "geometry", (geom, structures_from_dict(data, geom.dim))
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise InputError(f"bad geometry file: {exc}") from exc
+
+
 def run_verify(cfg) -> tuple:
     tol = cfg["tol"]
-    if cfg.get("example"):
-        source = cfg["example"]
-        entry = catalog_entry(source)
-        if entry.kind == "fibration":
-            return _assemble("verify", source, _fibration_reports(entry.build(), tol))
-        geom, structures = entry.build()
-    else:
-        source = cfg["input"]
-        data = _load_json(source)
-        try:
-            geom = geometry_from_dict(data)
-            structures = structures_from_dict(data, geom.dim)
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise InputError(f"bad geometry file: {exc}") from exc
+    source, kind, built = _load(cfg)
+    if kind == "fibration":
+        return _assemble("verify", source, _fibration_reports(built, tol))
+    geom, structures = built
     return _assemble("verify", source, _geometry_reports(geom, tol)
-                     + _structure_reports(geom, structures, tol))
+                     + structure_reports(geom, structures, tol))
 
 
 def run_decompose(cfg) -> tuple:
-    tol = cfg["tol"]
-    if cfg.get("example"):
-        entry = catalog_entry(cfg["example"])
-        built = entry.build()
-        geom = built[0] if isinstance(built, tuple) else built
-        source = cfg["example"]
-    else:
-        data = _load_json(cfg["input"])
-        try:
-            geom = geometry_from_dict(data)
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise InputError(f"bad geometry file: {exc}") from exc
-        source = cfg["input"]
+    source, kind, built = _load(cfg)
     try:
-        if not isinstance(geom, LieFrameGeometry):
+        if kind == "fibration":
             raise HypothesesNotMet(f"decompose needs a Lie-frame geometry; catalog "
-                                   f"entry {source!r} holds {entry.kind} data")
-        result = decompose(geom, tol)
+                                   f"entry {source!r} holds {kind} data")
+        result = decompose(built[0], cfg["tol"])
     except HypothesesNotMet as exc:
         return _report("decompose", input=source, passed=False, error=str(exc)), EXIT_MATH
     return _report("decompose", input=source, passed=True, result=result.to_dict(),
@@ -265,6 +221,9 @@ def run_dilaton(cfg) -> tuple:
             tol=_real(data.get("tol", 1e-10), "tol"),
             max_iter=_integer(data.get("max_iter", 500), "max_iter"),
         )
+        if (R is None) != (h is None):
+            raise InputError("the fibration diagnostics need both scalar_curvature "
+                             "and h, not one of them")
     except InputError:
         raise
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
@@ -277,7 +236,7 @@ def run_dilaton(cfg) -> tuple:
     res_sup = float(np.abs(dilaton_residual(domain, u, w)).max())
     report = _report("dilaton", input=cfg["input"], passed=True, u=u.tolist(),
                      trace=trace.summary(), residual_sup=res_sup)
-    if R is not None and h is not None:
+    if R is not None:
         report["fibration_diagnostics"] = fibration_diagnostics(R, u, h)
     return report, EXIT_OK
 

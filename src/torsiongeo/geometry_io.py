@@ -11,6 +11,11 @@ divisible by 4; they load as a dim x dim "J" array or a (3, dim, dim)
 "triple" stack), phi as a sparse 3-form list (dim 7), Phi as a sparse
 4-form list (dim 8).  dim must be an integer and every index an
 integer in [0, dim); anything else raises ValueError.
+
+``structures_from_dict`` reads these keys into a structures dict keyed
+``triple``, ``J``, ``phi``, ``Phi`` (the dict catalog entries build), and
+``structures_to_dict`` writes such a dict back, ``J`` as I1, so that
+every key round-trips.
 """
 
 from __future__ import annotations
@@ -107,19 +112,15 @@ def geometry_from_dict(data: dict) -> LieFrameGeometry:
     return LieFrameGeometry(dim, c, H, name=str(data.get("name", "")))
 
 
-def structures_to_dict(triple: np.ndarray | None = None,
-                       phi: FrameTensor | None = None,
-                       Phi: FrameTensor | None = None) -> dict:
-    out = {}
-    if triple is not None:
-        for key, J in zip(("I1", "I2", "I3"), triple):
-            out[key] = [[int(i), int(j), float(J[i, j])]
-                        for i in range(J.shape[0]) for j in range(J.shape[1])
-                        if J[i, j] != 0.0]
-    if phi is not None:
-        out["phi"] = form_to_sparse(phi)
-    if Phi is not None:
-        out["Phi"] = form_to_sparse(Phi)
+def structures_to_dict(structures: dict) -> dict:
+    """Inverse of ``structures_from_dict``; a single J is written as I1."""
+    if "triple" in structures and "J" in structures:
+        raise ValueError("a file holds one complex structure or a triple, not both")
+    mats = [structures["J"]] if "J" in structures else structures.get("triple", ())
+    out = {key: [[int(i), int(j), float(J[i, j])] for i, j in zip(*np.nonzero(J))]
+           for key, J in zip(("I1", "I2", "I3"), mats)}
+    out.update({key: form_to_sparse(structures[key])
+                for key in ("phi", "Phi") if key in structures})
     return out
 
 

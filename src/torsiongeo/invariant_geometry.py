@@ -32,7 +32,6 @@ from .frame_algebra import (
     derivation_matrix,
     hodge_star,
     index_tuples,
-    wedge,
     zero_form,
 )
 from .reporting import StructureReport
@@ -348,20 +347,12 @@ def bianchi_report(geom: LieFrameGeometry,
     return [first, second, pair, lccc]
 
 
-def lee_form(geom: LieFrameGeometry, phi: FrameTensor) -> FrameTensor:
-    """Lee form *(phi ^ *(delta phi)).
-
-    The wedge degree p + (n - p + 1) always exceeds the top degree, so
-    the product - and with it the returned form - is identically zero;
-    the overflow is resolved to the zero form by construction rather
-    than an error.  Kept literal so parallelism statements about the Lee
-    form remain checkable in degenerate form.
-    """
-    inner = hodge_star(codifferential(phi, geom))
-    product = wedge(phi, inner)  # degree overflow -> zero 0-form
-    if product.rank == 0 and geom.dim > 1:
-        return zero_form(geom.dim, 1)
-    return hodge_star(product)
+def lee_form(geom: LieFrameGeometry, omega: FrameTensor) -> FrameTensor:
+    """Lee form theta = J^T delta omega of the fundamental 2-form omega,
+    whose component matrix is J (Gauduchon, "Hermitian connections and
+    Dirac operators", 1997)."""
+    return FrameTensor(geom.dim, 1, coeffs=omega.components.T
+                       @ codifferential(omega, geom).coeffs)
 
 
 def soliton_report(geom: LieFrameGeometry,

@@ -3,10 +3,11 @@
 Contains the explicit bi-invariant torsion geometry on the compact
 group with 8-dimensional root system A2 (su(3)) together with its
 hypercomplex pair, the 7-dimensional positive 3-form builders, and the
-Cayley 4-form, plus the verification reports for Hermitian-with-torsion
-(KT) and hyper-Hermitian-with-torsion (HKT) conditions.  A complex
-structure is a dim x dim matrix, a triple the (3, dim, dim) stack
-(I1, I2, I3 = I1 I2).
+Cayley 4-form, plus one verification report per structure: KT
+(Hermitian with torsion), HKT (hyper-Hermitian with torsion), G2 and
+Spin(7), each taking ``(geom, structure, tol)``.  ``structure_reports``
+dispatches a structures dict to them.  A complex structure is a
+dim x dim matrix, a triple the (3, dim, dim) stack (I1, I2, I3 = I1 I2).
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ __all__ = [
     "nijenhuis",
     "kt_report",
     "hkt_report",
+    "g2_report",
+    "structure_reports",
     "build_su3",
     "build_g2",
     "bryant_positivity",
@@ -75,7 +78,7 @@ def type_3_0_projection(H: FrameTensor, J: np.ndarray) -> FrameTensor:
 
 
 def kt_report(geom: LieFrameGeometry, J: np.ndarray,
-              tol: float = DEFAULT_TOL, title: str = "kt") -> StructureReport:
+              tol: float = DEFAULT_TOL) -> StructureReport:
     """Hermitian-with-torsion conditions for one complex structure:
     compatibility with the metric, parallelism under the torsion
     connection, integrability, closure of H, and the pure
@@ -85,7 +88,7 @@ def kt_report(geom: LieFrameGeometry, J: np.ndarray,
     if np.shape(J) != (geom.dim, geom.dim):
         raise ValueError(f"J must have shape {(geom.dim,) * 2}, not {np.shape(J)}")
     one = np.eye(geom.dim)
-    report = StructureReport(title)
+    report = StructureReport("kt")
     report.add("hermitian_metric", float(np.abs(J.T @ J - one).max()), tol,
                identity="metric-compatibility")
     report.add("almost_complex", float(np.abs(J @ J + one).max()), tol,
@@ -118,7 +121,7 @@ def hkt_report(geom: LieFrameGeometry, triple: np.ndarray,
     report.add("dH", geom.dH.sup_norm, tol, identity="torsion-closure")
     lee = []
     for r, J in enumerate(triple, start=1):
-        sub = kt_report(geom, J, tol, title=f"kt[I{r}]")
+        sub = kt_report(geom, J, tol)
         for row in sub.rows:
             if row.name != "dH":
                 report.add(f"{row.name}_I{r}", row.value, row.tol, row.identity)
@@ -329,6 +332,25 @@ def bryant_positivity(phi: FrameTensor, sign: int = 1) -> np.ndarray:
     return B
 
 
+def g2_report(geom: LieFrameGeometry, phi: FrameTensor,
+              tol: float = DEFAULT_TOL) -> StructureReport:
+    """Positivity of phi (smallest eigenvalue of ``bryant_positivity``),
+    closure of H when the algebra is not abelian, and parallelism of phi
+    under the plus torsion connection of ``geom``."""
+    if geom.dim != 7:
+        raise ValueError(f"phi needs a 7-dim geometry, not dim {geom.dim}")
+    report = StructureReport("g2-positivity")
+    eigs = np.linalg.eigvalsh(bryant_positivity(phi))
+    report.add("bryant_min_eig_positive", min(0.0, float(eigs.min())), tol,
+               identity="positivity-of-the-3-form",
+               note=f"eigenvalues in [{eigs.min():.3f}, {eigs.max():.3f}]")
+    if np.abs(geom.c).max() > 0:
+        report.add("dH", geom.dH.sup_norm, tol, identity="torsion-closure")
+    report.add("nabla_hat_phi", parallel_residual(phi.components, geom, 1), tol,
+               identity="torsion-parallelism")
+    return report
+
+
 def build_spin7(phi: FrameTensor, sign: int = 1) -> FrameTensor:
     """Cayley 4-form Phi = e0 ^ phi + *phi on an 8-dim frame with the
     new index 0 prepended; ``sign`` orients the 7-dim frame and with it
@@ -374,6 +396,22 @@ def spin7_report(geom: LieFrameGeometry, Phi: FrameTensor,
     report.add("nabla_hat_Phi", parallel_residual(Phi.components, geom, 1), tol,
                identity="torsion-parallelism")
     return report
+
+
+def structure_reports(geom: LieFrameGeometry, structures: dict,
+                      tol: float = DEFAULT_TOL) -> list[StructureReport]:
+    """One report per structure in ``structures`` (keyed like
+    ``geometry_io.structures_from_dict``), in the order triple, J, phi,
+    Phi; any other key raises ``ValueError``."""
+    # built per call, so that it holds whatever the module attributes are
+    # bound to now (perfbench/tracing.py wraps them by rebinding)
+    reports = {"triple": hkt_report, "J": kt_report, "phi": g2_report,
+               "Phi": spin7_report}
+    unknown = set(structures) - set(reports)
+    if unknown:
+        raise ValueError(f"unknown structure keys {sorted(unknown)}")
+    return [report(geom, structures[key], tol)
+            for key, report in reports.items() if key in structures]
 
 
 def standard_quaternion_triple() -> np.ndarray:

@@ -13,10 +13,15 @@ report now gates on every geometry, not only on non-abelian ones, and
 ``spin7-standard`` gained the ``nabla_hat_Phi`` row (0.0) when the
 Spin(7) report came to check Phi against the torsion.  Every row
 value must agree to 1e-15 absolute, and every pass/assert flag and
-verdict must be identical.
+verdict must be identical.  The ``lee_equal_*`` rows were recorded as
+exactly 0 while ``lee_form`` returned the zero form by construction;
+with the Hermitian Lee form theta = J^T delta omega, su3-hkt's
+``lee_equal_12`` reads 4.4e-16, inside that 1e-15.
 ``golden/verify_catalog_text.json`` holds the exit status and the exact
 ``--format text`` output of the same commands, recorded before the text
-rendering moved onto the report dicts.  ``golden/decompose_catalog.json``
+rendering moved onto the report dicts; its su3-hkt ``lee_equal_12``
+line was re-recorded as ``4.441e-16`` (was ``0.000e+00``) for the same
+reason, the only line changed.  ``golden/decompose_catalog.json``
 holds the exit status and JSON report of ``tg decompose --example <name>
 --format json`` for each entry, recorded before dH and the torsion
 connections moved into the geometry's cache; numbers must agree to

@@ -350,6 +350,22 @@ def test_lee_form_parallel_su3(su3_built):
     assert np.abs(nabla_invariant(theta.components, with_torsion(geom, 1))).max() < 1e-13
 
 
+def test_lee_form_su3_is_2_sqrt2_e1(su3_built):
+    geom, triple = su3_built
+    for J in triple:
+        theta = lee_form(geom, FrameTensor(8, 2, 0.5 * (J - J.T)))
+        assert np.abs(theta.coeffs - 2 * np.sqrt(2) * np.eye(8)[1]).max() < 1e-14
+
+
+def test_lee_form_u2_is_e0():
+    # u(2) = R + su(2) with H = -epsilon: the Hopf surface, theta = e^0
+    from torsiongeo.special_structures import standard_quaternion_triple
+    geom = direct_sum(_flat(1), su2(-1.0))
+    for J in standard_quaternion_triple():
+        theta = lee_form(geom, FrameTensor(4, 2, J))
+        assert np.array_equal(theta.coeffs, [1.0, 0.0, 0.0, 0.0])
+
+
 # ------------------------------------------------------------------- soliton
 
 def test_soliton_su2_flat_scale():

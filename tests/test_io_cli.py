@@ -17,7 +17,13 @@ from torsiongeo.geometry_io import (
     structures_to_dict,
 )
 from torsiongeo.invariant_geometry import LieFrameGeometry, bianchi_report, direct_sum
-from torsiongeo.special_structures import build_g2, build_spin7, build_su3
+from torsiongeo.special_structures import (
+    build_g2,
+    build_spin7,
+    build_su3,
+    standard_quaternion_triple,
+    structure_reports,
+)
 
 RNG = np.random.default_rng(7321)
 
@@ -57,11 +63,17 @@ def test_geometry_nested_c_accepted():
 def test_geometry_file_round_trip(tmp_path):
     geom, triple = build_su3()
     path = tmp_path / "su3.json"
-    save_geometry(path, geom, extra=structures_to_dict(triple=triple))
+    save_geometry(path, geom, extra=structures_to_dict({"triple": triple}))
     loaded, raw = load_geometry(path)
     assert np.abs(loaded.c - geom.c).max() == 0.0
     structures = structures_from_dict(raw, 8)
     assert np.abs(structures["triple"][1] - triple[1]).max() == 0.0
+
+
+def test_structures_to_dict_refuses_triple_and_J_together():
+    triple = standard_quaternion_triple()
+    with pytest.raises(ValueError, match="not both"):
+        structures_to_dict({"triple": triple, "J": triple[0]})
 
 
 def test_structures_dict_rejects_partial_triple():
@@ -186,7 +198,7 @@ def test_cli_verify_from_file(tmp_path):
     geom, triple = build_su3()
     from torsiongeo.geometry_io import structures_to_dict
     path = tmp_path / "su3.json"
-    save_geometry(path, geom, extra=structures_to_dict(triple=triple))
+    save_geometry(path, geom, extra=structures_to_dict({"triple": triple}))
     out = tmp_path / "rep.json"
     assert run_cli(["verify", "--input", str(path), "--format", "json",
                     "--output", str(out)]) == 0
@@ -247,7 +259,8 @@ NON_INTEGER_DIM_FILES = [
                          + [("verify", d) for d in NON_FINITE_STRUCTURE_FILES]
                          + [(cmd, {"dim": float("inf")}) for cmd in ("verify", "decompose")]
                          + [(cmd, doc) for doc in NON_INTEGER_DIM_FILES
-                            for cmd in ("verify", "decompose")])
+                            for cmd in ("verify", "decompose")]
+                         + [("decompose", d) for d in BAD_STRUCTURE_FILES])
 def test_cli_malformed_geometry_file_exit_2(command, doc, tmp_path, capsys):
     doc = {"c": [], "H": [], **doc}
     path = tmp_path / "bad.json"
@@ -265,7 +278,7 @@ def test_cli_verify_phi_file_runs_geometry_reports_once(tmp_path, monkeypatch):
                         lambda *a, **k: calls.append(a) or bianchi_report(*a, **k))
     geom, structures = catalog_entry("g2-su2-product").build()
     path = tmp_path / "g2.json"
-    save_geometry(path, geom, extra=structures_to_dict(**structures))
+    save_geometry(path, geom, extra=structures_to_dict(structures))
     assert run_cli(["verify", "--input", str(path), "--output", str(tmp_path / "r")]) == 0
     assert len(calls) == 1
 
@@ -285,7 +298,7 @@ def test_cli_verify_phi_on_flat_torsion_fails_nabla_hat_phi(tmp_path):
     # the torsion connection (nabla^ phi = 0.5), so the g2 report fails
     geom = LieFrameGeometry(7, np.zeros((7, 7, 7)), basis_form(7, [0, 1, 2]))
     path = tmp_path / "g2.json"
-    save_geometry(path, geom, extra=structures_to_dict(phi=build_g2("standard")))
+    save_geometry(path, geom, extra=structures_to_dict({"phi": build_g2("standard")}))
     out = tmp_path / "rep.json"
     assert run_cli(["verify", "--input", str(path), "--format", "json",
                     "--output", str(out)]) == 1
@@ -303,7 +316,8 @@ def test_cli_verify_spin7_checks_phi_against_the_torsion(h_sign, code, tmp_path)
     _, structures = catalog_entry("g2-su2-product").build()
     geom = direct_sum(_su2(float(h_sign)), _flat(5))
     path = tmp_path / "spin7.json"
-    save_geometry(path, geom, extra=structures_to_dict(Phi=build_spin7(structures["phi"])))
+    save_geometry(path, geom,
+                  extra=structures_to_dict({"Phi": build_spin7(structures["phi"])}))
     out = tmp_path / "rep.json"
     assert run_cli(["verify", "--input", str(path), "--format", "json",
                     "--output", str(out)]) == code
@@ -319,13 +333,51 @@ def test_cli_verify_spin7_checks_phi_against_the_torsion(h_sign, code, tmp_path)
 def test_cli_verify_file_matches_example(name, tmp_path):
     geom, structures = catalog_entry(name).build()
     path = tmp_path / "geom.json"
-    save_geometry(path, geom, extra=structures_to_dict(**structures))
+    save_geometry(path, geom, extra=structures_to_dict(structures))
     reports = []
     for source in (["--example", name], ["--input", str(path)]):
         out = tmp_path / "rep.json"
         code = run_cli(["verify", *source, "--format", "json", "--output", str(out)])
         reports.append((code, json.loads(out.read_text())["reports"]))
     assert reports[0] == reports[1]
+
+
+def _single_J_on_su2su2_plus_abelian2():
+    # the Hopf-surface complex structure on each u(2) = R + su(2) block,
+    # parallel for H = -epsilon
+    J = np.zeros((8, 8))
+    for block in ((6, 0, 1, 2), (7, 3, 4, 5)):
+        J[np.ix_(block, block)] = standard_quaternion_triple()[0]
+    return direct_sum(_su2(-1.0), _su2(-1.0), _flat(2)), {"J": J}
+
+
+STRUCTURE_CASES = {
+    "triple": lambda: catalog_entry("su3-hkt").build(),
+    "J": _single_J_on_su2su2_plus_abelian2,
+    "phi": lambda: catalog_entry("g2-su2-product").build(),
+    "Phi": lambda: catalog_entry("spin7-standard").build(),
+}
+
+
+@pytest.mark.parametrize("key", list(STRUCTURE_CASES))
+def test_structures_round_trip_and_verify_as_in_memory(key, tmp_path):
+    geom, structures = STRUCTURE_CASES[key]()
+    assert list(structures) == [key]
+    path = tmp_path / "geom.json"
+    save_geometry(path, geom, extra=structures_to_dict(structures))
+    loaded, raw = load_geometry(path)
+    back = structures_from_dict(raw, loaded.dim)
+    assert list(back) == [key]
+    value, read = structures[key], back[key]
+    if isinstance(value, FrameTensor):
+        value, read = value.coeffs, read.coeffs
+    assert np.array_equal(read, value)
+    expected = [r.to_dict() for r in structure_reports(geom, structures, 1e-10)]
+    out = tmp_path / "rep.json"
+    code = run_cli(["verify", "--input", str(path), "--format", "json",
+                    "--output", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["reports"][-1:] == expected
 
 
 @pytest.mark.parametrize("scale, code", [(100.0, 0), (1e3, 1)])
@@ -335,7 +387,7 @@ def test_cli_verify_scaled_su3_hkt_completes(scale, code, tmp_path):
     geom, structures = catalog_entry("su3-hkt").build()
     path = tmp_path / "su3.json"
     save_geometry(path, LieFrameGeometry(8, scale * geom.c, scale * geom.H),
-                  extra=structures_to_dict(**structures))
+                  extra=structures_to_dict(structures))
     out = tmp_path / "rep.json"
     assert run_cli(["verify", "--input", str(path), "--format", "json",
                     "--output", str(out)]) == code
@@ -465,10 +517,13 @@ NON_INTEGER_TOPOLOGY_FILES = [
     {"k": 1, "n": [True], "chi": 3, "tau": -1},
 ]
 
-# the fibration diagnostics inputs: R a number or one per node, h a number
+# the fibration diagnostics inputs: R a number or one per node, h a
+# number, and both or neither of them
 MALFORMED_DIAGNOSTICS_FILES = [
     {"grid": [8, 8], "scalar_curvature": [1, 2, 3], "h": 0.5},
     {"grid": [8, 8], "scalar_curvature": 1.0, "h": [0.5, 1]},
+    {"grid": [8, 8], "scalar_curvature": 1.0},
+    {"grid": [8, 8], "h": 0.5},
 ]
 
 

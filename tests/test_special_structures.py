@@ -27,6 +27,7 @@ from torsiongeo.special_structures import (
     bryant_positivity,
     build_g2,
     build_spin7,
+    g2_report,
     hkt_report,
     hyperkahler_two_forms,
     kt_report,
@@ -34,6 +35,7 @@ from torsiongeo.special_structures import (
     parallel_residual,
     spin7_report,
     standard_quaternion_triple,
+    structure_reports,
     type_3_0_projection,
 )
 from torsiongeo.random_geometry import random_orthogonal, rotate_structure
@@ -192,6 +194,46 @@ def test_hkt_non_anticommuting_fails():
 def test_hkt_rejects_dim_not_multiple_of_four():
     with pytest.raises(ValueError):
         hkt_report(flat_geometry(6), standard_quaternion_triple())
+
+
+def test_hkt_unequal_lee_forms_fail(su3_built):
+    # the triple rotated against an unrotated frame: each I_r is still
+    # parallel, but the three Lee forms differ
+    geom, triple = su3_built
+    O = random_orthogonal(np.random.default_rng(0), 8)
+    rep = hkt_report(geom, O.T @ triple @ O)
+    assert rep.row("lee_equal_12").value == pytest.approx(2.3455, abs=1e-4)
+    assert rep.row("lee_equal_13").value == pytest.approx(0.8128, abs=1e-4)
+    assert not rep.row("lee_equal_12").passed and not rep.row("lee_equal_13").passed
+
+
+# --------------------------------------------------------- structure dispatch
+
+def test_structure_reports_one_per_key_in_fixed_order():
+    geom = flat_geometry(8)
+    structures = {"Phi": build_spin7(build_g2("standard")),
+                  "triple": np.kron(np.eye(2), standard_quaternion_triple())}
+    assert [r.title for r in structure_reports(geom, structures)] == ["hkt", "spin7"]
+    assert structure_reports(geom, {}) == []
+
+
+def test_structure_reports_refuses_unknown_key():
+    with pytest.raises(ValueError, match="unknown structure keys"):
+        structure_reports(flat_geometry(4), {"I1": standard_block_J(4)})
+
+
+def test_g2_report_gates_closure_only_on_non_abelian_algebras():
+    phi = build_g2("standard")
+    flat = g2_report(flat_geometry(7), phi)
+    assert [r.name for r in flat.rows] == ["bryant_min_eig_positive", "nabla_hat_phi"]
+    assert flat.passed
+    rep = g2_report(direct_sum(_su2(-1.0), _flat(4)), phi)
+    assert [r.name for r in rep.rows] == ["bryant_min_eig_positive", "dH", "nabla_hat_phi"]
+
+
+def test_g2_report_rejects_wrong_dimension():
+    with pytest.raises(ValueError, match="7-dim geometry"):
+        g2_report(flat_geometry(8), build_g2("standard"))
 
 
 # ----------------------------------------------------------------- su3 build
