@@ -32,6 +32,7 @@ from .invariant_geometry import (
     codifferential,
     nabla_invariant,
     bianchi_report,
+    bochner_report,
     lee_form,
     soliton_report,
     bochner_term,

@@ -24,7 +24,7 @@ from .special_structures import (
     standard_quaternion_triple,
 )
 
-__all__ = ["CATALOG", "catalog_entry", "epsilon3"]
+__all__ = ["CATALOG", "CatalogEntry", "catalog_entry", "epsilon3"]
 
 
 def _su2(H_scale=1.0):

@@ -51,6 +51,7 @@ __all__ = [
     "nabla_invariant",
     "parallel_residual",
     "bianchi_report",
+    "bochner_report",
     "lee_form",
     "soliton_report",
     "bochner_term",

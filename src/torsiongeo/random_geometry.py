@@ -7,6 +7,14 @@ whose residual and Jacobian are evaluated on the packed triples
 i < j < k only, and rejected unless the projected residual is below
 PROJECTION_TOL.  Near-abelian fixed points are rejected too, so the
 suites see genuinely curved samples.
+
+The residual is quadratic in c, so every Jacobian entry is a sum of
+fixed +-1 multiples of entries of c.  _jacobian_table(dim) lists them
+once per dim as (target, source, sign) in the order of the cyclic
+rotations (i, j, k), (k, i, j), (j, k, i), each with its c^a_{xy} term
+before its c^m_{pz} term; each LM step's Jacobian is one gather and one
+np.bincount over it, which adds in input order and so reproduces the
+sequential scatter-adds bit for bit.
 """
 
 from __future__ import annotations
@@ -82,24 +90,53 @@ def _vec_index(dim: int):
     return _frozen(col), _frozen(sign), _frozen(traces)
 
 
+@lru_cache(maxsize=None)
+def _jacobian_table(dim: int):
+    """The Jacobian as flat (target, source, sign) arrays: entry n adds
+    sign[n] * c.ravel()[source[n]] to cell target[n] of the row-major
+    (nvar, dim, ntriples) array of d(residual m on triple r)/d(vec col).
+
+    For each rotation (x, y, z) of the packed triples (i, j, k), (k, i,
+    j), (j, k, i), in _jacobi_tensor's order, the derivative of
+    c^p_{xy} c^m_{pz} along c^q_{xy} is c^m_{qz} and along c^m_{qz} it
+    is c^q_{xy}; the entries come in that order, those of the spare
+    column (q == z, sign 0) dropped.  No cell occurs twice in one of
+    the six terms."""
+    col, sign, _ = _vec_index(dim)
+    i, j, k = index_tuples(dim, 3).T
+    size = dim * i.size
+    m, q, r = np.ix_(np.arange(dim), np.arange(dim), np.arange(i.size))
+    cell = m * i.size + r
+    terms = []
+    for x, y, z in ((i, j, k), (k, i, j), (j, k, i)):
+        x, y, z = x[r], y[r], z[r]
+        terms.append((col[q, x, y] * size + cell, (m * dim + q) * dim + z,
+                      sign[q, x, y]))
+        terms.append((col[m, q, z] * size + cell, (q * dim + x) * dim + y,
+                      sign[m, q, z]))
+    target, source, signs = (
+        np.concatenate([np.broadcast_to(t[n], (dim, dim, i.size)).ravel()
+                        for t in terms]) for n in range(3))
+    keep = signs != 0
+    return _frozen(target[keep]), _frozen(source[keep]), _frozen(signs[keep])
+
+
 def _jacobian(c: np.ndarray, unimodular: bool) -> np.ndarray:
     """d _residual / d vec at c, one row per residual entry, column-major
     (the layout that pins the rounding of the LM normal equations).
 
-    For each rotation t(x, y, z) = c^p_{xy} c^m_{pz} of the cyclic sum on
-    the packed triples, the derivative along c^a_{xy} is c^m_{az} and
-    along c^m_{pz} it is c^p_{xy}, never in the same column; the
-    rotations are added in _jacobi_tensor's order."""
+    One bincount over _jacobian_table: bincount adds each cell's
+    weights in input order starting from 0.0, and the table lists the
+    six terms in _jacobi_tensor's order with no cell twice in a term,
+    so every cell gets the same additions of the same +-1 * c products
+    in the same order as six successive scatter-adds would give it."""
     dim = c.shape[0]
-    col, sign, traces = _vec_index(dim)
+    target, source, sign = _jacobian_table(dim)
+    traces = _vec_index(dim)[2]
     nvar = traces.shape[0] - 1
-    i, j, k = index_tuples(dim, 3).T
-    m, r = np.arange(dim)[:, None, None], np.arange(i.size)
-    dres = np.zeros((nvar + 1, dim, i.size))
-    for x, y, z in ((i, j, k), (k, i, j), (j, k, i)):
-        dres[col[:, x, y], m, r] += sign[:, x, y] * c[:, :, z]
-        dres[col[:, :, z], m, r] += sign[:, :, z] * c[:, x, y]
-    cols = dres[:nvar].reshape(nvar, dim * i.size)
+    size = dim * math.comb(dim, 3)
+    cols = np.bincount(target, weights=sign * c.ravel()[source],
+                       minlength=nvar * size).reshape(nvar, size)
     if unimodular:
         cols = np.concatenate([cols, traces[:nvar]], axis=1)
     return cols.T
@@ -203,7 +240,16 @@ def random_geometry(rng: np.random.Generator, dim: int,
 
     When the projection stalls (singular strata of the variety) the
     exact conjugated seed is used instead; it already lies on the
-    variety, so sampling stays fast and never fails."""
+    variety, so sampling stays fast.  A try is rejected when the result
+    is near-abelian, or closed torsion is asked for and none is found,
+    and RuntimeError is raised after MAX_TRIES rejected tries.  Every
+    Lie algebra of dim 1, and every unimodular one of dim 2, is
+    abelian, so those dims raise ValueError before the first try."""
+    abelian_up_to = 2 if unimodular else 1
+    if dim <= abelian_up_to:
+        kind = "unimodular Lie algebra" if unimodular else "Lie algebra"
+        raise ValueError(f"dim {dim}: every {kind} of dim <= {abelian_up_to} "
+                         f"is abelian, and the sampler rejects abelian samples")
     for _ in range(MAX_TRIES):
         seed = _seed_structure(rng, dim, unimodular)
         c0 = seed + 0.08 * rng.standard_normal((dim, dim, dim))

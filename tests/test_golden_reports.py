@@ -29,7 +29,9 @@ connections moved into the geometry's cache; numbers must agree to
 holds the SHA-256 of ``c`` and ``H.coeffs`` bytes of random_geometry
 samples, recorded before the structure-constant packing moved onto
 ``index_tuples`` gathers (numpy 2.4, OpenBLAS 0.3.31; another LAPACK
-build may round the projection differently).  ``golden/catalog_sha256.json``
+build may round the projection differently); its ``general`` entries,
+samples with ``unimodular=False``, were added later, recorded before the
+Levenberg-Marquardt Jacobian came to be built by one bincount.  ``golden/catalog_sha256.json``
 holds the SHA-256 of ``c`` and of ``H.coeffs`` bytes of every catalog
 geometry entry, recorded before the entries were rebuilt as direct sums.
 """
@@ -115,14 +117,25 @@ def test_decompose_matches_recorded_report(name, capsys):
     assert_matches(json.loads(capsys.readouterr().out), gold["report"])
 
 
+def assert_samples_match(dim, closed, unimodular, prefix=""):
+    for seed in range(3):
+        geom = random_geometry(np.random.default_rng(seed), dim, unimodular=unimodular,
+                               closed_torsion=closed)
+        digest = hashlib.sha256(geom.c.tobytes() + geom.H.coeffs.tobytes()).hexdigest()
+        key = f"{prefix}{'closed' if closed else 'open'} dim={dim} seed={seed}"
+        assert digest == GOLDEN_SAMPLES[key], key
+
+
 @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
 def test_random_geometry_samples_are_bit_identical(closed, dim):
-    for seed in range(3):
-        geom = random_geometry(np.random.default_rng(seed), dim, closed_torsion=closed)
-        digest = hashlib.sha256(geom.c.tobytes() + geom.H.coeffs.tobytes()).hexdigest()
-        key = f"{'closed' if closed else 'open'} dim={dim} seed={seed}"
-        assert digest == GOLDEN_SAMPLES[key], key
+    assert_samples_match(dim, closed, unimodular=True)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_general_random_geometry_samples_are_bit_identical(closed, dim):
+    assert_samples_match(dim, closed, unimodular=False, prefix="general ")
 
 
 def sha256(arr):

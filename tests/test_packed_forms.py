@@ -29,7 +29,9 @@ from torsiongeo.invariant_geometry import (
 )
 from torsiongeo.random_geometry import (
     _jacobian,
+    _jacobian_table,
     _seed_structure,
+    _vec_index,
     _vec_to_c,
     closed_3form_kernel,
     random_closed_torsion,
@@ -236,7 +238,7 @@ def test_closed_kernel_dimension_matches_dense_construction(su3_built):
 
 
 @pytest.mark.parametrize("unimodular", [True, False], ids=["unimodular", "general"])
-@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
 def test_lm_jacobian_matches_stacked_basis_oracle(dim, unimodular):
     """The projection's packed-row Jacobian is bit-identical to the
     derivative of the full Jacobi tensor along the stacked coordinate
@@ -246,12 +248,47 @@ def test_lm_jacobian_matches_stacked_basis_oracle(dim, unimodular):
     rng = np.random.default_rng(700 + dim)
     nvar = dim * math.comb(dim, 2)
     samples = [_vec_to_c(rng.standard_normal(nvar), dim) for _ in range(5)]
-    samples.append(random_geometry(rng, dim, unimodular=unimodular).c)
+    if dim > (2 if unimodular else 1):  # smaller dims are refused as abelian
+        samples.append(random_geometry(rng, dim, unimodular=unimodular).c)
     for c in samples:
         jac = _jacobian(c, unimodular)
         assert jac.shape == (dim * math.comb(dim, 3) + dim * unimodular, nvar)
         assert np.array_equal(jac, dense_oracle.lm_jacobian(c, unimodular))
         assert jac.flags.f_contiguous
+
+
+@pytest.mark.parametrize("unimodular, shape", [(True, (1, 0)), (False, (0, 0))],
+                         ids=["unimodular", "general"])
+def test_lm_jacobian_without_triples_keeps_its_shape(unimodular, shape):
+    """At dim 1 there are no triples and no variables: one trace row
+    when unimodular, none otherwise."""
+    assert _jacobian(np.zeros((1, 1, 1)), unimodular).shape == shape
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_sampler_index_tables_are_read_only(dim):
+    """Every caller shares the cached arrays, so none may write them."""
+    for arr in _vec_index(dim) + _jacobian_table(dim):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+@pytest.mark.parametrize("dim, unimodular", [(1, True), (2, True), (1, False)])
+def test_sampler_refuses_dims_where_every_algebra_is_abelian(dim, unimodular):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="abelian"):
+        random_geometry(rng, dim, unimodular=unimodular)
+    assert rng.bit_generator.state == state
+
+
+def test_sampler_serves_dim_2_general():
+    """The non-unimodular r2 ([e1, e2] = e2) is the one non-abelian
+    Lie algebra of dim 2."""
+    for seed in range(3):
+        geom = random_geometry(np.random.default_rng(seed), 2, unimodular=False)
+        assert np.abs(geom.c).max() >= 0.05
+        assert np.abs(np.einsum("aba->b", geom.c)).max() >= 0.05
 
 
 @pytest.mark.parametrize("dim", [8, 16])
