@@ -22,12 +22,11 @@ from .frame_algebra import (
 from .invariant_geometry import (
     LieFrameGeometry,
     direct_sum,
-    ConnectionCoeffs,
-    CurvatureData,
     HypothesesNotMet,
     levi_civita,
     with_torsion,
     curvature,
+    ricci,
     d_invariant,
     codifferential,
     nabla_invariant,
@@ -38,7 +37,6 @@ from .invariant_geometry import (
     bochner_term,
 )
 from .decomposition import (
-    TorsionGram,
     DecompositionResult,
     torsion_gram,
     eigen_split,

@@ -42,10 +42,11 @@ from .dilaton import (
     fibration_diagnostics,
     monotone_iterate,
     residual as dilaton_residual,
+    w_from_fibration,
 )
 from .reporting import StructureReport, text_lines
 from .catalog import CATALOG, catalog_entry
-from .geometry_io import _integer, geometry_from_dict, structures_from_dict
+from .geometry_io import _integer, _real, geometry_from_dict, structures_from_dict
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -66,7 +67,7 @@ def _geometry_reports(geom, tol):
     flat = StructureReport("connection-survey")
     for sign in (1, -1):
         flat.add(f"curvature_sup_sign_{sign:+d}",
-                 float(np.abs(geom.curvatures[sign].riemann).max()), np.inf,
+                 float(np.abs(geom.curvatures[sign]).max()), np.inf,
                  identity="flat-connection-scan", asserted=False)
     flat.notes.append("a vanishing row detects a flat parallelizing "
                       "torsion connection")
@@ -167,14 +168,6 @@ _W_PRESETS = {
 }
 
 
-def _real(value, what: str) -> float:
-    """A finite real number read from a file; bools and strings are refused."""
-    real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not real or not np.isfinite(value):
-        raise InputError(f"{what} must be a finite real number, not {value!r}")
-    return float(value)
-
-
 def run_dilaton(cfg) -> tuple:
     data = _load_json(cfg["input"])
     try:
@@ -184,7 +177,6 @@ def run_dilaton(cfg) -> tuple:
         domain = build_flat_torus(n1, n2, spacing)
         w_field = data.get("w", "constant4")
         if isinstance(w_field, dict):
-            from .dilaton import w_from_fibration
             w_field = w_from_fibration(
                 np.asarray(w_field["f_u1_sq"], dtype=np.float64),
                 np.asarray(w_field["f_minus_sq"], dtype=np.float64)).tolist()

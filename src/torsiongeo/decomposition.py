@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_algebra import FrameTensor, interior_product
+from .frame_algebra import FrameTensor, _frozen, interior_product
 from .invariant_geometry import (
     LieFrameGeometry,
     HypothesesNotMet,
@@ -24,7 +24,6 @@ from .invariant_geometry import (
 )
 
 __all__ = [
-    "TorsionGram",
     "EigenCluster",
     "DecompositionResult",
     "torsion_gram",
@@ -34,43 +33,18 @@ __all__ = [
 ]
 
 CLUSTER_TOL = 1e-8
-# TorsionGram rejects h with an eigenvalue below -PSD_TOL * max(1, |h|)
-PSD_TOL = 1e-10
 
 # compact semisimple algebras by dimension, as far as the splitting
 # theorems here need them
 _BLOCK_CATALOG = {3: "su(2)", 6: "su(2)+su(2)", 8: "su(3)"}
 
 
-@dataclass(frozen=True)
-class TorsionGram:
-    """h_{ij} = (1/2) H_{ipq} H_j{}^{pq}; symmetric positive semidefinite."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.float64)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError("h must be square")
-        scale = max(1.0, np.abs(h).max())
-        if np.abs(h - h.T).max() > 1e-12 * scale:
-            raise ValueError("h must be symmetric")
-        if np.linalg.eigvalsh(h).min() < -PSD_TOL * scale:
-            raise ValueError("h must be positive semidefinite")
-        h = h.copy()
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
-
-    @property
-    def dim(self) -> int:
-        return self.h.shape[0]
-
-
-def torsion_gram(H: FrameTensor) -> TorsionGram:
+def torsion_gram(H: FrameTensor) -> np.ndarray:
+    """h_{ij} = (1/2) H_{ipq} H_j{}^{pq}, read-only; a Gram matrix, so
+    symmetric positive semidefinite up to rounding."""
     if H.rank != 3:
         raise ValueError("torsion Gram form needs a 3-form")
-    h = 0.5 * np.einsum("ipq,jpq->ij", H.components, H.components)
-    return TorsionGram(h)
+    return _frozen(0.5 * np.einsum("ipq,jpq->ij", H.components, H.components))
 
 
 @dataclass(frozen=True)
@@ -80,11 +54,11 @@ class EigenCluster:
     basis: np.ndarray  # (dim, multiplicity), orthonormal columns
 
 
-def eigen_split(gram: TorsionGram):
+def eigen_split(h: np.ndarray):
     """Eigenvalues sorted ascending, grouped when gaps fall below
     CLUSTER_TOL relative to the largest eigenvalue; the kernel is the
     cluster with |lambda| below the same threshold."""
-    vals, vecs = np.linalg.eigh(gram.h)
+    vals, vecs = np.linalg.eigh(h)
     scale = max(abs(vals[-1]), 1.0) if vals.size else 1.0
     gap = CLUSTER_TOL * scale
     clusters = []
@@ -108,10 +82,6 @@ class DecompositionResult:
     block_structure_constants: list  # per nonzero cluster, H restricted
     block_names: list                # catalog identification per nonzero cluster
     diagnostics: dict
-
-    @property
-    def block_dims(self) -> list:
-        return [b.shape[0] for b in self.block_structure_constants]
 
     @property
     def flat_block_factors(self) -> list:
@@ -167,8 +137,7 @@ def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL) -> Decomposition
             f"decomposition hypotheses fail: sup|dH| = {dH:.3e}, "
             f"sup|nabla^ H| = {nH:.3e}")
 
-    gram = torsion_gram(geom.H)
-    clusters = eigen_split(gram)
+    clusters = eigen_split(torsion_gram(geom.H))
     lam_scale = max((abs(c.eigenvalue) for c in clusters), default=1.0)
     lam_scale = max(lam_scale, 1.0)
 

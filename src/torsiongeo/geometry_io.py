@@ -9,8 +9,9 @@ bit-exactly.  Optional structure keys: I1/I2/I3 as sparse [[i, j,
 value], ...] matrices (one structure needs an even dim, a triple a dim
 divisible by 4; they load as a dim x dim "J" array or a (3, dim, dim)
 "triple" stack), phi as a sparse 3-form list (dim 7), Phi as a sparse
-4-form list (dim 8).  dim must be an integer and every index an
-integer in [0, dim); anything else raises ValueError.
+4-form list (dim 8).  dim must be an integer, every index an integer
+in [0, dim) and every value a finite real number (bools and strings are
+refused); anything else raises ValueError.
 
 ``structures_from_dict`` reads these keys into a structures dict keyed
 ``triple``, ``J``, ``phi``, ``Phi`` (the dict catalog entries build), and
@@ -55,6 +56,14 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """A finite real number read from a file; bools and strings are refused."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not real or not np.isfinite(value):
+        raise ValueError(f"{what} must be a finite real number, not {value!r}")
+    return float(value)
+
+
 def _index(i, dim: int) -> int:
     """A frame index read from a file: an integer in [0, dim)."""
     if not 0 <= _integer(i, "index") < dim:
@@ -71,7 +80,7 @@ def sparse_form(dim: int, rank: int, entries) -> FrameTensor:
             raise ValueError(f"sparse entry {entry} has wrong arity")
         if len(set(idx)) != len(idx):
             raise ValueError(f"sparse entry {entry} repeats an index")
-        coeffs = coeffs + float(val) * basis_form(dim, idx).coeffs
+        coeffs = coeffs + _real(val, "form entry") * basis_form(dim, idx).coeffs
     return FrameTensor(dim, rank, coeffs=coeffs)
 
 
@@ -84,15 +93,17 @@ def _c_to_sparse(c: np.ndarray) -> list:
 def _c_from_field(dim: int, data) -> np.ndarray:
     arr = np.asarray(data, dtype=object)
     if arr.ndim == 3:
-        return np.asarray(data, dtype=np.float64)
+        return np.array([_real(v, "structure constant") for v in arr.flat],
+                        dtype=np.float64).reshape(arr.shape)
     c = np.zeros((dim, dim, dim))
     for entry in data:
         a, b, cc, val = entry
         a, b, cc = (_index(i, dim) for i in (a, b, cc))
         if b == cc:
             raise ValueError(f"structure-constant entry {entry} repeats a lower index")
-        c[a, b, cc] += float(val)
-        c[a, cc, b] -= float(val)
+        val = _real(val, "structure constant")
+        c[a, b, cc] += val
+        c[a, cc, b] -= val
     return c
 
 
@@ -131,9 +142,7 @@ def structures_from_dict(data: dict, dim: int) -> dict:
         if key in data:
             J = np.zeros((dim, dim))
             for i, j, val in data[key]:
-                J[_index(i, dim), _index(j, dim)] = float(val)
-            if not np.isfinite(J).all():
-                raise ValueError(f"{key} has a non-finite entry")
+                J[_index(i, dim), _index(j, dim)] = _real(val, f"{key} entry")
             mats.append(J)
     if len(mats) == 3:
         if dim % 4:

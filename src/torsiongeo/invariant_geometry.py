@@ -39,13 +39,12 @@ from .reporting import StructureReport
 __all__ = [
     "LieFrameGeometry",
     "direct_sum",
-    "ConnectionCoeffs",
-    "CurvatureData",
     "HypothesesNotMet",
     "lie_jacobi_residual",
     "levi_civita",
     "with_torsion",
     "curvature",
+    "ricci",
     "d_invariant",
     "codifferential",
     "nabla_invariant",
@@ -124,21 +123,21 @@ class LieFrameGeometry:
         return d_invariant(self.H, self)
 
     @cached_property
-    def _levi_civita(self) -> ConnectionCoeffs:
+    def _levi_civita(self) -> np.ndarray:
         return levi_civita(self)
 
     @cached_property
     def connections(self) -> MappingProxyType:
-        """Connection coefficients by torsion sign: 0 is Levi-Civita,
-        +1 / -1 the connections with torsion +H / -H."""
+        """Connection coefficients ``gamma`` by torsion sign: 0 is
+        Levi-Civita, +1 / -1 the connections with torsion +H / -H."""
         return MappingProxyType({0: self._levi_civita, 1: with_torsion(self, 1),
                                  -1: with_torsion(self, -1)})
 
     @cached_property
     def curvatures(self) -> MappingProxyType:
-        """CurvatureData of each of ``connections``, by the same sign."""
-        return MappingProxyType({sign: curvature(self, conn)
-                                 for sign, conn in self.connections.items()})
+        """The Riemann tensor of each of ``connections``, by the same sign."""
+        return MappingProxyType({sign: curvature(self, gamma)
+                                 for sign, gamma in self.connections.items()})
 
 
 def direct_sum(*factors: LieFrameGeometry, name: str = "") -> LieFrameGeometry:
@@ -156,43 +155,7 @@ def direct_sum(*factors: LieFrameGeometry, name: str = "") -> LieFrameGeometry:
     return LieFrameGeometry(dim, c, FrameTensor(dim, 3, H), name=name)
 
 
-@dataclass(frozen=True)
-class ConnectionCoeffs:
-    """Frame connection coefficients gamma[i, j, k], derivative slot j."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=np.float64)
-        if g.ndim != 3 or len(set(g.shape)) != 1:
-            raise ValueError("gamma must be a cubic rank-3 array")
-        # metric compatibility: lowered gamma antisymmetric in the outer pair
-        if np.abs(g + np.transpose(g, (2, 1, 0))).max() > 1e-10 * max(1.0, np.abs(g).max()):
-            raise ValueError("connection is not metric (outer-pair antisymmetry fails)")
-        g = g.copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
-
-    @property
-    def dim(self) -> int:
-        return self.gamma.shape[0]
-
-
-@dataclass(frozen=True)
-class CurvatureData:
-    riemann: np.ndarray  # R_{ij}{}^k{}_m, all lowered by delta
-    ricci: np.ndarray    # Ric_{ij} = R_{ki}{}^k{}_j
-    scalar: float
-
-    def __post_init__(self):
-        ric = np.einsum("kikj->ij", self.riemann)
-        if np.abs(ric - self.ricci).max() > 1e-10 * max(1.0, np.abs(ric).max()):
-            raise ValueError("ricci is not the stated trace of riemann")
-        for name in ("riemann", "ricci"):
-            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), float)))
-
-
-def levi_civita(geom: LieFrameGeometry) -> ConnectionCoeffs:
+def levi_civita(geom: LieFrameGeometry) -> np.ndarray:
     """Koszul formula for a left-invariant metric:
 
     2 Gamma_{ijk} = c_{ijk} - c_{jki} + c_{kij}  (all indices lowered).
@@ -205,24 +168,28 @@ def levi_civita(geom: LieFrameGeometry) -> ConnectionCoeffs:
     tf = gamma - np.swapaxes(gamma, 1, 2) - c
     if np.abs(tf).max() > 1e-12 * max(1.0, np.abs(c).max()):
         raise AssertionError("Koszul output failed the torsion-free check")
-    return ConnectionCoeffs(gamma)
+    return _frozen(gamma)
 
 
-def with_torsion(geom: LieFrameGeometry, sign: int) -> ConnectionCoeffs:
+def with_torsion(geom: LieFrameGeometry, sign: int) -> np.ndarray:
     """Gamma^_i{}_{jk} = Gamma^i_{jk} + (sign/2) H^i_{jk}, from the
     geometry's cached Levi-Civita connection."""
     if sign not in (1, -1):
         raise ValueError("torsion sign must be +1 or -1")
-    return ConnectionCoeffs(geom._levi_civita.gamma + 0.5 * sign * geom.H.components)
+    return _frozen(geom._levi_civita + 0.5 * sign * geom.H.components)
 
 
-def curvature(geom: LieFrameGeometry, conn: ConnectionCoeffs) -> CurvatureData:
-    g, c = conn.gamma, geom.c
-    riem = (np.einsum("cae,ebd->abcd", g, g)
-            - np.einsum("cbe,ead->abcd", g, g)
-            - np.einsum("eab,ced->abcd", c, g))
-    ricci = np.einsum("kikj->ij", riem)
-    return CurvatureData(riem, ricci, float(np.trace(ricci)))
+def curvature(geom: LieFrameGeometry, gamma: np.ndarray) -> np.ndarray:
+    """The Riemann tensor R_{ab}{}^c{}_d of the connection ``gamma``,
+    indexed [a, b, c, d]."""
+    return _frozen(np.einsum("cae,ebd->abcd", gamma, gamma)
+                   - np.einsum("cbe,ead->abcd", gamma, gamma)
+                   - np.einsum("eab,ced->abcd", geom.c, gamma))
+
+
+def ricci(riemann: np.ndarray) -> np.ndarray:
+    """Ric_{ij} = R_{ki}{}^k{}_j."""
+    return np.einsum("kikj->ij", riemann)
 
 
 def d_invariant(chi: FrameTensor, geom: LieFrameGeometry) -> FrameTensor:
@@ -259,7 +226,7 @@ def codifferential(chi: FrameTensor, geom: LieFrameGeometry) -> FrameTensor:
     return sgn * hodge_star(d_invariant(hodge_star(chi), geom))
 
 
-def nabla_invariant(T: np.ndarray, conn: ConnectionCoeffs) -> np.ndarray:
+def nabla_invariant(T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Covariant derivative of an invariant tensor, derivative slot first:
 
     (nabla_a T)_{b1..bk} = - sum_s Gamma^e_{a b_s} T_{b1.. e ..bk}.
@@ -267,10 +234,9 @@ def nabla_invariant(T: np.ndarray, conn: ConnectionCoeffs) -> np.ndarray:
     T is a dense component array (``.components`` for a form).
     """
     T = np.asarray(T, dtype=np.float64)
-    comp = np.zeros((conn.dim,) * (T.ndim + 1))
-    g = conn.gamma
+    comp = np.zeros((gamma.shape[0],) * (T.ndim + 1))
     for s in range(T.ndim):
-        term = np.tensordot(g, T, axes=(0, s))
+        term = np.tensordot(gamma, T, axes=(0, s))
         # term has indices (a, b_s, b1..b_{s-1}, b_{s+1}..bk); move b_s home
         order = [0] + list(range(2, 2 + s)) + [1] + list(range(2 + s, T.ndim + 1))
         comp -= np.transpose(term, order)
@@ -299,8 +265,8 @@ def bianchi_report(geom: LieFrameGeometry,
     R^, Rv and dH come from the geometry's cache; nabla^ H is computed
     once for all four.
     """
-    rhat = geom.curvatures[1].riemann
-    rchk = geom.curvatures[-1].riemann
+    rhat = geom.curvatures[1]
+    rchk = geom.curvatures[-1]
     dH = geom.dH.components
     nhatH = nabla_invariant(geom.H.components, geom.connections[1])
     dH_sup = np.abs(dH).max()
@@ -367,7 +333,7 @@ def soliton_report(geom: LieFrameGeometry,
     if dH > tol:
         raise HypothesesNotMet(f"soliton residuals need dH = 0 "
                                f"(sup |dH| = {dH:.3e})")
-    ric = geom.curvatures[1].ricci
+    ric = ricci(geom.curvatures[1])
     report = StructureReport("steady-soliton")
     report.add("dH", dH, tol, identity="torsion-closure", asserted=False)
     soliton = float(np.abs(ric).max())
@@ -384,10 +350,10 @@ def bochner_term(geom: LieFrameGeometry) -> FrameTensor:
 
     with Levi-Civita curvature.
     """
-    cur = geom.curvatures[0]
+    riem = geom.curvatures[0]
     H = geom.H.components
-    ric_H = np.einsum("ak,bck->abc", cur.ricci, H)
-    riem_H = 2.0 * np.einsum("akbm,ckm->abc", cur.riemann, H)
+    ric_H = np.einsum("ak,bck->abc", ricci(riem), H)
+    riem_H = 2.0 * np.einsum("akbm,ckm->abc", riem, H)
     t = ric_H - riem_H
     out = t + np.einsum("abc->bca", t) + np.einsum("abc->cab", t)
     # the cyclic sum is antisymmetric analytically: keep its packed

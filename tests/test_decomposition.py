@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from torsiongeo.catalog import _flat, _su2, epsilon3
 from torsiongeo.decomposition import (
-    TorsionGram,
     decompose,
     eigen_split,
     torsion_gram,
@@ -51,7 +50,9 @@ def test_jacobi_generic_three_form_positive():
 
 def test_gram_epsilon_is_identity():
     gram = torsion_gram(FrameTensor(3, 3, epsilon3()))
-    assert np.abs(gram.h - np.eye(3)).max() == 0.0
+    assert np.abs(gram - np.eye(3)).max() == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        gram[0, 0] = 2.0
 
 
 def test_gram_brute_force_oracle():
@@ -61,54 +62,54 @@ def test_gram_brute_force_oracle():
         for j in range(3):
             oracle[i, j] = 0.5 * sum(E[i, p, q] * E[j, p, q]
                                      for p in range(3) for q in range(3))
-    assert np.abs(torsion_gram(FrameTensor(3, 3, E)).h - oracle).max() == 0.0
+    assert np.abs(torsion_gram(FrameTensor(3, 3, E)) - oracle).max() == 0.0
 
 
 def test_gram_zero_torsion():
-    assert np.abs(torsion_gram(zero_form(5, 3)).h).max() == 0.0
+    assert np.abs(torsion_gram(zero_form(5, 3))).max() == 0.0
 
 
 def test_gram_block_in_dim7():
     gram = torsion_gram(direct_sum(_su2(), _flat(4)).H)
-    assert np.abs(gram.h - np.diag([1, 1, 1, 0, 0, 0, 0.0])).max() == 0.0
+    assert np.abs(gram - np.diag([1, 1, 1, 0, 0, 0, 0.0])).max() == 0.0
 
 
 def test_gram_equals_interior_product_pairing():
+    """h is the Gram matrix of the i_{e_i} H, hence symmetric positive
+    semidefinite up to rounding, on random 3-forms at dims 3-8."""
     from torsiongeo.frame_algebra import basis_vector, form_inner, interior_product
-    H = FrameTensor(5, 3, antisymmetrize(RNG.standard_normal((5, 5, 5))))
-    gram = torsion_gram(H)
-    for i in range(5):
-        for j in range(5):
-            pairing = form_inner(interior_product(basis_vector(5, i), H),
-                                 interior_product(basis_vector(5, j), H))
-            assert gram.h[i, j] == pytest.approx(pairing, abs=1e-12)
-
-
-def test_gram_rejects_indefinite():
-    with pytest.raises(ValueError):
-        TorsionGram(np.diag([1.0, -1.0]))
+    for n in range(3, 9):
+        H = FrameTensor(n, 3, antisymmetrize(RNG.standard_normal((n, n, n))))
+        gram = torsion_gram(H)
+        scale = max(1.0, np.abs(gram).max())
+        assert np.abs(gram - gram.T).max() <= 1e-12 * scale
+        assert np.linalg.eigvalsh(gram).min() >= -1e-12 * scale
+        for i in range(n):
+            for j in range(n):
+                pairing = form_inner(interior_product(basis_vector(n, i), H),
+                                     interior_product(basis_vector(n, j), H))
+                assert gram[i, j] == pytest.approx(pairing, abs=1e-12)
 
 
 # ------------------------------------------------------------------ eigen
 
 def test_eigen_split_block_diag():
-    clusters = eigen_split(TorsionGram(np.diag([1, 1, 1, 0, 0, 0, 0.0])))
+    clusters = eigen_split(np.diag([1, 1, 1, 0, 0, 0, 0.0]))
     assert [(c.eigenvalue, c.multiplicity) for c in clusters] == [(0.0, 4), (1.0, 3)]
 
 
 def test_eigen_split_identity_single_cluster():
-    clusters = eigen_split(TorsionGram(np.eye(5)))
+    clusters = eigen_split(np.eye(5))
     assert len(clusters) == 1 and clusters[0].multiplicity == 5
 
 
 def test_eigen_split_clustering_contract():
-    clusters = eigen_split(TorsionGram(np.diag([1.0, 1.0 + 1e-14])))
+    clusters = eigen_split(np.diag([1.0, 1.0 + 1e-14]))
     assert len(clusters) == 1 and clusters[0].multiplicity == 2
 
 
 def test_eigen_split_bases_orthonormal():
-    h = TorsionGram(np.diag([0.0, 0.0, 2.0, 2.0, 5.0]))
-    clusters = eigen_split(h)
+    clusters = eigen_split(np.diag([0.0, 0.0, 2.0, 2.0, 5.0]))
     full = np.concatenate([c.basis for c in clusters], axis=1)
     assert np.abs(full.T @ full - np.eye(5)).max() < 1e-12
 

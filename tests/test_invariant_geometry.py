@@ -15,7 +15,6 @@ from torsiongeo.frame_algebra import (
     zero_form,
 )
 from torsiongeo.invariant_geometry import (
-    ConnectionCoeffs,
     HypothesesNotMet,
     LieFrameGeometry,
     bianchi_report,
@@ -29,6 +28,7 @@ from torsiongeo.invariant_geometry import (
     levi_civita,
     lie_jacobi_residual,
     nabla_invariant,
+    ricci,
     soliton_report,
     with_torsion,
 )
@@ -44,72 +44,70 @@ def su2_plus_abelian():
 
 def test_levi_civita_abelian_is_zero():
     geom = LieFrameGeometry(4, np.zeros((4, 4, 4)), zero_form(4, 3))
-    assert np.abs(levi_civita(geom).gamma).max() == 0.0
+    assert np.abs(levi_civita(geom)).max() == 0.0
 
 
 def test_levi_civita_su2_is_half_epsilon():
     # Koszul by hand over all 27 entries: bi-invariant metric halves the bracket
     geom = su2()
-    assert np.abs(levi_civita(geom).gamma - 0.5 * epsilon3()).max() == 0.0
+    assert np.abs(levi_civita(geom) - 0.5 * epsilon3()).max() == 0.0
 
 
 def test_levi_civita_blockwise():
     geom = su2_plus_abelian()
-    gamma = levi_civita(geom).gamma
+    gamma = levi_civita(geom)
     assert np.abs(gamma - 0.5 * geom.c).max() == 0.0
 
 
 def test_levi_civita_torsion_free_on_random_samples(open_torsion_suite):
     for geom in open_torsion_suite[:10]:
-        gamma = levi_civita(geom).gamma
+        gamma = levi_civita(geom)
         tf = gamma - np.swapaxes(gamma, 1, 2) - geom.c
         assert np.abs(tf).max() < 1e-12
-
-
-def test_metric_compatibility_validated():
-    bad = np.zeros((3, 3, 3))
-    bad[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        ConnectionCoeffs(bad)
+        for sign in (0, 1, -1):
+            # every cached connection is metric: the lowered coefficients
+            # are antisymmetric in the outer pair (i, k)
+            g = geom.connections[sign]
+            outer = np.abs(g + np.transpose(g, (2, 1, 0))).max()
+            assert outer <= 1e-12 * max(1.0, np.abs(g).max())
+            assert np.array_equal(geom.curvatures[sign], curvature(geom, g))
 
 
 def test_with_torsion_zero_H_is_levi_civita():
     geom = su2_plus_abelian()
-    assert np.abs(with_torsion(geom, 1).gamma - levi_civita(geom).gamma).max() == 0.0
+    assert np.abs(with_torsion(geom, 1) - levi_civita(geom)).max() == 0.0
 
 
 def test_with_torsion_flat_sign_su2():
     # under these conventions the minus sign parallelizes: gamma^ == 0
     geom = su2()
-    assert np.abs(with_torsion(geom, -1).gamma).max() == 0.0
-    assert np.abs(with_torsion(geom, +1).gamma - epsilon3()).max() == 0.0
+    assert np.abs(with_torsion(geom, -1)).max() == 0.0
+    assert np.abs(with_torsion(geom, +1) - epsilon3()).max() == 0.0
 
 
 def test_with_torsion_blockwise_su2su2():
     geom = direct_sum(su2(), su2())
-    assert np.abs(with_torsion(geom, -1).gamma).max() == 0.0
+    assert np.abs(with_torsion(geom, -1)).max() == 0.0
 
 
 # ----------------------------------------------------------------- curvature
 
 def test_curvature_abelian_zero():
     geom = LieFrameGeometry(5, np.zeros((5, 5, 5)), zero_form(5, 3))
-    cur = curvature(geom, levi_civita(geom))
-    assert np.abs(cur.riemann).max() == 0.0 and cur.scalar == 0.0
+    assert np.abs(curvature(geom, levi_civita(geom))).max() == 0.0
 
 
 def test_curvature_su2_flat_at_parallelizing_sign():
     geom = su2()
     for sign in (1, -1):
-        cur = curvature(geom, with_torsion(geom, sign))
-        assert np.abs(cur.riemann).max() < 1e-12
+        assert np.abs(curvature(geom, with_torsion(geom, sign))).max() < 1e-12
 
 
 def test_curvature_round_sphere_scalar():
     """Independent loop-based oracle for the bi-invariant round metric."""
     geom = su2(H_scale=0.0)
     geom = LieFrameGeometry(3, epsilon3(), zero_form(3, 3))
-    gamma = levi_civita(geom).gamma
+    gamma = levi_civita(geom)
     c = geom.c
     oracle = np.zeros((3, 3, 3, 3))
     for a in range(3):
@@ -122,16 +120,16 @@ def test_curvature_round_sphere_scalar():
                         acc -= gamma[k, b, e] * gamma[e, a, d]
                         acc -= c[e, a, b] * gamma[k, e, d]
                     oracle[a, b, k, d] = acc
-    cur = curvature(geom, levi_civita(geom))
-    assert np.abs(cur.riemann - oracle).max() == 0.0
-    assert cur.scalar == pytest.approx(1.5)
-    assert np.abs(cur.ricci - 0.5 * np.eye(3)).max() < 1e-13
+    R = curvature(geom, levi_civita(geom))
+    assert np.abs(R - oracle).max() == 0.0
+    assert np.trace(ricci(R)) == pytest.approx(1.5)
+    assert np.abs(ricci(R) - 0.5 * np.eye(3)).max() < 1e-13
 
 
 def test_levi_civita_curvature_symmetries(open_torsion_suite):
     from torsiongeo.invariant_geometry import _antisym_over
     for geom in open_torsion_suite[:15]:
-        R = curvature(geom, levi_civita(geom)).riemann
+        R = curvature(geom, levi_civita(geom))
         assert np.abs(R - np.transpose(R, (2, 3, 0, 1))).max() < 1e-10
         assert np.abs(_antisym_over(R, [0, 1, 2])).max() < 1e-10
 
@@ -139,7 +137,7 @@ def test_levi_civita_curvature_symmetries(open_torsion_suite):
 def test_torsion_ricci_scaling_witness():
     # frozen from the closed form Ric^ = -2 g (g - 1) delta, g = (1+s)/2
     geom = su2(H_scale=2.0)
-    ric = curvature(geom, with_torsion(geom, +1)).ricci
+    ric = ricci(curvature(geom, with_torsion(geom, +1)))
     assert np.abs(ric + 1.5 * np.eye(3)).max() < 1e-13
 
 
@@ -318,7 +316,7 @@ def test_bianchi_term_by_term_oracle():
     geom = random_geometry(np.random.default_rng(5), 4)
     n = geom.dim
     hat = with_torsion(geom, +1)
-    R = curvature(geom, hat).riemann
+    R = curvature(geom, hat)
     dH = d_invariant(geom.H, geom).components
     nH = nabla_invariant(geom.H.components, hat)
     worst = 0.0
@@ -467,8 +465,7 @@ def test_verify_derives_torsion_geometry_once(su3_built, monkeypatch, capsys):
     assert geom.dH is geom.dH
     for sign in (0, 1, -1):
         assert geom.curvatures[sign] is geom.curvatures[sign]
-        for arr in (geom.connections[sign].gamma, geom.curvatures[sign].riemann,
-                    geom.curvatures[sign].ricci):
+        for arr in (geom.connections[sign], geom.curvatures[sign]):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
     with pytest.raises(ValueError, match="read-only"):

@@ -250,6 +250,23 @@ NON_INTEGER_DIM_FILES = [
     {"dim": "3", "c": SU2_C},
 ]
 
+# a value that is not a finite real number (a string, a bool, null) in
+# sparse or dense c, in H, or in a structure key
+SU2_DENSE = epsilon3().tolist()
+NON_REAL_VALUE_FILES = [
+    {"dim": 3, "c": [[0, 1, 2, "1"], [1, 2, 0, "1"], [2, 0, 1, "1"]],
+     "H": [[0, 1, 2, True]]},
+    {"dim": 3, "c": [[0, 1, 2, True], [1, 2, 0, 1.0], [2, 0, 1, 1.0]]},
+    {"dim": 3, "c": [[0, 1, 2, None], [1, 2, 0, 1.0], [2, 0, 1, 1.0]]},
+    {"dim": 3, "c": SU2_C, "H": [[0, 1, 2, "1.0"]]},
+    {"dim": 3, "c": [[[str(v) for v in row] for row in block] for block in SU2_DENSE]},
+    {"dim": 3, "c": [[[True if v > 0 else v for v in row] for row in block]
+                     for block in SU2_DENSE]},
+    {"dim": 4, "I1": [[0, 1, True], [1, 0, -1.0], [2, 3, 1.0], [3, 2, -1.0]]},
+    {"dim": 7, "phi": [[0, 1, 2, "1"]]},
+    {"dim": 8, "Phi": [[0, 1, 2, 3, False]]},
+]
+
 
 @pytest.mark.parametrize("command, doc",
                          [("verify", d) for d in BAD_GEOMETRY_FILES + BAD_STRUCTURE_FILES]
@@ -260,7 +277,9 @@ NON_INTEGER_DIM_FILES = [
                          + [(cmd, {"dim": float("inf")}) for cmd in ("verify", "decompose")]
                          + [(cmd, doc) for doc in NON_INTEGER_DIM_FILES
                             for cmd in ("verify", "decompose")]
-                         + [("decompose", d) for d in BAD_STRUCTURE_FILES])
+                         + [("decompose", d) for d in BAD_STRUCTURE_FILES]
+                         + [(cmd, doc) for doc in NON_REAL_VALUE_FILES
+                            for cmd in ("verify", "decompose")])
 def test_cli_malformed_geometry_file_exit_2(command, doc, tmp_path, capsys):
     doc = {"c": [], "H": [], **doc}
     path = tmp_path / "bad.json"

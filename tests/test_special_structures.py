@@ -267,7 +267,7 @@ def test_su3_torsion_is_minus_canonical_form(su3_built):
 
 def test_su3_plus_connection_parallelizes(su3_built):
     geom, _ = su3_built
-    assert np.abs(with_torsion(geom, +1).gamma).max() < 1e-13
+    assert np.abs(with_torsion(geom, +1)).max() < 1e-13
 
 
 def test_su3_full_hypothesis_set(su3_built):
