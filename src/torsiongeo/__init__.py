@@ -6,8 +6,8 @@ components), invariant_geometry (connections, curvature and residual
 verifiers on left-invariant data), decomposition (torsion splitting),
 special_structures (complex/hypercomplex/G2/Cayley builders and
 reports), fibration_topology (principal-curvature algebra and integer
-class arithmetic), dilaton (monotone elliptic iteration), catalog and
-cli.
+class arithmetic), dilaton (monotone elliptic iteration; it imports
+scipy, so it and its names here load on first use), catalog and cli.
 """
 
 __version__ = "0.1.0"
@@ -65,14 +65,24 @@ from .fibration_topology import (
     chern_topology,
     enumerate_diophantine,
 )
-from .dilaton import (
-    DiscreteDomain,
-    SolverConfig,
-    IterationTrace,
-    build_flat_torus,
-    bounds,
-    pick_lambda,
-    linear_solve,
-    monotone_iterate,
-)
 from .reporting import StructureReport, ResidualRow
+
+# dilaton needs scipy, which takes longer to import than the rest of the
+# package; its names load on first access (PEP 562)
+_DILATON_NAMES = frozenset({
+    "DiscreteDomain",
+    "SolverConfig",
+    "IterationTrace",
+    "build_flat_torus",
+    "bounds",
+    "pick_lambda",
+    "linear_solve",
+    "monotone_iterate",
+})
+
+
+def __getattr__(name):
+    if name in _DILATON_NAMES:
+        from . import dilaton
+        return getattr(dilaton, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

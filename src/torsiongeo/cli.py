@@ -35,18 +35,9 @@ from .fibration_topology import (
     sd_asd_split,
     wedge_trace,
 )
-from .dilaton import (
-    SolverConfig,
-    SolverError,
-    build_flat_torus,
-    fibration_diagnostics,
-    monotone_iterate,
-    residual as dilaton_residual,
-    w_from_fibration,
-)
 from .reporting import StructureReport, text_lines
 from .catalog import CATALOG, catalog_entry
-from .geometry_io import _integer, _real, geometry_from_dict, structures_from_dict
+from .geometry_io import _integer, _real, _reals, geometry_from_dict, structures_from_dict
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -169,17 +160,25 @@ _W_PRESETS = {
 
 
 def run_dilaton(cfg) -> tuple:
+    # the solver needs scipy; importing it here keeps it out of every other command
+    from .dilaton import (
+        SolverConfig,
+        SolverError,
+        build_flat_torus,
+        fibration_diagnostics,
+        monotone_iterate,
+        residual as dilaton_residual,
+        w_from_fibration,
+    )
+
     data = _load_json(cfg["input"])
     try:
         n1, n2 = (_integer(x, "grid size") for x in data["grid"])
         # max(n1, 1): build_flat_torus refuses a side below 3 itself
         spacing = _real(data.get("spacing", 2.0 * np.pi / max(n1, 1)), "spacing")
         domain = build_flat_torus(n1, n2, spacing)
+        nodes = domain.node_count
         w_field = data.get("w", "constant4")
-        if isinstance(w_field, dict):
-            w_field = w_from_fibration(
-                np.asarray(w_field["f_u1_sq"], dtype=np.float64),
-                np.asarray(w_field["f_minus_sq"], dtype=np.float64)).tolist()
         if isinstance(w_field, str):
             if w_field not in _W_PRESETS:
                 raise InputError(f"unknown preset {w_field!r}; available: "
@@ -188,20 +187,18 @@ def run_dilaton(cfg) -> tuple:
             ys = np.arange(n2) * spacing
             X, Y = np.meshgrid(xs, ys, indexing="ij")
             w = _W_PRESETS[w_field](X, Y).ravel()
-        else:
-            w = np.asarray(w_field, dtype=np.float64)
-            if w.size != domain.node_count:
-                raise InputError("w length does not match the grid")
+        elif isinstance(w_field, dict):
+            w = w_from_fibration(_reals(w_field["f_u1_sq"], nodes, "f_u1_sq"),
+                                 _reals(w_field["f_minus_sq"], nodes, "f_minus_sq"))
             if not np.isfinite(w).all():
                 raise InputError("w must be finite everywhere")
+        else:
+            w = _reals(w_field, nodes, "w")
         R = h = None
         if "scalar_curvature" in data:
-            R = np.asarray(data["scalar_curvature"], dtype=np.float64)
-            if R.ndim == 0:
-                R = np.full(domain.node_count, float(R))
-            if R.shape != (domain.node_count,) or not np.isfinite(R).all():
-                raise InputError(f"scalar_curvature needs 1 or {domain.node_count} "
-                                 "finite numbers")
+            R = data["scalar_curvature"]
+            R = (_reals(R, nodes, "scalar_curvature") if isinstance(R, list)
+                 else np.full(nodes, _real(R, "scalar_curvature")))
         if "h" in data:
             h = _real(data["h"], "h")
         lam = data.get("lambda", "auto")

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "DiscreteDomain",
@@ -317,6 +316,8 @@ class _ShiftedSolver:
         self.op_norm = float(abs(self.op).sum(axis=1).max())
         symbol = domain.symbol
         if symbol is None:
+            # scipy.sparse.linalg pulls in scipy.linalg: import it only here
+            import scipy.sparse.linalg as spla
             self._solve = spla.splu(self.op.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                     relax=1).solve
         else:

@@ -11,7 +11,10 @@ divisible by 4; they load as a dim x dim "J" array or a (3, dim, dim)
 "triple" stack), phi as a sparse 3-form list (dim 7), Phi as a sparse
 4-form list (dim 8).  dim must be an integer, every index an integer
 in [0, dim) and every value a finite real number (bools and strings are
-refused); anything else raises ValueError.
+refused); anything else raises ValueError.  A sparse field is read with
+one check pass over its indices, one over its values and one
+``np.add.at`` scatter, which adds in entry order, so repeated and
+unsorted entries sum exactly as they would one at a time.  ``save_geometry`` writes the file as one JSON line.
 
 ``structures_from_dict`` reads these keys into a structures dict keyed
 ``triple``, ``J``, ``phi``, ``Phi`` (the dict catalog entries build), and
@@ -21,12 +24,13 @@ every key round-trips.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
 import numpy as np
 
-from .frame_algebra import FrameTensor, basis_form, index_tuples
+from .frame_algebra import FrameTensor, _parity, _rank, index_tuples
 from .invariant_geometry import LieFrameGeometry
 
 __all__ = [
@@ -45,65 +49,114 @@ def form_to_sparse(T: FrameTensor) -> list:
     """One entry per nonzero packed coefficient (strictly increasing
     index tuple, lexicographic order), value unchanged."""
     nonzero = np.flatnonzero(T.coeffs)
-    return [[*index_tuples(T.dim, T.rank)[k].tolist(), float(T.coeffs[k])]
-            for k in nonzero]
+    rows = index_tuples(T.dim, T.rank)[nonzero].tolist()
+    return [[*idx, val] for idx, val in zip(rows, T.coeffs[nonzero].tolist())]
+
+
+def _is_integer(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _is_real(kind: type) -> bool:
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
 
 
 def _integer(value, what: str) -> int:
     """An integer read from a file; floats (even 2.0) and bools are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(type(value)):
         raise ValueError(f"{what} {value!r} is not an integer")
     return int(value)
 
 
 def _real(value, what: str) -> float:
     """A finite real number read from a file; bools and strings are refused."""
-    real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not real or not np.isfinite(value):
+    if not _is_real(type(value)) or not math.isfinite(value):
         raise ValueError(f"{what} must be a finite real number, not {value!r}")
     return float(value)
 
 
-def _index(i, dim: int) -> int:
-    """A frame index read from a file: an integer in [0, dim)."""
-    if not 0 <= _integer(i, "index") < dim:
-        raise ValueError(f"index {i!r} is not an integer in [0, {dim})")
-    return int(i)
+def _reals(values, n: int, what: str) -> np.ndarray:
+    """``n`` finite real numbers read from a file as one flat list (a
+    tuple too); bools, strings and nested lists are refused.  The types
+    are checked in one pass over the list, not one call per value."""
+    if not isinstance(values, (list, tuple)) or len(values) != n:
+        raise ValueError(f"expected a flat list of {n} numbers as {what} values")
+    if all(_is_real(kind) for kind in set(map(type, values))):
+        out = np.array(values, dtype=np.float64)
+        if np.isfinite(out).all():
+            return out
+    bad = next(v for v in values if not _is_real(type(v)) or not math.isfinite(v))
+    raise ValueError(f"{what} must be a finite real number, not {bad!r}")
+
+
+def _sparse_entries(entries, arity: int, dim: int, what: str):
+    """The entry list [[i_1, ..., i_arity, value], ...] of a sparse field
+    as an (n, arity) intp index array and n float values.  Every index
+    must be an integer in [0, dim) and every value a finite real number
+    (``what`` names it in the error); the indices are checked in one
+    pass over all of them, not one call per index."""
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"a sparse field must be a list of entries, not {entries!r}")
+    if set(map(len, entries)) - {arity + 1}:
+        bad = next(e for e in entries if len(e) != arity + 1)
+        raise ValueError(f"sparse entry {bad} has wrong arity")
+    columns = list(zip(*entries)) or [()] * (arity + 1)
+    indices = list(itertools.chain.from_iterable(columns[:arity]))
+    if not all(_is_integer(kind) for kind in set(map(type, indices))):
+        bad = next(i for i in indices if not _is_integer(type(i)))
+        raise ValueError(f"index {bad!r} is not an integer")
+    if indices and not (min(indices) >= 0 and max(indices) < dim):
+        bad = next(i for i in indices if not 0 <= i < dim)
+        raise ValueError(f"index {bad!r} is not an integer in [0, {dim})")
+    idx = np.array(indices, dtype=np.intp).reshape(arity, len(entries)).T
+    return idx, _reals(columns[arity], len(entries), what)
 
 
 def sparse_form(dim: int, rank: int, entries) -> FrameTensor:
+    """The form sum(value * e^{i_1} ^ ... ^ e^{i_rank}) of a sparse entry
+    list; an index tuple may come in any order and more than once."""
+    idx, vals = _sparse_entries(entries, rank, dim, "form entry")
+    ordered = np.sort(idx, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeats.any():
+        raise ValueError(f"sparse entry {entries[np.argmax(repeats)]} repeats an index")
     coeffs = np.zeros(math.comb(dim, rank))
-    for entry in entries:
-        *idx, val = entry
-        idx = tuple(_index(i, dim) for i in idx)
-        if len(idx) != rank:
-            raise ValueError(f"sparse entry {entry} has wrong arity")
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"sparse entry {entry} repeats an index")
-        coeffs = coeffs + _real(val, "form entry") * basis_form(dim, idx).coeffs
+    # ufunc.at adds in entry order, as a sum of per-entry basis forms would
+    np.add.at(coeffs, _rank(dim, ordered), vals * _parity(idx))
     return FrameTensor(dim, rank, coeffs=coeffs)
 
 
 def _c_to_sparse(c: np.ndarray) -> list:
-    pairs = index_tuples(c.shape[0], 2).tolist()
-    return [[a, b, cc, float(c[a, b, cc])]
-            for a in range(c.shape[0]) for b, cc in pairs if c[a, b, cc] != 0.0]
+    pairs = index_tuples(c.shape[0], 2)
+    lower = c[:, pairs[:, 0], pairs[:, 1]]
+    rows, k = np.nonzero(lower)
+    return [[a, b, cc, val] for a, (b, cc), val
+            in zip(rows.tolist(), pairs[k].tolist(), lower[rows, k].tolist())]
+
+
+def _nesting(value) -> int:
+    """How many levels of lists the first element sits under."""
+    depth = 0
+    while isinstance(value, list) and value:
+        value, depth = value[0], depth + 1
+    return depth
 
 
 def _c_from_field(dim: int, data) -> np.ndarray:
-    arr = np.asarray(data, dtype=object)
-    if arr.ndim == 3:
-        return np.array([_real(v, "structure constant") for v in arr.flat],
-                        dtype=np.float64).reshape(arr.shape)
+    if _nesting(data) >= 3:     # a nested dim x dim x dim array, not entries
+        arr = np.asarray(data, dtype=object)
+        return _reals(arr.ravel().tolist(), arr.size,
+                      "structure constant").reshape(arr.shape)
+    idx, vals = _sparse_entries(data, 3, dim, "structure constant")
+    lower = idx[:, 1] == idx[:, 2]
+    if lower.any():
+        raise ValueError(f"structure-constant entry {data[np.argmax(lower)]} "
+                         "repeats a lower index")
+    # c[a, b, cc] += v, then c[a, cc, b] -= v, entry by entry: flat cells
+    # (a, b, cc) and (a, cc, b) side by side, with values v and -v
+    cells = idx @ np.array([[dim * dim, dim * dim], [dim, 1], [1, dim]])
     c = np.zeros((dim, dim, dim))
-    for entry in data:
-        a, b, cc, val = entry
-        a, b, cc = (_index(i, dim) for i in (a, b, cc))
-        if b == cc:
-            raise ValueError(f"structure-constant entry {entry} repeats a lower index")
-        val = _real(val, "structure constant")
-        c[a, b, cc] += val
-        c[a, cc, b] -= val
+    np.add.at(c.reshape(-1), cells.ravel(), np.outer(vals, [1.0, -1.0]).ravel())
     return c
 
 
@@ -140,9 +193,11 @@ def structures_from_dict(data: dict, dim: int) -> dict:
     mats = []
     for key in ("I1", "I2", "I3"):
         if key in data:
+            idx, vals = _sparse_entries(data[key], 2, dim, f"{key} entry")
             J = np.zeros((dim, dim))
-            for i, j, val in data[key]:
-                J[_index(i, dim), _index(j, dim)] = _real(val, f"{key} entry")
+            # entry by entry, so that a repeated (i, j) keeps its last value
+            for (i, j), val in zip(idx.tolist(), vals.tolist()):
+                J[i, j] = val
             mats.append(J)
     if len(mats) == 3:
         if dim % 4:
@@ -170,8 +225,8 @@ def save_geometry(path, geom: LieFrameGeometry, extra: dict | None = None):
     if extra:
         data.update(extra)
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+        # one line: without indent, json uses its C encoder
+        fh.write(json.dumps(data) + "\n")
 
 
 def load_geometry(path):

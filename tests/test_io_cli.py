@@ -1,12 +1,18 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import torsiongeo
 from torsiongeo.catalog import CATALOG, _flat, _su2, catalog_entry, epsilon3
 from torsiongeo.cli import main
-from torsiongeo.frame_algebra import FrameTensor, antisymmetrize, basis_form
+from torsiongeo.frame_algebra import FrameTensor, antisymmetrize, basis_form, index_tuples
 from torsiongeo.geometry_io import (
+    _c_from_field,
     form_to_sparse,
     geometry_from_dict,
     geometry_to_dict,
@@ -17,6 +23,7 @@ from torsiongeo.geometry_io import (
     structures_to_dict,
 )
 from torsiongeo.invariant_geometry import LieFrameGeometry, bianchi_report, direct_sum
+from torsiongeo.random_geometry import random_geometry
 from torsiongeo.special_structures import (
     build_g2,
     build_spin7,
@@ -79,6 +86,88 @@ def test_structures_to_dict_refuses_triple_and_J_together():
 def test_structures_dict_rejects_partial_triple():
     with pytest.raises(ValueError):
         structures_from_dict({"I1": [[0, 1, 1.0]], "I2": [[0, 1, 1.0]]}, 4)
+
+
+def test_structures_dict_repeated_entry_keeps_last_value():
+    J = structures_from_dict({"I1": [[0, 1, 1.0], [1, 0, -1.0], [0, 1, 2.5],
+                                     [2, 3, 1.0], [3, 2, -1.0]]}, 4)["J"]
+    assert J[0, 1] == 2.5 and J[1, 0] == -1.0
+
+
+def _random_entries(rng, dim: int, arity: int, count: int, distinct: slice):
+    """Entries [*idx, value] with unsorted index tuples, some of them
+    repeated, and some values -0.0 or integers."""
+    entries = []
+    for _ in range(count):
+        idx = rng.integers(0, dim, arity)
+        idx[distinct] = rng.choice(dim, len(idx[distinct]), replace=False)
+        value = [float(rng.standard_normal()), -0.0, int(rng.integers(-3, 4))][rng.integers(3)]
+        entries.append([*idx.tolist(), value])
+    return entries + [entries[i] for i in rng.integers(0, count, count // 3)]
+
+
+@pytest.mark.parametrize("dim, rank", [(dim, rank) for dim in range(3, 9)
+                                       for rank in range(1, min(dim, 4) + 1)])
+def test_sparse_form_matches_per_entry_sum(dim, rank):
+    rng = np.random.default_rng([dim, rank])
+    for count in (1, 5, 40):
+        entries = _random_entries(rng, dim, rank, count, slice(None))
+        expected = np.zeros(len(index_tuples(dim, rank)))
+        for *idx, val in entries:
+            expected = expected + val * basis_form(dim, idx).coeffs
+        assert sparse_form(dim, rank, entries).coeffs.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_sparse_c_matches_sequential_loop(dim):
+    rng = np.random.default_rng(dim)
+    entries = _random_entries(rng, dim, 3, 60, slice(1, 3))
+    expected = np.zeros((dim, dim, dim))
+    for a, b, cc, val in entries:
+        expected[a, b, cc] += val
+        expected[a, cc, b] -= val
+    assert _c_from_field(dim, entries).tobytes() == expected.tobytes()
+
+
+def _assert_bit_exact_round_trip(geom, structures, path):
+    save_geometry(path, geom, extra=structures_to_dict(structures))
+    assert path.read_text().count("\n") == 1          # one JSON line
+    loaded, raw = load_geometry(path)
+    assert loaded.name == geom.name
+    # exact equality: a file stores no zeros, so a -0.0 reads back as 0.0
+    assert np.array_equal(loaded.c, geom.c)
+    assert np.array_equal(loaded.H.coeffs, geom.H.coeffs)
+    back = structures_from_dict(raw, loaded.dim)
+    assert list(back) == list(structures)
+    for key, value in structures.items():
+        read = back[key]
+        if isinstance(value, FrameTensor):
+            value, read = value.coeffs, read.coeffs
+        assert np.array_equal(read, value)
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+@pytest.mark.parametrize("closed", [False, True])
+def test_random_geometry_file_round_trip_bit_exact(dim, closed, tmp_path):
+    geom = random_geometry(np.random.default_rng([dim, closed]), dim,
+                           closed_torsion=closed)
+    _assert_bit_exact_round_trip(geom, {}, tmp_path / "geom.json")
+
+
+@pytest.mark.parametrize("name", [n for n, e in CATALOG.items() if e.kind != "fibration"])
+def test_catalog_file_round_trip_bit_exact(name, tmp_path):
+    _assert_bit_exact_round_trip(*catalog_entry(name).build(), tmp_path / "geom.json")
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is only needed by the dilaton solver, so it loads on first use
+    probe = ("import sys, torsiongeo, torsiongeo.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+             "print(torsiongeo.monotone_iterate is torsiongeo.dilaton.monotone_iterate)\n")
+    src = pathlib.Path(torsiongeo.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.split("\n")[:2] == ["[]", "True"]
 
 
 # --------------------------------------------------------------------- cli
@@ -545,13 +634,29 @@ MALFORMED_DIAGNOSTICS_FILES = [
     {"grid": [8, 8], "h": 0.5},
 ]
 
+# w, the recipe fields and scalar_curvature are flat lists of numbers:
+# no strings, no bools, no grid-shaped nesting
+NON_FLAT_REAL_DILATON_FILES = [
+    {"grid": [8, 8], "w": ["4"] * 64},
+    {"grid": [8, 8], "w": [True] * 64},
+    {"grid": [8, 8], "w": [[4.0] * 8] * 8},
+    {"grid": [8, 8], "w": [[4.0]] * 64},
+    {"grid": [8, 8], "w": {"f_u1_sq": [[2.0] * 8] * 8, "f_minus_sq": [[6.0] * 8] * 8}},
+    {"grid": [8, 8], "w": {"f_u1_sq": [2.0] * 64, "f_minus_sq": ["6"] * 64}},
+    {"grid": [8, 8], "scalar_curvature": [[1.0] * 8] * 8, "h": 0.5},
+    {"grid": [8, 8], "scalar_curvature": ["1"] * 64, "h": 0.5},
+    {"grid": [8, 8], "scalar_curvature": True, "h": 0.5},
+    {"grid": [8, 8], "scalar_curvature": "1", "h": 0.5},
+]
+
 
 @pytest.mark.parametrize("command, doc",
                          [("dilaton", d) for d in NON_FINITE_DILATON_FILES]
                          + [("topology", {"k": INF, "chi": 2, "tau": 0})]
                          + [("dilaton", d) for d in NON_INTEGER_DILATON_FILES]
                          + [("topology", d) for d in NON_INTEGER_TOPOLOGY_FILES]
-                         + [("dilaton", d) for d in MALFORMED_DIAGNOSTICS_FILES])
+                         + [("dilaton", d) for d in MALFORMED_DIAGNOSTICS_FILES]
+                         + [("dilaton", d) for d in NON_FLAT_REAL_DILATON_FILES])
 def test_cli_non_finite_input_exit_2(command, doc, tmp_path, capsys):
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps(doc))
