@@ -5,22 +5,23 @@ keyed like ``geometry_io.structures_from_dict``'s result (``triple``,
 ``J``, ``phi``, ``Phi``; none for a bare geometry): the dict that
 ``special_structures.structure_reports`` checks and
 ``geometry_io.structures_to_dict`` writes.  The fibration entry (kind
-``fibration``) builds principal-curvature data instead.  Every block
-geometry is a ``direct_sum`` of su(2) factors (torsion plus or minus the
-structure constants) and flat factors.
+``fibration``) builds principal-curvature data and its base triple,
+``(pc, triple)``, instead.  Every block geometry is a ``direct_sum`` of
+su(2) factors (torsion plus or minus the structure constants) and flat
+factors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import fibration_topology
 from .frame_algebra import FrameTensor, basis_vector, epsilon3, zero_form
 from .invariant_geometry import LieFrameGeometry, direct_sum
 from .special_structures import (
     build_g2,
     build_spin7,
     build_su3,
-    hyperkahler_two_forms,
     standard_quaternion_triple,
 )
 
@@ -55,17 +56,12 @@ def _su3_entry():
 
 def _g2_product_entry():
     lams = [basis_vector(7, r) for r in range(3)]
-    oms = hyperkahler_two_forms(7, (3, 4, 5, 6))
+    oms = standard_quaternion_triple(7, (3, 4, 5, 6))
     phi = build_g2("product", lambda_coframe=lams, omegas=oms)
     # the desk model of a flat 4-space times the 3-sphere group: torsion
     # is minus the group block's canonical 3-form so the plus-torsion
     # connection parallelizes the product fundamental form
     return direct_sum(_su2(-1.0), _flat(4), name="g2-su2-product"), {"phi": phi}
-
-
-def _fibration_entry():
-    from .fibration_topology import build_su3_fibration
-    return build_su3_fibration()
 
 
 CATALOG = {
@@ -117,7 +113,8 @@ CATALOG = {
         "su3-fibration", "fibration",
         "curvature data of the homogeneous fibration of the 8-dim group "
         "over the 4-dim root-plane base",
-        _fibration_entry),
+        # looked up per call, so that a rebound module attribute is used
+        lambda: fibration_topology.build_su3_fibration()),
 }
 
 

@@ -69,11 +69,10 @@ def _geometry_reports(geom, tol):
     return reports
 
 
-def _fibration_reports(pc, tol):
+def _fibration_reports(pc, triple, tol):
     rep = StructureReport("su3-fibration")
-    omegas = [o.components for o in pc.hermitian_forms]
-    B = fit_fiber_rotation(pc, omegas)
-    rep.add("frestrict_residual", frestrict_residual(pc, B, omegas), tol,
+    B = fit_fiber_rotation(pc, triple)
+    rep.add("frestrict_residual", frestrict_residual(pc, B, triple), tol,
             identity="horizontality-constraint")
     rep.add("rotation_B0", float(np.abs(B[0]).max()), tol,
             identity="commuting-line-acts-trivially")
@@ -86,7 +85,7 @@ def _fibration_reports(pc, tol):
     rep.add("wedge_trace", wedge_trace(pc).sup_norm, max(tol, 1e-12),
             identity="closure-obstruction")
     plus, _ = sd_asd_split(pc.component(0),
-                           quaternionic_orientation(pc.hermitian_forms))
+                           quaternionic_orientation(triple))
     rep.add("u1_self_dual_part", plus.sup_norm, tol,
             identity="abelian-curvature-anti-self-dual")
     rep.add("fiber_jacobi", lie_jacobi_residual(pc.fiber_structure), tol,
@@ -113,7 +112,7 @@ def run_verify(cfg) -> tuple:
     tol = cfg["tol"]
     source, kind, built = _load(cfg)
     if kind == "fibration":
-        return _assemble("verify", source, _fibration_reports(built, tol))
+        return _assemble("verify", source, _fibration_reports(*built, tol))
     geom, structures = built
     return _assemble("verify", source, _geometry_reports(geom, tol)
                      + structure_reports(geom, structures, tol))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class PrincipalCurvature:
     F: np.ndarray
     fiber_metric: np.ndarray
     fiber_structure: np.ndarray
-    hermitian_forms: list = field(default_factory=list)  # optional base 2-forms
 
     def __post_init__(self):
         F = np.asarray(self.F, dtype=np.float64)
@@ -81,59 +80,56 @@ def sd_asd_split(F2: FrameTensor, sign: int = 1):
 
 
 def frestrict_residual(pc: PrincipalCurvature, B: np.ndarray,
-                       I_perp) -> float:
+                       triple) -> float:
     """Sup-norm of
 
     -F_{alpha c a} (I_r)^c_b + F_{alpha c b} (I_r)^c_a
         = (B_alpha)^s{}_r I_{s ab}
 
-    over all fiber indices alpha, structure labels r and base pairs.
+    over all fiber indices alpha, structure labels r and base pairs, for
+    the stacked base triple I[r, c, b].
     """
     B = np.asarray(B, dtype=np.float64)
-    mats = [np.asarray(J, dtype=np.float64) for J in I_perp]
-    if len(mats) != 3:
-        raise ValueError("I_perp must be a triple of base complex structures")
     if B.shape != (pc.fiber_dim, 3, 3):
         raise ValueError("B must have shape (fiber_dim, 3, 3)")
-    I = np.stack(mats)  # (r, c, b)
-    rhs = np.einsum("xsr,sab->xrab", B, I)
-    return float(np.abs(_horizontality_lhs(pc, I) - rhs).max())
+    lhs = _horizontality_lhs(pc, triple)
+    return float(np.abs(lhs - np.einsum("xsr,sab->xrab", B, triple)).max())
 
 
 def _horizontality_lhs(pc: PrincipalCurvature, I: np.ndarray) -> np.ndarray:
     """-F_{alpha c a} (I_r)^c_b + F_{alpha c b} (I_r)^c_a, indexed
     [alpha, r, a, b], for the stacked structures I[r, c, b]."""
+    if np.shape(I) != (3, pc.base_dim, pc.base_dim):
+        raise ValueError(f"the base triple must be a 3 x {pc.base_dim} x "
+                         f"{pc.base_dim} array, not {np.shape(I)}")
     return (-np.einsum("xca,rcb->xrab", pc.F, I)
             + np.einsum("xcb,rca->xrab", pc.F, I))
 
 
-def fit_fiber_rotation(pc: PrincipalCurvature, I_perp) -> np.ndarray:
-    """Least-squares B_alpha solving the horizontality constraint; used
-    to exhibit the epsilon representation of explicit fibrations."""
-    mats = np.stack([np.asarray(J, dtype=np.float64) for J in I_perp])
-    gram = np.einsum("sab,tab->st", mats, mats)
-    proj = np.einsum("xrab,sab->xsr", _horizontality_lhs(pc, mats), mats)
-    B = np.zeros((pc.fiber_dim, 3, 3))
-    for alpha in range(pc.fiber_dim):
-        B[alpha] = np.linalg.solve(gram, proj[alpha])
-    return B
+def fit_fiber_rotation(pc: PrincipalCurvature, triple) -> np.ndarray:
+    """Least-squares B_alpha solving the horizontality constraint for the
+    stacked base triple; used to exhibit the epsilon representation of
+    explicit fibrations."""
+    gram = np.einsum("sab,tab->st", triple, triple)
+    proj = np.einsum("xrab,sab->xsr", _horizontality_lhs(pc, triple), triple)
+    return np.linalg.solve(gram, proj)
 
 
-def quaternionic_orientation(omegas) -> int:
-    """Orientation sign (+1 or -1) of a 4-dim base in which the given
-    Hermitian triple is self-dual (volume positive against sum of wedge
-    squares)."""
-    total = 0.0
-    for om in omegas:
-        total += wedge_top_coefficient(om, om)
+def quaternionic_orientation(triple) -> int:
+    """Orientation sign (+1 or -1) of a 4-dim base in which the stacked
+    Hermitian triple is self-dual (volume positive against the sum of
+    the wedge squares of its 2-forms)."""
+    forms = [FrameTensor(4, 2, J) for J in triple]
+    total = sum(wedge_top_coefficient(om, om) for om in forms)
     if total == 0.0:
         raise ValueError("degenerate Hermitian forms")
     return 1 if total > 0 else -1
 
 
-def build_su3_fibration() -> PrincipalCurvature:
-    """Curvature data of the homogeneous fibration of the 8-dim compact
-    simple group over the 4-dim root-plane base.
+def build_su3_fibration() -> tuple[PrincipalCurvature, np.ndarray]:
+    """``(pc, triple)``: curvature data of the homogeneous fibration of
+    the 8-dim compact simple group over the 4-dim root-plane base, and
+    the antisymmetric part of ``build_su3``'s (I, J, IJ) on the base.
 
     Horizontal frame: the (u, v) pairs of the two simple-root planes.
     Fiber basis: the Cartan direction of the root difference (length
@@ -166,9 +162,9 @@ def build_su3_fibration() -> PrincipalCurvature:
     # bracket of B_i, B_j expanded over fiber slots, then re-expressed
     br = np.einsum("ia,jb,mab->mij", S, S, raw_f)
     cs = np.linalg.solve(S.T, br.reshape(4, -1)).reshape(4, 4, 4)
-    herm = [FrameTensor(4, 2, 0.5 * (J - J.T))
-            for J in triple[np.ix_(range(3), base, base)]]
-    return PrincipalCurvature(4, 4, F, fiber_metric, cs, herm)
+    restricted = triple[np.ix_(range(3), base, base)]
+    return (PrincipalCurvature(4, 4, F, fiber_metric, cs),
+            0.5 * (restricted - np.swapaxes(restricted, 1, 2)))
 
 
 def wedge_trace(pc: PrincipalCurvature) -> FrameTensor:

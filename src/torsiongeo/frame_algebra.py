@@ -79,11 +79,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> np.ndarray:
+    """C(m, k) for 0 <= m, k <= n (zero for k > m)."""
+    return _frozen(np.array([[math.comb(m, k) for k in range(n + 1)]
+                             for m in range(n + 1)], dtype=np.intp))
+
+
 def _rank(n: int, idx: np.ndarray) -> np.ndarray:
     """Lexicographic position of strictly increasing tuples (last axis)
     among all tuples of that length drawn from range(n)."""
-    # increasing tuples sort lexicographically as their flat positions do
-    return np.searchsorted(_packing(n, idx.shape[-1]), _flat(n, idx))
+    # C(n, p) - 1 minus the sum_k C(n - 1 - i_k, p - k) tuples after it:
+    # exact where C(n, p) fits intp (flat positions overflow at n**p > 2**63)
+    p = idx.shape[-1]
+    after = _binomials(n)[n - 1 - idx, np.arange(p, 0, -1)].sum(axis=-1)
+    return math.comb(n, p) - 1 - after
 
 
 def _parity(seq: np.ndarray) -> np.ndarray:

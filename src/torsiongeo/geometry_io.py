@@ -9,12 +9,13 @@ bit-exactly.  Optional structure keys: I1/I2/I3 as sparse [[i, j,
 value], ...] matrices (one structure needs an even dim, a triple a dim
 divisible by 4; they load as a dim x dim "J" array or a (3, dim, dim)
 "triple" stack), phi as a sparse 3-form list (dim 7), Phi as a sparse
-4-form list (dim 8).  dim must be an integer, every index an integer
-in [0, dim) and every value a finite real number (bools and strings are
-refused); anything else raises ValueError.  A sparse field is read with
-one check pass over its indices, one over its values and one
-``np.add.at`` scatter, which adds in entry order, so repeated and
-unsorted entries sum exactly as they would one at a time.  ``save_geometry`` writes the file as one JSON line.
+4-form list (dim 8).  dim must be an integer in [1, MAX_DIM], every
+index an integer in [0, dim) and every value a finite real number
+(bools and strings are refused); anything else raises ValueError.  A
+sparse field is read with one check pass over its indices, one over its
+values and one ``np.add.at`` scatter, which adds in entry order, so
+repeated and unsorted entries sum exactly as they would one at a time.
+``save_geometry`` writes the file as one JSON line.
 
 ``structures_from_dict`` reads these keys into a structures dict keyed
 ``triple``, ``J``, ``phi``, ``Phi`` (the dict catalog entries build), and
@@ -34,6 +35,7 @@ from .frame_algebra import FrameTensor, _parity, _rank, index_tuples
 from .invariant_geometry import LieFrameGeometry
 
 __all__ = [
+    "MAX_DIM",
     "geometry_to_dict",
     "geometry_from_dict",
     "load_geometry",
@@ -43,6 +45,12 @@ __all__ = [
     "structures_from_dict",
     "structures_to_dict",
 ]
+
+# the largest dim a geometry file may declare, checked before anything is
+# allocated: su(3) + su(2) has dim 11, and tg verify's geometry reports grow
+# as dim**5 (bochner_report's (dim,)**5 array): on su(2)^k, 2 vCPU, 0.11 s
+# and 45 MB peak RSS at dim 12, 0.90 s and 277 MB at dim 18
+MAX_DIM = 16
 
 
 def form_to_sparse(T: FrameTensor) -> list:
@@ -171,6 +179,8 @@ def geometry_to_dict(geom: LieFrameGeometry) -> dict:
 
 def geometry_from_dict(data: dict) -> LieFrameGeometry:
     dim = _integer(data["dim"], "dim")
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"dim {dim} is not in [1, {MAX_DIM}]")
     c = _c_from_field(dim, data.get("c", []))
     H = sparse_form(dim, 3, data.get("H", []))
     return LieFrameGeometry(dim, c, H, name=str(data.get("name", "")))

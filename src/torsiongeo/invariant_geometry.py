@@ -314,10 +314,11 @@ def bianchi_report(geom: LieFrameGeometry,
     return [first, second, pair, lccc]
 
 
-def lee_form(geom: LieFrameGeometry, omega: FrameTensor) -> FrameTensor:
-    """Lee form theta = J^T delta omega of the fundamental 2-form omega,
-    whose component matrix is J (Gauduchon, "Hermitian connections and
-    Dirac operators", 1997)."""
+def lee_form(geom: LieFrameGeometry, J: np.ndarray) -> FrameTensor:
+    """Lee form theta = J^T delta omega of the complex structure J, whose
+    fundamental 2-form omega has the component matrix (J - J^T)/2
+    (Gauduchon, "Hermitian connections and Dirac operators", 1997)."""
+    omega = FrameTensor(geom.dim, 2, 0.5 * (J - J.T))
     return FrameTensor(geom.dim, 1, coeffs=omega.components.T
                        @ codifferential(omega, geom).coeffs)
 

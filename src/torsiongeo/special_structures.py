@@ -49,7 +49,6 @@ __all__ = [
     "parallel_residual",
     "type_3_0_projection",
     "standard_quaternion_triple",
-    "hyperkahler_two_forms",
 ]
 
 
@@ -119,13 +118,12 @@ def hkt_report(geom: LieFrameGeometry, triple: np.ndarray,
                float(max(np.abs(I1 @ I2 + I2 @ I1).max(), np.abs(I3 - I1 @ I2).max())),
                tol, identity="quaternion-algebra")
     report.add("dH", geom.dH.sup_norm, tol, identity="torsion-closure")
-    lee = []
     for r, J in enumerate(triple, start=1):
         sub = kt_report(geom, J, tol)
         for row in sub.rows:
             if row.name != "dH":
                 report.add(f"{row.name}_I{r}", row.value, row.tol, row.identity)
-        lee.append(lee_form(geom, FrameTensor(geom.dim, 2, 0.5 * (J - J.T))))
+    lee = [lee_form(geom, J) for J in triple]
     report.add("lee_equal_12", (lee[0] - lee[1]).sup_norm, tol,
                identity="equal-lee-forms")
     report.add("lee_equal_13", (lee[0] - lee[2]).sup_norm, tol,
@@ -285,7 +283,8 @@ def build_g2(mode: str = "standard", lambda_coframe=None, omegas=None) -> FrameT
     positive orientation.
 
     mode="product": phi = l1^l2^l3 + sum_r l^r ^ omega_r from a 3-frame
-    of 1-forms and three 2-forms annihilated by the frame's duals.
+    of 1-forms and the (3, 7, 7) stack of the matrices of three 2-forms
+    annihilated by the frame's duals.
     """
     if mode == "standard":
         phi = zero_form(7, 3)
@@ -296,19 +295,13 @@ def build_g2(mode: str = "standard", lambda_coframe=None, omegas=None) -> FrameT
         if lambda_coframe is None or omegas is None:
             raise ValueError("product mode needs lambda_coframe and omegas")
         lams = list(lambda_coframe)
-        oms = list(omegas)
-        if len(lams) != 3 or len(oms) != 3:
-            raise ValueError("product mode needs three 1-forms and three 2-forms")
-        for lam in lams:
-            if lam.rank != 1 or lam.dim != 7:
-                raise ValueError("lambda coframe entries must be 1-forms on dim 7")
-        for om in oms:
-            if om.rank != 2 or om.dim != 7:
-                raise ValueError("omegas must be 2-forms on dim 7")
-            for lam in lams:
-                if interior_product(lam, om).sup_norm > 1e-12:
-                    raise ValueError("omegas must be transversal to the "
-                                     "lambda frame span")
+        if len(lams) != 3 or any(lam.rank != 1 or lam.dim != 7 for lam in lams):
+            raise ValueError("product mode needs three 1-forms on dim 7")
+        if np.shape(omegas) != (3, 7, 7):
+            raise ValueError(f"omegas must be a 3 x 7 x 7 array, not {np.shape(omegas)}")
+        oms = [FrameTensor(7, 2, om) for om in omegas]
+        if any(interior_product(lam, om).sup_norm > 1e-12 for lam in lams for om in oms):
+            raise ValueError("omegas must be transversal to the lambda frame span")
         phi = wedge(wedge(lams[0], lams[1]), lams[2])
         for lam, om in zip(lams, oms):
             phi = phi + wedge(lam, om)
@@ -414,24 +407,17 @@ def structure_reports(geom: LieFrameGeometry, structures: dict,
             for key, report in reports.items() if key in structures]
 
 
-def standard_quaternion_triple() -> np.ndarray:
-    """Flat quaternion triple on a 4-dim frame, stacked as (I1, I2, I1 I2),
-    the matrices of the self-dual forms e01 + e23, e02 - e13, e03 + e12."""
-    I1 = np.zeros((4, 4))
-    I2 = np.zeros((4, 4))
-    I1[0, 1], I1[1, 0], I1[2, 3], I1[3, 2] = 1.0, -1.0, 1.0, -1.0
-    I2[0, 2], I2[2, 0], I2[1, 3], I2[3, 1] = 1.0, -1.0, -1.0, 1.0
-    return np.stack([I1, I2, I1 @ I2])
-
-
-def hyperkahler_two_forms(dim: int, indices, anti: bool = False):
-    """The three quaternionic 2-forms on four chosen frame directions,
-    self-dual in the (indices)-orientation by default, anti-self-dual
-    with ``anti=True``.  The handedness matches the matrix convention
-    I3 = I1 I2 of standard_quaternion_triple."""
-    a, b, c, d = indices
+def standard_quaternion_triple(dim: int = 4, indices=(0, 1, 2, 3),
+                               anti: bool = False) -> np.ndarray:
+    """The quaternionic triple on four frame directions (a, b, c, d) of a
+    ``dim``-dim frame, stacked as (I1, I2, I3 = I1 I2): the matrices of
+    the 2-forms e_ab + e_cd, e_ac - e_bd, -(e_ad + e_bc), self-dual in
+    the (a, b, c, d)-orientation, or of e_ab - e_cd, e_ac + e_bd,
+    e_ad - e_bc, anti-self-dual, with ``anti=True``."""
+    a, b, c, d = np.arange(dim)[list(indices)]
+    if len({a, b, c, d}) != 4:
+        raise ValueError("the four frame directions must be distinct")
     s = -1.0 if anti else 1.0
-    om1 = basis_form(dim, (a, b)) + s * basis_form(dim, (c, d))
-    om2 = basis_form(dim, (a, c)) - s * basis_form(dim, (b, d))
-    om3 = -s * basis_form(dim, (a, d)) - basis_form(dim, (b, c))
-    return [om1, om2, om3]
+    half = np.zeros((3, dim, dim))
+    half[[0, 0, 1, 1, 2, 2], [a, c, a, b, a, b], [b, d, c, d, d, c]] = [1, s, 1, -s, -s, -1]
+    return half - np.swapaxes(half, 1, 2)

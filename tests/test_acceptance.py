@@ -42,7 +42,6 @@ from torsiongeo.special_structures import (
     build_g2,
     build_spin7,
     hkt_report,
-    hyperkahler_two_forms,
     spin7_report,
     standard_quaternion_triple,
 )
@@ -138,7 +137,7 @@ def test_criterion_5_g2_spin7():
     ww = cayley.row("wedge_square_vs_14vol").value
 
     lams = [basis_vector(7, r) for r in range(3)]
-    oms = hyperkahler_two_forms(7, (3, 4, 5, 6))
+    oms = standard_quaternion_triple(7, (3, 4, 5, 6))
     prod = build_g2("product", lambda_coframe=lams, omegas=oms)
     plus = np.linalg.eigvalsh(bryant_positivity(prod))
     minus = np.linalg.eigvalsh(bryant_positivity(prod, -1))
@@ -153,14 +152,13 @@ def test_criterion_5_g2_spin7():
 
 
 def test_criterion_6_su3_fibration():
-    pc = build_su3_fibration()
-    omegas = [o.components for o in pc.hermitian_forms]
-    B = fit_fiber_rotation(pc, omegas)
+    pc, triple = build_su3_fibration()
+    B = fit_fiber_rotation(pc, triple)
     eps_dev = float(np.abs(B[1:] - np.stack([EPS3[r] for r in range(3)])).max())
     eps_dev = max(eps_dev, float(np.abs(B[0]).max()))
-    fres = frestrict_residual(pc, B, omegas)
+    fres = frestrict_residual(pc, B, triple)
     wt = wedge_trace(pc).sup_norm
-    sign = quaternionic_orientation(pc.hermitian_forms)
+    sign = quaternionic_orientation(triple)
     asd = sd_asd_split(pc.component(0), sign)[0].sup_norm
     ok = fres < 1e-10 and eps_dev < 1e-10 and wt < 1e-12 and asd < 1e-10
     report(f"criterion 6: frestrict {fres:.2e} (eps-rep dev {eps_dev:.2e}), "

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from torsiongeo.frame_algebra import (
     top_coefficient,
 )
 from torsiongeo.invariant_geometry import lie_jacobi_residual
-from torsiongeo.special_structures import hyperkahler_two_forms, standard_quaternion_triple
+from torsiongeo.special_structures import standard_quaternion_triple
 
 RNG = np.random.default_rng(55)
 EPS3 = np.zeros((3, 3, 3))
@@ -64,23 +66,35 @@ def test_split_rejects_wrong_dimension():
 
 
 @pytest.mark.parametrize("anti, sign", [(False, 1), (True, -1)])
-def test_quaternionic_orientation_is_a_sign(anti, sign):
-    omegas = hyperkahler_two_forms(4, (0, 1, 2, 3), anti=anti)
-    assert quaternionic_orientation(omegas) == sign
-    for om in omegas:
-        assert sd_asd_split(om, sign)[1].sup_norm == 0.0
+def test_standard_quaternion_triple(anti, sign):
+    """On every ordered choice of four directions in dims 4-8 the triple
+    is antisymmetric, squares to minus the projector onto the chosen
+    span and satisfies I1 I2 = -I2 I1 = I3 exactly; on a 4-dim frame it
+    is self-dual in exactly the orientation ``sign``."""
+    for dim in range(4, 9):
+        for indices in itertools.permutations(range(dim), 4):
+            triple = standard_quaternion_triple(dim, indices, anti)
+            span = np.zeros((dim, dim))
+            span[indices, indices] = 1.0
+            I1, I2, I3 = triple
+            assert np.array_equal(triple, -np.swapaxes(triple, 1, 2))
+            assert all(np.array_equal(I @ I, -span) for I in triple)
+            assert np.array_equal(I1 @ I2, I3)
+            assert np.array_equal(I2 @ I1, -I3)
+    triple = standard_quaternion_triple(anti=anti)
+    assert quaternionic_orientation(triple) == sign
+    for J in triple:
+        assert sd_asd_split(FrameTensor(4, 2, J), sign)[1].sup_norm == 0.0
+    with pytest.raises(ValueError, match="distinct"):
+        standard_quaternion_triple(4, (0, 1, 3, -1), anti)
 
 
 # ---------------------------------------------------------------- frestrict
 
-def _omega_matrices():
-    return list(standard_quaternion_triple())
-
-
 def test_frestrict_zero_for_one_one_curvature():
     # a (1,1)-form with respect to all three structures is anti-self-dual;
     # with B = 0 both sides vanish
-    omegas = _omega_matrices()
+    omegas = standard_quaternion_triple()
     F = (basis_form(4, (0, 1)) - basis_form(4, (2, 3))).components
     pc = PrincipalCurvature(4, 1, F[None], np.eye(1), np.zeros((1, 1, 1)))
     assert frestrict_residual(pc, np.zeros((1, 3, 3)), omegas) < 1e-13
@@ -89,7 +103,7 @@ def test_frestrict_zero_for_one_one_curvature():
 def test_frestrict_substitution_model():
     """Substituting the self-dual ansatz F^r = -(h/2) omega^r together
     with the epsilon rotation representation solves the constraint."""
-    omegas = _omega_matrices()
+    omegas = standard_quaternion_triple()
     h = 1.7
     F = np.stack([-0.5 * h * om for om in omegas])
     B = np.zeros((3, 3, 3))
@@ -100,14 +114,14 @@ def test_frestrict_substitution_model():
 
 
 def test_frestrict_generic_violation():
-    omegas = _omega_matrices()
+    omegas = standard_quaternion_triple()
     F = antisymmetrize(RNG.standard_normal((4, 4)))[None]
     pc = PrincipalCurvature(4, 1, F, np.eye(1), np.zeros((1, 1, 1)))
     assert frestrict_residual(pc, np.zeros((1, 3, 3)), omegas) > 0.05
 
 
 def test_frestrict_shape_checks():
-    omegas = _omega_matrices()
+    omegas = standard_quaternion_triple()
     F = np.zeros((1, 4, 4))
     pc = PrincipalCurvature(4, 1, F, np.eye(1), np.zeros((1, 1, 1)))
     with pytest.raises(ValueError):
@@ -119,8 +133,18 @@ def test_frestrict_shape_checks():
 # ------------------------------------------------------------ su3 fibration
 
 @pytest.fixture(scope="module")
-def fibration():
+def fibration_built():
     return build_su3_fibration()
+
+
+@pytest.fixture(scope="module")
+def fibration(fibration_built):
+    return fibration_built[0]
+
+
+@pytest.fixture(scope="module")
+def base_triple(fibration_built):
+    return fibration_built[1]
 
 
 def test_fibration_fiber_metric(fibration):
@@ -135,30 +159,29 @@ def test_fibration_fiber_algebra(fibration):
     assert np.abs(cs[0, :, :]).max() < 1e-13
 
 
-def test_fibration_u1_component_anti_self_dual(fibration):
-    sign = quaternionic_orientation(fibration.hermitian_forms)
+def test_fibration_u1_component_anti_self_dual(fibration, base_triple):
+    sign = quaternionic_orientation(base_triple)
     plus, minus = sd_asd_split(fibration.component(0), sign)
     assert plus.sup_norm < 1e-13
     assert minus.sup_norm > 0.1
 
 
-def test_fibration_su2_self_dual_parts_span_quaternionic_forms(fibration):
-    sign = quaternionic_orientation(fibration.hermitian_forms)
+def test_fibration_su2_self_dual_parts_span_quaternionic_forms(fibration, base_triple):
+    sign = quaternionic_orientation(base_triple)
     for r in (1, 2, 3):
         plus, _ = sd_asd_split(fibration.component(r), sign)
         # frozen from the construction: F^r_+ = -(1/2) omega_r
-        expect = -0.5 * fibration.hermitian_forms[r - 1].components
+        expect = -0.5 * base_triple[r - 1]
         assert np.abs(plus.components - expect).max() < 1e-12
 
 
-def test_fibration_epsilon_representation(fibration):
-    omegas = [o.components for o in fibration.hermitian_forms]
-    B = fit_fiber_rotation(fibration, omegas)
+def test_fibration_epsilon_representation(fibration, base_triple):
+    B = fit_fiber_rotation(fibration, base_triple)
     assert np.abs(B[0]).max() < 1e-12
     # frozen scale: h = 1 in this fiber normalization
     expect = np.stack([EPS3[r] for r in range(3)])
     assert np.abs(B[1:] - expect).max() < 1e-12
-    assert frestrict_residual(fibration, B, omegas) < 1e-12
+    assert frestrict_residual(fibration, B, base_triple) < 1e-12
 
 
 def test_fibration_wedge_trace_vanishes(fibration):

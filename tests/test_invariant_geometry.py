@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import torsiongeo.invariant_geometry as invariant_geometry
 from torsiongeo.catalog import _flat, _su2 as su2, epsilon3
@@ -32,6 +33,8 @@ from torsiongeo.invariant_geometry import (
     soliton_report,
     with_torsion,
 )
+from torsiongeo.random_geometry import random_orthogonal, rotate_structure
+from torsiongeo.special_structures import hkt_report, standard_quaternion_triple
 
 RNG = np.random.default_rng(618)
 
@@ -335,33 +338,52 @@ def test_bianchi_term_by_term_oracle():
 
 def test_lee_form_flat_case_zero():
     geom = LieFrameGeometry(4, np.zeros((4, 4, 4)), zero_form(4, 3))
-    omega = FrameTensor(4, 2, np.array([[0., 1, 0, 0], [-1, 0, 0, 0],
-                                        [0, 0, 0, 1], [0, 0, -1, 0]]))
-    theta = lee_form(geom, omega)
+    J = np.array([[0., 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    theta = lee_form(geom, J)
     assert theta.rank == 1 and theta.sup_norm == 0.0
 
 
 def test_lee_form_parallel_su3(su3_built):
     geom, triple = su3_built
-    I = triple[0]
-    theta = lee_form(geom, FrameTensor(8, 2, 0.5 * (I - I.T)))
+    theta = lee_form(geom, triple[0])
     assert np.abs(nabla_invariant(theta.components, with_torsion(geom, 1))).max() < 1e-13
 
 
 def test_lee_form_su3_is_2_sqrt2_e1(su3_built):
     geom, triple = su3_built
     for J in triple:
-        theta = lee_form(geom, FrameTensor(8, 2, 0.5 * (J - J.T)))
+        theta = lee_form(geom, J)
         assert np.abs(theta.coeffs - 2 * np.sqrt(2) * np.eye(8)[1]).max() < 1e-14
 
 
 def test_lee_form_u2_is_e0():
     # u(2) = R + su(2) with H = -epsilon: the Hopf surface, theta = e^0
-    from torsiongeo.special_structures import standard_quaternion_triple
     geom = direct_sum(_flat(1), su2(-1.0))
     for J in standard_quaternion_triple():
-        theta = lee_form(geom, FrameTensor(4, 2, J))
+        theta = lee_form(geom, J)
         assert np.array_equal(theta.coeffs, [1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("case", ["su3-hkt", "hopf-u2"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lee_form_frame_covariant(su3_built, case, seed):
+    """Under a frame change e'_a = e_b O_ba of (c, H) and the triple,
+    each Lee form turns into O^T theta, and every HKT row that passed
+    still passes."""
+    if case == "su3-hkt":
+        geom, triple = su3_built
+    else:
+        geom, triple = direct_sum(_flat(1), su2(-1.0)), standard_quaternion_triple()
+    O = random_orthogonal(np.random.default_rng(seed), geom.dim)
+    rotated = LieFrameGeometry(geom.dim, *rotate_structure(geom.c, geom.H, O))
+    triple_rot = O.T @ triple @ O
+    for J, J_rot in zip(triple, triple_rot):
+        theta = lee_form(geom, J).coeffs
+        assert np.abs(lee_form(rotated, J_rot).coeffs - O.T @ theta).max() < 1e-12
+    before, after = hkt_report(geom, triple), hkt_report(rotated, triple_rot)
+    assert [r.name for r in after.rows] == [r.name for r in before.rows]
+    assert all(r1.passed for r0, r1 in zip(before.rows, after.rows) if r0.passed)
 
 
 # ------------------------------------------------------------------- soliton

@@ -12,6 +12,7 @@ from torsiongeo.catalog import CATALOG, _flat, _su2, catalog_entry, epsilon3
 from torsiongeo.cli import main
 from torsiongeo.frame_algebra import FrameTensor, antisymmetrize, basis_form, index_tuples
 from torsiongeo.geometry_io import (
+    MAX_DIM,
     _c_from_field,
     form_to_sparse,
     geometry_from_dict,
@@ -356,6 +357,9 @@ NON_REAL_VALUE_FILES = [
     {"dim": 8, "Phi": [[0, 1, 2, 3, False]]},
 ]
 
+# a dim outside [1, MAX_DIM], refused before anything is allocated
+OUT_OF_RANGE_DIM_FILES = [{"dim": 100000}, {"dim": 0}, {"dim": -3}]
+
 
 @pytest.mark.parametrize("command, doc",
                          [("verify", d) for d in BAD_GEOMETRY_FILES + BAD_STRUCTURE_FILES]
@@ -368,6 +372,8 @@ NON_REAL_VALUE_FILES = [
                             for cmd in ("verify", "decompose")]
                          + [("decompose", d) for d in BAD_STRUCTURE_FILES]
                          + [(cmd, doc) for doc in NON_REAL_VALUE_FILES
+                            for cmd in ("verify", "decompose")]
+                         + [(cmd, doc) for doc in OUT_OF_RANGE_DIM_FILES
                             for cmd in ("verify", "decompose")])
 def test_cli_malformed_geometry_file_exit_2(command, doc, tmp_path, capsys):
     doc = {"c": [], "H": [], **doc}
@@ -377,6 +383,13 @@ def test_cli_malformed_geometry_file_exit_2(command, doc, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "input error" in err
+
+
+def test_geometry_file_dim_bounds():
+    assert geometry_from_dict({"dim": MAX_DIM, "c": [], "H": []}).dim == MAX_DIM
+    for dim in (100000, MAX_DIM + 1, 0, -3):
+        with pytest.raises(ValueError, match=rf"^dim {dim} is not in \[1, {MAX_DIM}\]$"):
+            geometry_from_dict({"dim": dim, "c": [], "H": []})
 
 
 def test_cli_verify_phi_file_runs_geometry_reports_once(tmp_path, monkeypatch):

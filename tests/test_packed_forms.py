@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 import dense_oracle
 from torsiongeo.frame_algebra import (
     FrameTensor,
+    _rank,
     antisymmetrize,
     basis_form,
     form_inner,
@@ -123,6 +124,23 @@ def test_star_star_sign(case, sign):
     assert np.array_equal(twice.coeffs, (-1.0) ** (p * (n - p)) * a.coeffs)
     assert form_inner(hodge_star(a, sign), hodge_star(a, sign)) \
         == pytest.approx(form_inner(a, a), rel=1e-14)
+
+
+def test_packed_ranks_exact_where_dense_positions_overflow():
+    """Packed positions are exact where the dense flat position n**p
+    exceeds intp (from dim 18): every packed tuple list ranks as arange
+    up to dim 20, and ** = (-1)^{p(n-p)} at dim 18 for every degree."""
+    for n in range(21):
+        for p in range(n + 1):
+            if math.comb(n, p) <= 300_000:
+                # uncached, so the test leaves no large tables behind
+                tuples = index_tuples.__wrapped__(n, p)
+                assert np.array_equal(_rank(n, tuples), np.arange(math.comb(n, p)))
+    rng = np.random.default_rng(18)
+    for p in (1, 2, 16, 17):
+        a = packed_form(rng, 18, p)
+        twice = hodge_star(hodge_star(a))
+        assert np.array_equal(twice.coeffs, (-1.0) ** (p * (18 - p)) * a.coeffs)
 
 
 @SETTINGS

@@ -29,7 +29,6 @@ from torsiongeo.special_structures import (
     build_spin7,
     g2_report,
     hkt_report,
-    hyperkahler_two_forms,
     kt_report,
     nijenhuis,
     parallel_residual,
@@ -321,7 +320,7 @@ def test_bryant_definite_never_indefinite():
 
 def test_g2_product_mode_positive_exactly_one_orientation():
     lams = [basis_vector(7, r) for r in range(3)]
-    oms = hyperkahler_two_forms(7, (3, 4, 5, 6))
+    oms = standard_quaternion_triple(7, (3, 4, 5, 6))
     phi = build_g2("product", lambda_coframe=lams, omegas=oms)
     plus = np.linalg.eigvalsh(bryant_positivity(phi))
     minus = np.linalg.eigvalsh(bryant_positivity(phi, -1))
@@ -330,7 +329,7 @@ def test_g2_product_mode_positive_exactly_one_orientation():
 
 def test_g2_product_mode_duality_dichotomy():
     lams = [basis_vector(7, r) for r in range(3)]
-    oms = hyperkahler_two_forms(7, (3, 4, 5, 6), anti=True)
+    oms = standard_quaternion_triple(7, (3, 4, 5, 6), anti=True)
     phi = build_g2("product", lambda_coframe=lams, omegas=oms)
     plus = np.linalg.eigvalsh(bryant_positivity(phi))
     minus = np.linalg.eigvalsh(bryant_positivity(phi, -1))
@@ -340,9 +339,13 @@ def test_g2_product_mode_duality_dichotomy():
 
 def test_g2_product_mode_span_violation():
     lams = [basis_vector(7, r) for r in range(3)]
-    bad = [basis_form(7, (0, 4)), basis_form(7, (3, 4)), basis_form(7, (5, 6))]
+    bad = np.stack([basis_form(7, pair).components
+                    for pair in ((0, 4), (3, 4), (5, 6))])
     with pytest.raises(ValueError):
         build_g2("product", lambda_coframe=lams, omegas=bad)
+    with pytest.raises(ValueError):
+        build_g2("product", lambda_coframe=lams,
+                 omegas=standard_quaternion_triple(7, (3, 4, 5, 6))[:2])
 
 
 def test_g2_product_desk_model_structure():
@@ -350,7 +353,7 @@ def test_g2_product_desk_model_structure():
     product fundamental form parallel for the plus connection."""
     geom = direct_sum(_su2(-1.0), _flat(4))
     lams = [basis_vector(7, r) for r in range(3)]
-    oms = hyperkahler_two_forms(7, (3, 4, 5, 6))
+    oms = standard_quaternion_triple(7, (3, 4, 5, 6))
     phi = build_g2("product", lambda_coframe=lams, omegas=oms)
     assert d_invariant(geom.H, geom).sup_norm < 1e-12
     assert parallel_residual(phi.components, geom, 1) < 1e-12
