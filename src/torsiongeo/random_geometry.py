@@ -15,6 +15,19 @@ rotations (i, j, k), (k, i, j), (j, k, i), each with its c^a_{xy} term
 before its c^m_{pz} term; each LM step's Jacobian is one gather and one
 np.bincount over it, which adds in input order and so reproduces the
 sequential scatter-adds bit for bit.
+
+Many noisy starts stall on a singular stratum of the variety at a
+residual near 1e-5 to 1e-6, which no number of further steps brings
+below PROJECTION_TOL.  project_to_jacobi stops such a projection as
+soon as the contraction of its last STALL_WINDOW steps, carried over
+the steps it has left, cannot bring the residual within STALL_MARGIN of
+PROJECTION_TOL (stopping on a stagnating residual, as in Madsen,
+Nielsen & Tingleff, Methods for Non-Linear Least Squares Problems,
+2004, section 3).  A projection that stops ends above the tolerance, as
+it would have after its last step, so random_geometry takes the same
+exact-seed fallback and every sample keeps its bytes; the margin keeps
+the exit off the projections that go on to converge, which contract
+faster than geometrically once they near the variety.
 """
 
 from __future__ import annotations
@@ -31,9 +44,8 @@ from .frame_algebra import (
     derivation_matrix,
     epsilon3,
     index_tuples,
-    zero_form,
 )
-from .invariant_geometry import LieFrameGeometry, _jacobi_tensor, direct_sum
+from .invariant_geometry import LieFrameGeometry, _jacobi_tensor
 
 __all__ = [
     "project_to_jacobi",
@@ -46,6 +58,8 @@ __all__ = [
 
 PROJECTION_TOL = 1e-12
 MAX_TRIES = 40
+STALL_WINDOW = 2
+STALL_MARGIN = 1e2
 
 
 def _vec_to_c(vec: np.ndarray, dim: int) -> np.ndarray:
@@ -63,6 +77,10 @@ def _c_to_vec(c: np.ndarray) -> np.ndarray:
     """Independent entries of the lower-antisymmetric part of c."""
     b, cc = index_tuples(c.shape[0], 2).T
     return (0.5 * (c[:, b, cc] - c[:, cc, b])).ravel()
+
+
+def _sup(r: np.ndarray) -> float:
+    return float(np.abs(r).max() if r.size else 0.0)
 
 
 def _residual(c: np.ndarray, unimodular: bool) -> np.ndarray:
@@ -146,16 +164,39 @@ def project_to_jacobi(c0: np.ndarray, max_steps: int, unimodular: bool = True):
     """Levenberg-Marquardt projection of an antisymmetric candidate onto
     the Jacobi variety.  Returns (c, residual_sup); the residual may stay
     above PROJECTION_TOL when the iteration stalls and the caller
-    rejects those samples."""
+    rejects those samples.
+
+    With s_k the sup residual after k accepted steps and W =
+    STALL_WINDOW, the iteration gives up at the top of step k >= W when
+    its contraction over the last W steps, carried over the steps left,
+    cannot bring the residual within STALL_MARGIN of PROJECTION_TOL:
+
+        s_k * (s_k / s_{k-W}) ** ((max_steps - k) / W)
+            >= STALL_MARGIN * PROJECTION_TOL.
+
+    Such a projection ends above the tolerance, as it would have after
+    all max_steps steps, so the caller takes the same fallback and its
+    samples do not change.  The margin keeps the exit off the
+    projections that go on to reach the tolerance; tests/test_projection.py
+    checks that against the loop without the exit."""
     dim = c0.shape[0]
     vec = _c_to_vec(c0)
     nvar = vec.size
-    r = _residual(_vec_to_c(vec, dim), unimodular)
-    for _ in range(max_steps):
-        sup = np.abs(r).max() if r.size else 0.0
+    eye = np.eye(nvar)
+    c = _vec_to_c(vec, dim)
+    r = _residual(c, unimodular)
+    sups = [_sup(r)]
+    for k in range(max_steps):
+        sup = sups[k]
         if sup < PROJECTION_TOL:
             break
-        jac_mat = _jacobian(_vec_to_c(vec, dim), unimodular)
+        # in logs, where the power could overflow on a long projection
+        if k >= STALL_WINDOW and (
+                math.log(sup) + (max_steps - k) / STALL_WINDOW
+                * math.log(sup / sups[k - STALL_WINDOW])
+                >= math.log(STALL_MARGIN * PROJECTION_TOL)):
+            break  # stagnating: the tolerance is out of reach
+        jac_mat = _jacobian(c, unimodular)
         # Levenberg-Marquardt step: the plain minimum-norm Gauss-Newton
         # solution contains the direction -c/2, which collapses every
         # start to the abelian point; damping keeps the iterate near the
@@ -166,19 +207,19 @@ def project_to_jacobi(c0: np.ndarray, max_steps: int, unimodular: bool = True):
         mu = 1e-3 * max(np.trace(jtj) / nvar, 1e-12)
         accepted = False
         for _ in range(8):
-            step = np.linalg.solve(jtj + mu * np.eye(nvar), -jtr)
+            step = np.linalg.solve(jtj + mu * eye, -jtr)
             trial = vec + step
-            r_trial = _residual(_vec_to_c(trial, dim), unimodular)
+            c_trial = _vec_to_c(trial, dim)
+            r_trial = _residual(c_trial, unimodular)
             if np.linalg.norm(r_trial) < 0.98 * norm0:
-                vec, r = trial, r_trial
+                vec, c, r = trial, c_trial, r_trial
                 accepted = True
                 break
             mu *= 8.0
         if not accepted:
             break  # stalled (typically near a singular stratum); give up
-    c = _vec_to_c(vec, dim)
-    r = _residual(c, unimodular)
-    return c, float(np.abs(r).max() if r.size else 0.0)
+        sups.append(_sup(r))
+    return c, sups[-1]
 
 
 def _block_library(unimodular: bool):
@@ -215,20 +256,20 @@ def _seed_structure(rng: np.random.Generator, dim: int,
                     unimodular: bool) -> np.ndarray:
     """Random scaled block sum of library algebras, randomly conjugated."""
     blocks = _block_library(unimodular)
-    factors = []
+    c = np.zeros((dim,) * 3)
     pos = 0
     while pos < dim:
         fits = [b for b in blocks if b.shape[0] <= dim - pos]
         if not fits or rng.random() < 0.2:
-            b = np.zeros((1, 1, 1))  # abelian direction
-        else:
-            b = fits[rng.integers(len(fits))] * float(rng.uniform(0.5, 1.5))
-        k = b.shape[0]
-        factors.append(LieFrameGeometry(k, b, zero_form(k, 3)))
-        pos += k
+            pos += 1  # abelian direction
+            continue
+        b = fits[rng.integers(len(fits))] * float(rng.uniform(0.5, 1.5))
+        block = slice(pos, pos + b.shape[0])
+        c[block, block, block] = b
+        pos += b.shape[0]
     O = random_orthogonal(rng, dim)
     # unoptimized on purpose: the sample golden pins the bytes of this sum
-    return np.einsum("ma,pb,qc,mpq->abc", O, O, O, direct_sum(*factors).c)
+    return np.einsum("ma,pb,qc,mpq->abc", O, O, O, c)
 
 
 def random_geometry(rng: np.random.Generator, dim: int,
