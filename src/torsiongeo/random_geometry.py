@@ -19,15 +19,14 @@ sequential scatter-adds bit for bit.
 Many noisy starts stall on a singular stratum of the variety at a
 residual near 1e-5 to 1e-6, which no number of further steps brings
 below PROJECTION_TOL.  project_to_jacobi stops such a projection as
-soon as the contraction of its last STALL_WINDOW steps, carried over
-the steps it has left, cannot bring the residual within STALL_MARGIN of
-PROJECTION_TOL (stopping on a stagnating residual, as in Madsen,
+soon as its recent contraction can no longer reach the tolerance in
+the steps it has left (stopping on a stagnating residual, as in Madsen,
 Nielsen & Tingleff, Methods for Non-Linear Least Squares Problems,
-2004, section 3).  A projection that stops ends above the tolerance, as
-it would have after its last step, so random_geometry takes the same
-exact-seed fallback and every sample keeps its bytes; the margin keeps
-the exit off the projections that go on to converge, which contract
-faster than geometrically once they near the variety.
+2004, section 3).  It then ends above the tolerance, as it would have
+after its last step, so random_geometry takes the same exact-seed
+fallback and every sample keeps its bytes; the margin STALL_MARGIN
+keeps the exit off the projections that go on to converge, which
+contract faster than geometrically once they near the variety.
 """
 
 from __future__ import annotations
