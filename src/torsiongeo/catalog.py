@@ -13,6 +13,8 @@ factors.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import fibration_topology
@@ -28,11 +30,18 @@ from .special_structures import (
 __all__ = ["CATALOG", "CatalogEntry", "catalog_entry", "epsilon3"]
 
 
+# the factors are built once per process and only read: direct_sum copies
+# their arrays into a fresh geometry, so nothing derived from a factor
+# reaches a built entry
+
+
+@lru_cache(maxsize=None)
 def _su2(H_scale=1.0):
     """su(2) with torsion H_scale * epsilon."""
     return LieFrameGeometry(3, epsilon3(), FrameTensor(3, 3, H_scale * epsilon3()))
 
 
+@lru_cache(maxsize=None)
 def _flat(k):
     """Flat R^k."""
     return LieFrameGeometry(k, np.zeros((k, k, k)), zero_form(k, 3))

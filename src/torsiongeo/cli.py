@@ -263,7 +263,8 @@ def _load_json(path):
 
 def _emit(report: dict, cfg):
     if cfg["format"] == "json":
-        text = json.dumps(report, indent=1)
+        # one line: without indent, json uses its C encoder
+        text = json.dumps(report)
     else:
         lines = [f"torsiongeo {report.get('command', '')} "
                  f"[{report.get('input', '')}]  "
@@ -287,9 +288,12 @@ def _emit(report: dict, cfg):
             lines.append(f"  residual_sup: {report['residual_sup']}")
         text = "\n".join(lines)
     if cfg.get("output"):
-        with open(cfg["output"], "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+        try:
+            with open(cfg["output"], "w") as fh:
+                fh.write(text)
+                fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {cfg['output']}: {exc}") from exc
     else:
         print(text)
 
@@ -348,10 +352,10 @@ def main(argv=None) -> int:
         if "tol" in cfg and not 0 < cfg["tol"] < np.inf:
             raise InputError(f"--tol must be positive and finite, not {cfg['tol']}")
         report, status = _RUNNERS[args.command](cfg)
+        _emit(report, cfg)
     except (InputError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _emit(report, cfg)
     return status
 
 

@@ -11,6 +11,7 @@ with h a positive multiple of minus the Killing form per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,6 +118,18 @@ class DecompositionResult:
         }
 
 
+_EIGENBASIS_SUBSCRIPTS = "pa,qb,rc,pqr->abc"
+
+
+@lru_cache(maxsize=None)
+def _eigenbasis_path(dim: int) -> tuple:
+    """The contraction order ``einsum(optimize=True)`` picks for moving a
+    dim-n 3-form into an n x n basis; it depends on the shapes only."""
+    square = np.empty((dim, dim))
+    return tuple(np.einsum_path(_EIGENBASIS_SUBSCRIPTS, square, square, square,
+                                np.empty((dim,) * 3), optimize=True)[0])
+
+
 def _block_killing_residual(block_H: np.ndarray, eigenvalue: float) -> float:
     """Compare -1/2 of the ad-composition Killing form of the block
     against the restriction of h (eigenvalue times identity)."""
@@ -147,7 +160,8 @@ def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL) -> Decomposition
     H = geom.H.components
     # torsion components in the full eigenbasis, for cross-block mixing
     full_basis = np.concatenate([c.basis for c in clusters], axis=1)
-    H_eig = np.einsum("pa,qb,rc,pqr->abc", *(full_basis,) * 3, H, optimize=True)
+    H_eig = np.einsum(_EIGENBASIS_SUBSCRIPTS, *(full_basis,) * 3, H,
+                      optimize=_eigenbasis_path(geom.dim))
     labels = np.concatenate([[k] * c.multiplicity
                              for k, c in enumerate(clusters)]) if clusters else []
 

@@ -248,7 +248,7 @@ class FrameTensor:
             if coeffs.shape != (math.comb(n, p),):
                 raise ValueError(f"packed coefficients of shape {coeffs.shape}, "
                                  f"expected ({math.comb(n, p)},)")
-            if not np.all(np.isfinite(coeffs)):
+            if not np.isfinite(coeffs).all():
                 raise ValueError("non-finite component encountered")
         else:
             comp = np.asarray(components, dtype=np.float64)
@@ -257,7 +257,7 @@ class FrameTensor:
                     f"components shape {comp.shape} does not match dim^rank "
                     f"= {(n,) * p}"
                 )
-            if not np.all(np.isfinite(comp)):
+            if not np.isfinite(comp).all():
                 raise ValueError("non-finite component encountered")
             if p >= 2:
                 # relative with an absolute floor, so numerically-zero arrays

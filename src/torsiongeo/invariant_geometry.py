@@ -96,7 +96,7 @@ class LieFrameGeometry:
         c = np.asarray(self.c, dtype=np.float64)
         if c.shape != (self.dim,) * 3:
             raise ValueError("structure constants must have shape (dim, dim, dim)")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("non-finite structure constants")
         if np.abs(c + np.swapaxes(c, 1, 2)).max() > 1e-12 * max(1.0, np.abs(c).max()):
             raise ValueError("structure constants not antisymmetric in the lower pair")

@@ -13,19 +13,20 @@ dim x dim matrix, a triple the (3, dim, dim) stack (I1, I2, I3 = I1 I2).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .frame_algebra import (
     FrameTensor,
-    basis_form,
+    _frozen,
+    _rank,
     basis_vector,
     form_inner,
     interior_product,
     wedge,
     wedge_top_coefficient,
     hodge_star,
-    zero_form,
 )
 from .invariant_geometry import (
     LieFrameGeometry,
@@ -176,7 +177,7 @@ def _su3_complex_table():
     pairing[0, 0] = pairing[1, 1] = 1.0
     for gi, mi in ((2, 5), (3, 6), (4, 7)):
         pairing[gi, mi] = pairing[mi, gi] = 1.0
-    return table, pairing, alpha, beta
+    return table, pairing
 
 
 def _su3_real_frame():
@@ -205,17 +206,15 @@ def _real_matrix(M_complex: np.ndarray, T: np.ndarray) -> np.ndarray:
     return cols.real
 
 
-def build_su3():
-    """The bi-invariant torsion geometry on the 8-dimensional compact
-    simple group of rank 2 with its hypercomplex pair (I, J).
-
-    The torsion 3-form is minus the canonical 3-form sigma(X,Y,Z) =
-    g([X,Y],Z), so that the plus-torsion connection has vanishing
-    coefficients on left-invariant data and parallelizes I and J.
-    Returns (geometry, triple) with the triple stacked as (I, J, IJ).
-    """
+@lru_cache(maxsize=None)
+def _su3_real_form():
+    """Read-only structure constants ``c[m, a, b]`` and the matrices of
+    the hypercomplex pair (I, J) of the 8-dim compact simple algebra in
+    the real frame of ``_su3_real_frame``.  Constants of the algebra:
+    built and checked once per process, from the complex bracket table,
+    the frame and the complex-linear (I, J) below."""
     s2 = np.sqrt(2.0)
-    table, pairing, alpha, beta = _su3_complex_table()
+    table, pairing = _su3_complex_table()
     T = _su3_real_frame()
 
     metric = -(T @ pairing @ T.T)
@@ -227,10 +226,6 @@ def build_su3():
     if np.abs(coef.imag).max() > 1e-12:
         raise AssertionError("real frame is not closed under the bracket")
     c = np.transpose(coef.real, (2, 0, 1))  # c[m, a, b]
-
-    sigma = np.transpose(c, (1, 2, 0))      # sigma_{abm} = c^m_{ab}
-    H = FrameTensor(8, 3, -sigma)
-    geom = LieFrameGeometry(8, c, H, name="su3-hkt")
 
     MI = np.zeros((8, 8), dtype=complex)
     MI[1, 0] = -1.0   # I(h1) = -h2
@@ -256,6 +251,23 @@ def build_su3():
     MJ[4, 1] = -1j / s2          # J(h2) = -i(e_g - e_-g)/sqrt(2)
     MJ[7, 1] = 1j / s2
     J = _real_matrix(MJ, T)
+    return _frozen(c), _frozen(I), _frozen(J)
+
+
+def build_su3():
+    """The bi-invariant torsion geometry on the 8-dimensional compact
+    simple group of rank 2 with its hypercomplex pair (I, J).
+
+    The torsion 3-form is minus the canonical 3-form sigma(X,Y,Z) =
+    g([X,Y],Z), so that the plus-torsion connection has vanishing
+    coefficients on left-invariant data and parallelizes I and J.
+    Returns a freshly built and validated (geometry, triple), with the
+    triple stacked as (I, J, IJ).
+    """
+    c, I, J = _su3_real_form()
+    sigma = np.transpose(c, (1, 2, 0))      # sigma_{abm} = c^m_{ab}
+    H = FrameTensor(8, 3, -sigma)
+    geom = LieFrameGeometry(8, c, H, name="su3-hkt")
     return geom, np.stack([I, J, I @ J])
 
 
@@ -287,10 +299,10 @@ def build_g2(mode: str = "standard", lambda_coframe=None, omegas=None) -> FrameT
     annihilated by the frame's duals.
     """
     if mode == "standard":
-        phi = zero_form(7, 3)
-        for line, sign in _G2_LINES:
-            phi = phi + sign * basis_form(7, line)
-        return phi
+        lines, signs = zip(*_G2_LINES)
+        coeffs = np.zeros(math.comb(7, 3))
+        coeffs[_rank(7, np.array(lines))] = signs
+        return FrameTensor(7, 3, coeffs=coeffs)
     if mode == "product":
         if lambda_coframe is None or omegas is None:
             raise ValueError("product mode needs lambda_coframe and omegas")

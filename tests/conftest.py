@@ -1,3 +1,11 @@
+import os
+
+# one BLAS thread unless the caller chose otherwise, fixed before numpy
+# loads (as in perfbench/run.py): numpy's default thread count stalls the
+# suite when the machine's cores are busy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

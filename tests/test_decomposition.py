@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from torsiongeo.catalog import _flat, _su2, epsilon3
 from torsiongeo.decomposition import (
+    _EIGENBASIS_SUBSCRIPTS,
+    _eigenbasis_path,
     decompose,
     eigen_split,
     torsion_gram,
@@ -282,3 +284,14 @@ def test_decompose_refuses_torsion_across_n_and_g(case):
     # 1e-6 e^{ijk} with i in N and j, k in G breaks dH = 0 or nabla^ H = 0
     with pytest.raises(HypothesesNotMet):
         decompose(split_product(*case, perturb=1e-6))
+
+
+def test_eigenbasis_path_gives_the_bytes_of_optimized_einsum():
+    # the cached contraction order is the one einsum(optimize=True) picks
+    rng = np.random.default_rng(5)
+    for dim in range(1, 10):
+        B = rng.standard_normal((dim, dim))
+        H = rng.standard_normal((dim,) * 3)
+        ref = np.einsum(_EIGENBASIS_SUBSCRIPTS, B, B, B, H, optimize=True)
+        out = np.einsum(_EIGENBASIS_SUBSCRIPTS, B, B, B, H, optimize=_eigenbasis_path(dim))
+        assert out.tobytes() == ref.tobytes(), dim

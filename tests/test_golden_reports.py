@@ -36,7 +36,12 @@ dim-7 and dim-8 entries (unimodular and general, open and closed, seeds
 0-2) were added later still, recorded before the projection came to stop
 stagnating iterations early; no earlier entry changed then.  ``golden/catalog_sha256.json``
 holds the SHA-256 of ``c`` and of ``H.coeffs`` bytes of every catalog
-geometry entry, recorded before the entries were rebuilt as direct sums.
+geometry entry, recorded before the entries were rebuilt as direct sums;
+the bytes of each entry's structures (the ``triple`` array, the packed
+``phi`` and ``Phi`` coefficients) and of the fibration entry's ``F``,
+``fiber_metric``, ``cs`` (``fiber_structure``) and base ``triple`` were
+added later, recorded before the catalog's constants came to be built
+once per process; no earlier key changed then.
 """
 
 import hashlib
@@ -145,12 +150,42 @@ def sha256(arr):
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
+def catalog_digests(entry) -> dict:
+    """SHA-256 of the bytes of every array a catalog entry builds."""
+    built = entry.build()
+    if entry.kind == "fibration":
+        pc, triple = built
+        return {"F": sha256(pc.F), "fiber_metric": sha256(pc.fiber_metric),
+                "cs": sha256(pc.fiber_structure), "triple": sha256(triple)}
+    geom, structures = built
+    return {"c": sha256(geom.c), "H": sha256(geom.H.coeffs),
+            **{key: sha256(getattr(value, "coeffs", value))
+               for key, value in structures.items()}}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CATALOG))
 def test_catalog_geometries_are_bit_identical(name):
-    geom, _ = CATALOG[name].build()
-    assert {"c": sha256(geom.c), "H": sha256(geom.H.coeffs)} == GOLDEN_CATALOG[name]
+    assert catalog_digests(CATALOG[name]) == GOLDEN_CATALOG[name]
 
 
 def test_catalog_golden_covers_every_geometry_entry():
-    assert sorted(GOLDEN_CATALOG) == sorted(n for n, e in CATALOG.items()
-                                            if e.kind != "fibration")
+    assert sorted(GOLDEN_CATALOG) == sorted(CATALOG)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_each_build_makes_its_own_geometry(name):
+    # the catalog's constants are shared; nothing a command derives is
+    first, second = CATALOG[name].build(), CATALOG[name].build()
+    if CATALOG[name].kind == "fibration":
+        (pc1, triple1), (pc2, triple2) = first, second
+        assert pc1 is not pc2 and not np.shares_memory(pc1.F, pc2.F)
+        assert not np.shares_memory(triple1, triple2)
+        return
+    (geom1, structures1), (geom2, structures2) = first, second
+    assert geom1 is not geom2
+    assert not np.shares_memory(geom1.c, geom2.c)
+    assert geom1.H is not geom2.H and geom1.dH is not geom2.dH
+    for sign in (0, 1, -1):
+        assert geom1.connections[sign] is not geom2.connections[sign]
+        assert geom1.curvatures[sign] is not geom2.curvatures[sign]
+    assert all(structures1[key] is not structures2[key] for key in structures1)

@@ -572,9 +572,51 @@ def test_cli_reports_deterministic(tmp_path):
     run_cli(["verify", "--example", "su2su2", "--format", "json",
              "--output", str(out2)])
     assert out1.read_text() == out2.read_text()
-    # JSON round-trips bit-exactly
+    # JSON round-trips bit-exactly, as one line
     rep = json.loads(out1.read_text())
-    assert json.dumps(rep, indent=1) + "\n" == out1.read_text()
+    assert json.dumps(rep) + "\n" == out1.read_text()
+
+
+def _command_argv(case: str, tmp_path) -> list:
+    """argv of a small valid run of ``case``: "catalog", "topology",
+    "dilaton", or "<verify|decompose> <catalog entry>"."""
+    if case == "topology":
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps({"k": 1, "n": [1], "chi": 3, "tau": -1}))
+        return ["topology", "--input", str(path)]
+    if case == "dilaton":
+        path = tmp_path / "dilaton.json"
+        path.write_text(json.dumps({"grid": [8, 8], "w": "sine-bump"}))
+        return ["dilaton", "--input", str(path)]
+    if case == "catalog":
+        return ["catalog"]
+    command, name = case.split()
+    return [command, "--example", name]
+
+
+@pytest.mark.parametrize("case", [f"{command} {name}" for command in ("verify", "decompose")
+                                  for name in CATALOG] + ["topology", "catalog", "dilaton"])
+def test_cli_json_report_is_one_canonical_line(case, tmp_path, capsys):
+    argv = _command_argv(case, tmp_path) + ["--format", "json"]
+    outs = []
+    for _ in range(2):
+        main(argv)
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0] == json.dumps(json.loads(outs[0])) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", ["verify su2su2", "decompose su2su2", "topology",
+                                  "dilaton", "catalog"])
+def test_cli_unwritable_output_exit_2(case, fmt, tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.json"
+    argv = _command_argv(case, tmp_path) + ["--format", fmt, "--output", str(target)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"input error: cannot write {target}: ")
+    assert not target.exists()
 
 
 def test_catalog_entry_unknown_name():

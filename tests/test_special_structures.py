@@ -24,9 +24,11 @@ from torsiongeo.invariant_geometry import (
     with_torsion,
 )
 from torsiongeo.special_structures import (
+    _su3_real_form,
     bryant_positivity,
     build_g2,
     build_spin7,
+    build_su3,
     g2_report,
     hkt_report,
     kt_report,
@@ -61,6 +63,13 @@ def test_nijenhuis_abelian_always_zero():
         q, _ = np.linalg.qr(RNG.standard_normal((6, 6)))
         J = q @ standard_block_J(6) @ q.T
         assert np.abs(nijenhuis(J, geom)).max() < 1e-12
+
+
+def test_build_su3_hands_out_no_writable_constant():
+    _, triple = build_su3()
+    triple[...] = 0.0
+    assert not any(arr.flags.writeable for arr in _su3_real_form())
+    assert np.abs(build_su3()[1]).max() == 1.0
 
 
 def test_nijenhuis_su3_structures(su3_built):
