@@ -35,6 +35,7 @@ from .invariant_geometry import (
     lee_form,
     soliton_report,
     bochner_term,
+    parallel_residual,
 )
 from .decomposition import (
     DecompositionResult,
@@ -53,7 +54,6 @@ from .special_structures import (
     bryant_positivity,
     build_spin7,
     spin7_report,
-    parallel_residual,
 )
 from .fibration_topology import (
     PrincipalCurvature,

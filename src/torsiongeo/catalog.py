@@ -13,12 +13,14 @@ factors.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fibration_topology
-from .frame_algebra import FrameTensor, basis_vector, epsilon3, zero_form
+from .frame_algebra import FrameTensor, epsilon3, zero_form
 from .invariant_geometry import LieFrameGeometry, direct_sum
 from .special_structures import (
     build_g2,
@@ -27,7 +29,7 @@ from .special_structures import (
     standard_quaternion_triple,
 )
 
-__all__ = ["CATALOG", "CatalogEntry", "catalog_entry", "epsilon3"]
+__all__ = ["CATALOG", "CatalogEntry", "catalog_entry"]
 
 
 # the factors are built once per process and only read: direct_sum copies
@@ -47,15 +49,11 @@ def _flat(k):
     return LieFrameGeometry(k, np.zeros((k, k, k)), zero_form(k, 3))
 
 
-class CatalogEntry:
-    def __init__(self, name, kind, describe, build):
-        self.name = name
-        self.kind = kind            # geometry | hkt | g2 | spin7 | fibration
-        self.describe = describe
-        self._build = build
-
-    def build(self):
-        return self._build()
+class CatalogEntry(NamedTuple):
+    name: str
+    kind: str           # geometry | hkt | g2 | spin7 | fibration
+    describe: str
+    build: Callable[[], tuple]
 
 
 def _su3_entry():
@@ -64,9 +62,7 @@ def _su3_entry():
 
 
 def _g2_product_entry():
-    lams = [basis_vector(7, r) for r in range(3)]
-    oms = standard_quaternion_triple(7, (3, 4, 5, 6))
-    phi = build_g2("product", lambda_coframe=lams, omegas=oms)
+    phi = build_g2(standard_quaternion_triple(7, (3, 4, 5, 6)))
     # the desk model of a flat 4-space times the 3-sphere group: torsion
     # is minus the group block's canonical 3-form so the plus-torsion
     # connection parallelizes the product fundamental form
@@ -107,17 +103,17 @@ CATALOG = {
         "g2-standard", "g2",
         "standard positive 3-form in an adapted flat coframe",
         lambda: (direct_sum(_flat(7), name="g2-standard"),
-                 {"phi": build_g2("standard")})),
+                 {"phi": build_g2()})),
     "g2-su2-product": CatalogEntry(
         "g2-su2-product", "g2",
-        "product-mode positive 3-form from a group coframe and the flat "
+        "positive product 3-form from a group coframe and the flat "
         "quaternionic 2-forms",
         _g2_product_entry),
     "spin7-standard": CatalogEntry(
         "spin7-standard", "spin7",
         "Cayley 4-form built from the standard positive 3-form",
         lambda: (direct_sum(_flat(8), name="spin7-standard"),
-                 {"Phi": build_spin7(build_g2("standard"))})),
+                 {"Phi": build_spin7(build_g2())})),
     "su3-fibration": CatalogEntry(
         "su3-fibration", "fibration",
         "curvature data of the homogeneous fibration of the 8-dim group "

@@ -140,7 +140,7 @@ def run_topology(cfg) -> tuple:
         fiber = data.get("fiber", "s(u1xu2)")
         table = chern_topology(top, fiber)
         listing = [{"k": k, "n": list(n)}
-                   for k, n in enumerate_diophantine(int(cfg.get("kmax", 12)))]
+                   for k, n in enumerate_diophantine(cfg["kmax"])]
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"bad topology file: {exc}") from exc
     verdict = ("admits the required fibration class"
@@ -347,7 +347,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = vars(args)
-    cfg.setdefault("format", "text")
     try:
         if "tol" in cfg and not 0 < cfg["tol"] < np.inf:
             raise InputError(f"--tol must be positive and finite, not {cfg['tol']}")

@@ -309,8 +309,6 @@ class _ShiftedSolver:
     def __init__(self, domain: DiscreteDomain, lam: float):
         if lam <= 0:
             raise ValueError("lambda must be positive")
-        self.domain = domain
-        self.lam = lam
         self.op = (-domain.laplacian
                    + lam * sp.identity(domain.node_count, format="csr")).tocsr()
         self.op_norm = float(abs(self.op).sum(axis=1).max())

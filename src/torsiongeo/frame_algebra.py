@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -225,8 +225,8 @@ def _expand(n: int, p: int, coeffs: np.ndarray) -> np.ndarray:
 class FrameTensor:
     """A p-form in an orthonormal frame, stored packed.
 
-    Build it from dense ``components`` of shape ``(dim,) * rank``, or
-    from its packed ``coeffs`` (one per row of ``index_tuples(dim,
+    Build it from its ``dense`` components of shape ``(dim,) * rank``,
+    or from its packed ``coeffs`` (one per row of ``index_tuples(dim,
     rank)``).  Dense input must be totally antisymmetric, verified once
     on construction (sign flip under every adjacent transposition, which
     is equivalent to full antisymmetry); the form keeps only its packed
@@ -236,13 +236,13 @@ class FrameTensor:
 
     dim: int
     rank: int
-    components: InitVar[np.ndarray | None] = None
+    dense: InitVar[np.ndarray | None] = None
     coeffs: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self, components):
+    def __post_init__(self, dense):
         n, p = self.dim, self.rank
         if self.coeffs is not None:
-            if components is not None:
+            if dense is not None:
                 raise ValueError("give dense components or packed coeffs, not both")
             coeffs = np.array(self.coeffs, dtype=np.float64)
             if coeffs.shape != (math.comb(n, p),):
@@ -251,7 +251,7 @@ class FrameTensor:
             if not np.isfinite(coeffs).all():
                 raise ValueError("non-finite component encountered")
         else:
-            comp = np.asarray(components, dtype=np.float64)
+            comp = np.asarray(dense, dtype=np.float64)
             if comp.shape != (n,) * p:
                 raise ValueError(
                     f"components shape {comp.shape} does not match dim^rank "
@@ -272,15 +272,14 @@ class FrameTensor:
                             f"{k},{k + 1}"
                         )
             coeffs = comp.reshape(-1)[_packing(n, p)]
-        _frozen(coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_dense", coeffs.reshape((n,) * p) if p <= 1 else None)
+        object.__setattr__(self, "coeffs", _frozen(coeffs))
 
-    def _components(self) -> np.ndarray:
-        if self._dense is None:
-            object.__setattr__(self, "_dense",
-                               _frozen(_expand(self.dim, self.rank, self.coeffs)))
-        return self._dense
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Read-only dense (dim,)*rank components, expanded on first access."""
+        if self.rank <= 1:
+            return self.coeffs.reshape((self.dim,) * self.rank)
+        return _frozen(_expand(self.dim, self.rank, self.coeffs))
 
     @property
     def sup_norm(self) -> float:
@@ -309,13 +308,6 @@ class FrameTensor:
             raise TypeError("expected FrameTensor")
         if other.dim != self.dim or other.rank != self.rank:
             raise ValueError("dim/rank mismatch")
-
-
-# ``components`` is an init-only argument of the dataclass; on instances
-# it reads the dense array
-FrameTensor.components = property(
-    FrameTensor._components,
-    doc="Read-only dense (dim,)*rank components (expanded once on first access).")
 
 
 def zero_form(dim: int, rank: int) -> FrameTensor:
@@ -385,7 +377,7 @@ def interior_product(v: FrameTensor, chi: FrameTensor) -> FrameTensor:
     if v.dim != chi.dim:
         raise ValueError("dimension mismatch")
     js, union, sign = _contractions(chi.dim, chi.rank)
-    coeffs = np.sum(v.components[js] * sign * chi.coeffs[union], axis=1)
+    coeffs = np.sum(v.coeffs[js] * sign * chi.coeffs[union], axis=1)
     return FrameTensor(chi.dim, chi.rank - 1, coeffs=coeffs)
 
 

@@ -2,7 +2,7 @@
 
 Contains the explicit bi-invariant torsion geometry on the compact
 group with 8-dimensional root system A2 (su(3)) together with its
-hypercomplex pair, the 7-dimensional positive 3-form builders, and the
+hypercomplex pair, the 7-dimensional positive 3-form builder, and the
 Cayley 4-form, plus one verification report per structure: KT
 (Hermitian with torsion), HKT (hyper-Hermitian with torsion), G2 and
 Spin(7), each taking ``(geom, structure, tol)``.  ``structure_reports``
@@ -20,9 +20,9 @@ import numpy as np
 from .frame_algebra import (
     FrameTensor,
     _frozen,
-    _rank,
     basis_vector,
     form_inner,
+    index_tuples,
     interior_product,
     wedge,
     wedge_top_coefficient,
@@ -47,7 +47,6 @@ __all__ = [
     "bryant_positivity",
     "build_spin7",
     "spin7_report",
-    "parallel_residual",
     "type_3_0_projection",
     "standard_quaternion_triple",
 ]
@@ -271,54 +270,38 @@ def build_su3():
     return geom, np.stack([I, J, I @ J])
 
 
-# signed index triples (0-based) of the standard positive 3-form; the
-# first five follow the bi-invariant-geometry literature normal form,
-# the last two carry the signs that make the positivity matrix exactly
-# the identity in the positive orientation
-_G2_LINES = (
-    ((0, 1, 2), 1.0),
-    ((0, 3, 4), 1.0),
-    ((0, 5, 6), 1.0),
-    ((1, 3, 6), 1.0),
-    ((1, 4, 5), 1.0),
-    ((2, 3, 5), 1.0),
-    ((2, 4, 6), -1.0),
-)
+def build_g2(omegas=None) -> FrameTensor:
+    """The positive 3-form phi = e012 + sum_r e^r ^ omega_r (0-based) of
+    a 3-dim factor times a quaternionic 4-dim one, from the (3, 7, 7)
+    stack of the matrices of three 2-forms on the last four directions.
 
-
-def build_g2(mode: str = "standard", lambda_coframe=None, omegas=None) -> FrameTensor:
-    """Positive 3-form builders in 7 dimensions.
-
-    mode="standard": the adapted-coframe normal form
+    The default stack, ``standard_quaternion_triple(7, (3, 4, 6, 5),
+    anti=True)``, gives the normal form
         phi = e123 + e145 + e167 + e247 + e256 + e346 - e357
     (1-based indices), whose positivity matrix is the identity for the
     positive orientation.
-
-    mode="product": phi = l1^l2^l3 + sum_r l^r ^ omega_r from a 3-frame
-    of 1-forms and the (3, 7, 7) stack of the matrices of three 2-forms
-    annihilated by the frame's duals.
     """
-    if mode == "standard":
-        lines, signs = zip(*_G2_LINES)
-        coeffs = np.zeros(math.comb(7, 3))
-        coeffs[_rank(7, np.array(lines))] = signs
-        return FrameTensor(7, 3, coeffs=coeffs)
-    if mode == "product":
-        if lambda_coframe is None or omegas is None:
-            raise ValueError("product mode needs lambda_coframe and omegas")
-        lams = list(lambda_coframe)
-        if len(lams) != 3 or any(lam.rank != 1 or lam.dim != 7 for lam in lams):
-            raise ValueError("product mode needs three 1-forms on dim 7")
-        if np.shape(omegas) != (3, 7, 7):
-            raise ValueError(f"omegas must be a 3 x 7 x 7 array, not {np.shape(omegas)}")
-        oms = [FrameTensor(7, 2, om) for om in omegas]
-        if any(interior_product(lam, om).sup_norm > 1e-12 for lam in lams for om in oms):
-            raise ValueError("omegas must be transversal to the lambda frame span")
-        phi = wedge(wedge(lams[0], lams[1]), lams[2])
-        for lam, om in zip(lams, oms):
-            phi = phi + wedge(lam, om)
-        return phi
-    raise ValueError(f"unknown mode {mode!r}")
+    if omegas is None:
+        omegas = standard_quaternion_triple(7, (3, 4, 6, 5), anti=True)
+    om = np.asarray(omegas, dtype=np.float64)
+    if om.shape != (3, 7, 7):
+        raise ValueError(f"omegas must have shape (3, 7, 7), not {om.shape}")
+    if not np.isfinite(om).all():
+        raise ValueError("omegas must be finite")
+    # FrameTensor's antisymmetry rule, per matrix: relative, floored at 1
+    scale = np.maximum(np.abs(om).max(axis=(1, 2)), 1.0)
+    if (np.abs(om + np.swapaxes(om, 1, 2)).max(axis=(1, 2)) > 1e-12 * scale).any():
+        raise ValueError("omegas must be antisymmetric")
+    if np.abs(om[:, :3]).max() > 1e-12:
+        raise ValueError("omegas must vanish on the directions 0, 1, 2")
+    tuples = index_tuples(7, 3)
+    mixed = (tuples[:, 0] < 3) & (tuples[:, 1] >= 3)
+    r, a, b = tuples[mixed].T
+    coeffs = np.zeros(len(tuples))
+    coeffs[0] = 1.0                     # e012, the first packed tuple
+    # added into zeros, so that a -0.0 entry of omegas gives +0.0
+    coeffs[mixed] += om[r, a, b]
+    return FrameTensor(7, 3, coeffs=coeffs)
 
 
 def bryant_positivity(phi: FrameTensor, sign: int = 1) -> np.ndarray:

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from torsiongeo.catalog import _flat, _su2, epsilon3
+from torsiongeo.catalog import _flat, _su2
 from torsiongeo.decomposition import decompose
 from torsiongeo.dilaton import (
     SolverConfig,
@@ -29,7 +29,7 @@ from torsiongeo.fibration_topology import (
 from torsiongeo.frame_algebra import (
     FrameTensor,
     basis_form,
-    basis_vector,
+    epsilon3,
 )
 from torsiongeo.invariant_geometry import (
     HypothesesNotMet,
@@ -128,7 +128,7 @@ def test_criterion_4_splitting_desk_cases():
 
 
 def test_criterion_5_g2_spin7():
-    phi = build_g2("standard")
+    phi = build_g2()
     B = bryant_positivity(phi)
     bryant_dev = float(np.abs(B - np.eye(7)).max())
 
@@ -136,9 +136,7 @@ def test_criterion_5_g2_spin7():
     sd = cayley.row("self_duality").value
     ww = cayley.row("wedge_square_vs_14vol").value
 
-    lams = [basis_vector(7, r) for r in range(3)]
-    oms = standard_quaternion_triple(7, (3, 4, 5, 6))
-    prod = build_g2("product", lambda_coframe=lams, omegas=oms)
+    prod = build_g2(standard_quaternion_triple(7, (3, 4, 5, 6)))
     plus = np.linalg.eigvalsh(bryant_positivity(prod))
     minus = np.linalg.eigvalsh(bryant_positivity(prod, -1))
     exactly_one = ((plus > 0).all() and not (minus > 0).all()) or \

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsiongeo.catalog import _flat, _su2, epsilon3
+from torsiongeo.catalog import _flat, _su2
 from torsiongeo.decomposition import (
     _EIGENBASIS_SUBSCRIPTS,
     _eigenbasis_path,
@@ -12,7 +12,13 @@ from torsiongeo.decomposition import (
     eigen_split,
     torsion_gram,
 )
-from torsiongeo.frame_algebra import FrameTensor, antisymmetrize, basis_form, zero_form
+from torsiongeo.frame_algebra import (
+    FrameTensor,
+    antisymmetrize,
+    basis_form,
+    epsilon3,
+    zero_form,
+)
 from torsiongeo.invariant_geometry import (
     HypothesesNotMet,
     LieFrameGeometry,

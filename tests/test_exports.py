@@ -1,9 +1,12 @@
-"""Every name a torsiongeo submodule lists in ``__all__`` exists, and
-every public function or class it defines is listed there."""
+"""Every name a torsiongeo submodule lists in ``__all__`` exists, every
+public function or class it defines is listed there, and it imports no
+name it never uses."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +33,30 @@ def test_public_definitions_are_listed(name):
                 and obj.__module__ == module.__name__
                 and n not in module.__all__]
     assert unlisted == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module binds by import and never reads; a name listed in
+    its ``__all__`` counts as read."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_no_unused_imports(name):
+    path = Path(torsiongeo.__file__).parent / f"{name}.py"
+    assert _unused_imports(path) == []

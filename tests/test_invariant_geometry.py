@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torsiongeo.invariant_geometry as invariant_geometry
-from torsiongeo.catalog import _flat, _su2 as su2, epsilon3
+from torsiongeo.catalog import _flat, _su2 as su2
 from torsiongeo.cli import main
 from torsiongeo.frame_algebra import (
     FrameTensor,
     antisymmetrize,
     basis_form,
+    epsilon3,
     form_inner,
     hodge_star,
     zero_form,

@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 import torsiongeo
-from torsiongeo.catalog import CATALOG, _flat, _su2, catalog_entry, epsilon3
+from torsiongeo.catalog import CATALOG, _flat, _su2, catalog_entry
 from torsiongeo.cli import main
-from torsiongeo.frame_algebra import FrameTensor, antisymmetrize, basis_form, index_tuples
+from torsiongeo.frame_algebra import (
+    FrameTensor,
+    antisymmetrize,
+    basis_form,
+    epsilon3,
+    index_tuples,
+)
 from torsiongeo.geometry_io import (
     MAX_DIM,
     _c_from_field,
@@ -419,7 +425,7 @@ def test_cli_verify_phi_on_flat_torsion_fails_nabla_hat_phi(tmp_path):
     # the torsion connection (nabla^ phi = 0.5), so the g2 report fails
     geom = LieFrameGeometry(7, np.zeros((7, 7, 7)), basis_form(7, [0, 1, 2]))
     path = tmp_path / "g2.json"
-    save_geometry(path, geom, extra=structures_to_dict({"phi": build_g2("standard")}))
+    save_geometry(path, geom, extra=structures_to_dict({"phi": build_g2()}))
     out = tmp_path / "rep.json"
     assert run_cli(["verify", "--input", str(path), "--format", "json",
                     "--output", str(out)]) == 1

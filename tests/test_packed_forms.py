@@ -91,6 +91,7 @@ def test_packed_dense_round_trip(case):
     again = FrameTensor(n, p, T.components)
     assert np.array_equal(again.coeffs, T.coeffs)
     assert not T.components.flags.writeable and not T.coeffs.flags.writeable
+    assert T.components is T.components          # expanded once
     assert T.sup_norm == pytest.approx(np.abs(T.components).max(initial=0.0), abs=0)
 
 

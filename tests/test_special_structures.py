@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from torsiongeo.catalog import _flat, _su2, epsilon3
+from torsiongeo.catalog import _flat, _su2
 from torsiongeo.decomposition import decompose
 from torsiongeo.frame_algebra import (
     FrameTensor,
     antisymmetrize,
     basis_form,
     basis_vector,
+    epsilon3,
     form_inner,
     hodge_star,
     interior_product,
@@ -219,7 +220,7 @@ def test_hkt_unequal_lee_forms_fail(su3_built):
 
 def test_structure_reports_one_per_key_in_fixed_order():
     geom = flat_geometry(8)
-    structures = {"Phi": build_spin7(build_g2("standard")),
+    structures = {"Phi": build_spin7(build_g2()),
                   "triple": np.kron(np.eye(2), standard_quaternion_triple())}
     assert [r.title for r in structure_reports(geom, structures)] == ["hkt", "spin7"]
     assert structure_reports(geom, {}) == []
@@ -231,7 +232,7 @@ def test_structure_reports_refuses_unknown_key():
 
 
 def test_g2_report_gates_closure_only_on_non_abelian_algebras():
-    phi = build_g2("standard")
+    phi = build_g2()
     flat = g2_report(flat_geometry(7), phi)
     assert [r.name for r in flat.rows] == ["bryant_min_eig_positive", "nabla_hat_phi"]
     assert flat.passed
@@ -241,7 +242,7 @@ def test_g2_report_gates_closure_only_on_non_abelian_algebras():
 
 def test_g2_report_rejects_wrong_dimension():
     with pytest.raises(ValueError, match="7-dim geometry"):
-        g2_report(flat_geometry(8), build_g2("standard"))
+        g2_report(flat_geometry(8), build_g2())
 
 
 # ----------------------------------------------------------------- su3 build
@@ -290,12 +291,23 @@ def test_su3_full_hypothesis_set(su3_built):
 # ------------------------------------------------------------------ g2 forms
 
 def test_g2_standard_norm_squared():
-    phi = build_g2("standard")
+    phi = build_g2()
     assert form_inner(phi, phi) == pytest.approx(7.0)
 
 
+def test_g2_default_is_the_normal_form():
+    """e123 + e145 + e167 + e247 + e256 + e346 - e357 (1-based), summed
+    from unit basis forms."""
+    lines = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 7), (2, 5, 6), (3, 4, 6), (3, 5, 7))
+    signs = (1, 1, 1, 1, 1, 1, -1)
+    expect = zero_form(7, 3)
+    for line, sign in zip(lines, signs):
+        expect = expect + sign * basis_form(7, [i - 1 for i in line])
+    assert build_g2().coeffs.tobytes() == expect.coeffs.tobytes()
+
+
 def test_g2_standard_interior_contraction():
-    phi = build_g2("standard")
+    phi = build_g2()
     expect = (basis_form(7, [1, 2]) + basis_form(7, [3, 4])
               + basis_form(7, [5, 6])).components
     out = interior_product(basis_vector(7, 0), phi)
@@ -303,43 +315,39 @@ def test_g2_standard_interior_contraction():
 
 
 def test_bryant_standard_is_identity():
-    B = bryant_positivity(build_g2("standard"))
+    B = bryant_positivity(build_g2())
     assert np.abs(B - np.eye(7)).max() < 1e-12
 
 
 def test_g2_standard_double_dual():
-    phi = build_g2("standard")
+    phi = build_g2()
     back = hodge_star(hodge_star(phi))
     assert np.abs(back.components - phi.components).max() < 1e-13
 
 
 def test_bryant_sign_flips():
-    phi = build_g2("standard")
+    phi = build_g2()
     B = bryant_positivity(phi)
     assert np.abs(bryant_positivity(-1.0 * phi) + B).max() < 1e-12
     assert np.abs(bryant_positivity(phi, -1) + B).max() < 1e-12
 
 
 def test_bryant_definite_never_indefinite():
-    phi = build_g2("standard")
+    phi = build_g2()
     for sign in (1, -1):
         eigs = np.linalg.eigvalsh(bryant_positivity(phi, sign))
         assert (eigs > 0).all() or (eigs < 0).all()
 
 
 def test_g2_product_mode_positive_exactly_one_orientation():
-    lams = [basis_vector(7, r) for r in range(3)]
-    oms = standard_quaternion_triple(7, (3, 4, 5, 6))
-    phi = build_g2("product", lambda_coframe=lams, omegas=oms)
+    phi = build_g2(standard_quaternion_triple(7, (3, 4, 5, 6)))
     plus = np.linalg.eigvalsh(bryant_positivity(phi))
     minus = np.linalg.eigvalsh(bryant_positivity(phi, -1))
     assert (plus > 0).all() and (minus < 0).all()
 
 
 def test_g2_product_mode_duality_dichotomy():
-    lams = [basis_vector(7, r) for r in range(3)]
-    oms = standard_quaternion_triple(7, (3, 4, 5, 6), anti=True)
-    phi = build_g2("product", lambda_coframe=lams, omegas=oms)
+    phi = build_g2(standard_quaternion_triple(7, (3, 4, 5, 6), anti=True))
     plus = np.linalg.eigvalsh(bryant_positivity(phi))
     minus = np.linalg.eigvalsh(bryant_positivity(phi, -1))
     # the opposite duality flips the positive orientation
@@ -347,23 +355,54 @@ def test_g2_product_mode_duality_dichotomy():
 
 
 def test_g2_product_mode_span_violation():
-    lams = [basis_vector(7, r) for r in range(3)]
     bad = np.stack([basis_form(7, pair).components
                     for pair in ((0, 4), (3, 4), (5, 6))])
     with pytest.raises(ValueError):
-        build_g2("product", lambda_coframe=lams, omegas=bad)
+        build_g2(bad)
     with pytest.raises(ValueError):
-        build_g2("product", lambda_coframe=lams,
-                 omegas=standard_quaternion_triple(7, (3, 4, 5, 6))[:2])
+        build_g2(standard_quaternion_triple(7, (3, 4, 5, 6))[:2])
+
+
+def _g2_bad_inputs():
+    oms = standard_quaternion_triple(7, (3, 4, 5, 6))
+    non_finite = oms.copy()
+    non_finite[0, 4, 3] = np.nan     # below the diagonal: phi never reads it
+    lopsided = oms.copy()
+    lopsided[1, 5, 3] += 1e-9
+    on_the_frame = oms + basis_form(7, (2, 5)).components
+    return {"shape": oms[:, :6, :6], "finite": non_finite,
+            "antisymmetric": lopsided, "vanish": on_the_frame}
+
+
+@pytest.mark.parametrize("check", sorted(_g2_bad_inputs()))
+def test_g2_rejects_each_bad_input(check):
+    with pytest.raises(ValueError, match=check):
+        build_g2(_g2_bad_inputs()[check])
+
+
+def test_g2_keeps_tolerated_rounding():
+    """Asymmetry within FrameTensor's relative 1e-12 and entries on the
+    directions 0, 1, 2 below 1e-12 are accepted."""
+    oms = 10.0 * standard_quaternion_triple(7, (3, 4, 5, 6))
+    oms[0, 4, 3] += 5e-12
+    oms[2, 1, 6] = 5e-13
+    oms[2, 6, 1] = -5e-13
+    phi = build_g2(oms)
+    assert phi.coeffs[0] == 1.0 and phi.sup_norm == 10.0
+
+
+def test_g2_negative_zero_entries_give_the_same_bytes():
+    oms = standard_quaternion_triple(7, (3, 4, 5, 6))
+    signed = oms.copy()
+    signed[signed == 0] = -0.0
+    assert build_g2(signed).coeffs.tobytes() == build_g2(oms).coeffs.tobytes()
 
 
 def test_g2_product_desk_model_structure():
     """Flat 4-space times the group 3-sphere: torsion closed and the
     product fundamental form parallel for the plus connection."""
     geom = direct_sum(_su2(-1.0), _flat(4))
-    lams = [basis_vector(7, r) for r in range(3)]
-    oms = standard_quaternion_triple(7, (3, 4, 5, 6))
-    phi = build_g2("product", lambda_coframe=lams, omegas=oms)
+    phi = build_g2(standard_quaternion_triple(7, (3, 4, 5, 6)))
     assert d_invariant(geom.H, geom).sup_norm < 1e-12
     assert parallel_residual(phi.components, geom, 1) < 1e-12
     assert np.abs(nabla_invariant(geom.H.components, with_torsion(geom, 1))).max() < 1e-12
@@ -372,20 +411,20 @@ def test_g2_product_desk_model_structure():
 # -------------------------------------------------------------------- spin7
 
 def test_spin7_standard_identities():
-    report = spin7_report(direct_sum(_flat(8)), build_spin7(build_g2("standard")))
+    report = spin7_report(direct_sum(_flat(8)), build_spin7(build_g2()))
     assert report.row("self_duality").value < 1e-12
     assert report.row("wedge_square_vs_14vol").value < 1e-12
     assert report.row("nabla_hat_Phi").value == 0.0
 
 
 def test_spin7_self_duality_against_dense_star():
-    Phi = build_spin7(build_g2("standard"))
+    Phi = build_spin7(build_g2())
     star = hodge_star(Phi)
     assert np.abs(star.components - Phi.components).max() < 1e-12
 
 
 def test_spin7_triple_contraction_unit_length():
-    x = build_spin7(build_g2("standard"))
+    x = build_spin7(build_g2())
     for idx in (3, 2, 1):
         x = interior_product(basis_vector(8, idx), x)
     assert np.sqrt(form_inner(x, x)) == pytest.approx(1.0, abs=1e-12)
@@ -398,7 +437,7 @@ def test_spin7_packed_lift_matches_dense_embedding(sign):
     """build_spin7 lifts packed forms; the reference embeds dense
     components in the last seven slots of an 8-dim frame."""
     rng = np.random.default_rng(11 + sign)
-    for phi in (build_g2("standard"), FrameTensor(7, 3, coeffs=rng.standard_normal(35))):
+    for phi in (build_g2(), FrameTensor(7, 3, coeffs=rng.standard_normal(35))):
         star8 = np.zeros((8,) * 4)
         star8[1:, 1:, 1:, 1:] = hodge_star(phi, sign).components
         phi8 = np.zeros((8,) * 3)
@@ -411,17 +450,17 @@ def test_spin7_orientation_and_shape():
     # Phi built and checked in the opposite orientation passes the same
     # identities; forms of the wrong degree or dimension are refused
     flat = direct_sum(_flat(8))
-    report = spin7_report(flat, build_spin7(build_g2("standard"), -1), sign=-1)
+    report = spin7_report(flat, build_spin7(build_g2(), -1), sign=-1)
     assert report.passed
-    assert not spin7_report(flat, build_spin7(build_g2("standard"), -1)).passed
+    assert not spin7_report(flat, build_spin7(build_g2(), -1)).passed
     with pytest.raises(ValueError):
         build_spin7(basis_form(8, (0, 1, 2)))
     with pytest.raises(ValueError):
         bryant_positivity(basis_form(7, (0, 1, 2, 3)))
     with pytest.raises(ValueError):
-        spin7_report(flat, build_g2("standard"))
+        spin7_report(flat, build_g2())
     with pytest.raises(ValueError):
-        spin7_report(_flat(7), build_spin7(build_g2("standard")))
+        spin7_report(_flat(7), build_spin7(build_g2()))
 
 
 # --------------------------------------------------------- parallel residual
