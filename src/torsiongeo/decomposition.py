@@ -11,11 +11,10 @@ with h a positive multiple of minus the Killing form per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .frame_algebra import FrameTensor, _frozen, interior_product
+from .frame_algebra import FrameTensor, _frozen, frame_change, interior_product
 from .invariant_geometry import (
     LieFrameGeometry,
     HypothesesNotMet,
@@ -118,18 +117,6 @@ class DecompositionResult:
         }
 
 
-_EIGENBASIS_SUBSCRIPTS = "pa,qb,rc,pqr->abc"
-
-
-@lru_cache(maxsize=None)
-def _eigenbasis_path(dim: int) -> tuple:
-    """The contraction order ``einsum(optimize=True)`` picks for moving a
-    dim-n 3-form into an n x n basis; it depends on the shapes only."""
-    square = np.empty((dim, dim))
-    return tuple(np.einsum_path(_EIGENBASIS_SUBSCRIPTS, square, square, square,
-                                np.empty((dim,) * 3), optimize=True)[0])
-
-
 def _block_killing_residual(block_H: np.ndarray, eigenvalue: float) -> float:
     """Compare -1/2 of the ad-composition Killing form of the block
     against the restriction of h (eigenvalue times identity)."""
@@ -157,11 +144,9 @@ def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL) -> Decomposition
     kernel_dim = 0
     kernel_transversality = 0.0
     blocks, names, block_jacobi, block_killing = [], [], [], []
-    H = geom.H.components
     # torsion components in the full eigenbasis, for cross-block mixing
     full_basis = np.concatenate([c.basis for c in clusters], axis=1)
-    H_eig = np.einsum(_EIGENBASIS_SUBSCRIPTS, *(full_basis,) * 3, H,
-                      optimize=_eigenbasis_path(geom.dim))
+    H_eig = frame_change(geom.H.components, full_basis)
     labels = np.concatenate([[k] * c.multiplicity
                              for k, c in enumerate(clusters)]) if clusters else []
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import string
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
@@ -40,6 +41,7 @@ __all__ = [
     "index_tuples",
     "derivation_matrix",
     "epsilon3",
+    "frame_change",
 ]
 
 
@@ -334,6 +336,21 @@ def basis_vector(dim: int, index: int) -> FrameTensor:
 def epsilon3() -> np.ndarray:
     """A writable copy of the 3-index epsilon symbol, eps[0, 1, 2] = 1."""
     return _expand(3, 3, np.ones(1))
+
+
+@lru_cache(maxsize=None)
+def _frame_change_path(rank: int, dim: int):
+    """frame_change's subscripts and einsum(optimize=True)'s order for them."""
+    old, new = string.ascii_uppercase[:rank], string.ascii_lowercase[:rank]
+    subscripts = ",".join([*map("".join, zip(old, new)), old]) + f"->{new}"
+    shapes = [np.empty((dim, dim))] * rank + [np.empty((dim,) * rank)]
+    return subscripts, tuple(np.einsum_path(subscripts, *shapes, optimize=True)[0])
+
+
+def frame_change(T: np.ndarray, O: np.ndarray) -> np.ndarray:
+    """Dense T in the frame e'_a = e_b O_{ba}: T'_{ab..} = O_{Aa} O_{Bb} .. T_{AB..}."""
+    subscripts, path = _frame_change_path(T.ndim, O.shape[0])
+    return np.einsum(subscripts, *(O,) * T.ndim, T, optimize=path)
 
 
 def _orientation(sign: int) -> int:

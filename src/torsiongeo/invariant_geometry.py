@@ -30,6 +30,7 @@ from .frame_algebra import (
     _antisym_over,
     _frozen,
     derivation_matrix,
+    frame_change,
     hodge_star,
     index_tuples,
     zero_form,
@@ -39,6 +40,7 @@ from .reporting import StructureReport
 __all__ = [
     "LieFrameGeometry",
     "direct_sum",
+    "rotate",
     "HypothesesNotMet",
     "lie_jacobi_residual",
     "levi_civita",
@@ -153,6 +155,24 @@ def direct_sum(*factors: LieFrameGeometry, name: str = "") -> LieFrameGeometry:
         H[block, block, block] = f.H.components
         start += f.dim
     return LieFrameGeometry(dim, c, FrameTensor(dim, 3, H), name=name)
+
+
+def rotate(geom: LieFrameGeometry, structures: dict, O: np.ndarray):
+    """The geometry and its structures in the frame e'_a = e_b O_{ba}: c, H
+    and every form (phi, Phi) pulled back by ``frame_change``, every array
+    (J, triple) conjugated as ``O.T @ x @ O``.  O must be a finite
+    orthogonal (dim, dim) matrix (else ``ValueError``); one with det O = -1
+    reverses the orientation in which phi is positive and Phi self-dual."""
+    n, O = geom.dim, np.asarray(O, dtype=np.float64)
+    if (O.shape != (n, n) or not np.isfinite(O).all()
+            or np.abs(O.T @ O - np.eye(n)).max() > 1e-12):
+        raise ValueError(f"frame change must be a finite orthogonal ({n}, {n}) matrix")
+
+    def pull(x):  # a form is pulled back, an array conjugated
+        return (FrameTensor(x.dim, x.rank, frame_change(x.components, O))
+                if isinstance(x, FrameTensor) else O.T @ x @ O)
+    return (LieFrameGeometry(n, frame_change(geom.c, O), pull(geom.H), name=geom.name),
+            {key: pull(x) for key, x in structures.items()})
 
 
 def levi_civita(geom: LieFrameGeometry) -> np.ndarray:

@@ -52,7 +52,6 @@ __all__ = [
     "random_closed_torsion",
     "closed_3form_kernel",
     "random_orthogonal",
-    "rotate_structure",
 ]
 
 PROJECTION_TOL = 1e-12
@@ -340,9 +339,3 @@ def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
 
-
-def rotate_structure(c: np.ndarray, H: FrameTensor, O: np.ndarray):
-    """Conjugate (c, H) by an orthogonal frame change e'_a = e_b O_{ba}."""
-    c_rot = np.einsum("ma,pb,qc,mpq->abc", O, O, O, c, optimize=True)
-    H_rot = np.einsum("pa,qb,rc,pqr->abc", O, O, O, H.components, optimize=True)
-    return c_rot, FrameTensor(H.dim, 3, H_rot)

@@ -282,18 +282,19 @@ def build_g2(omegas=None) -> FrameTensor:
     positive orientation.
     """
     if omegas is None:
-        omegas = standard_quaternion_triple(7, (3, 4, 6, 5), anti=True)
-    om = np.asarray(omegas, dtype=np.float64)
-    if om.shape != (3, 7, 7):
-        raise ValueError(f"omegas must have shape (3, 7, 7), not {om.shape}")
-    if not np.isfinite(om).all():
-        raise ValueError("omegas must be finite")
-    # FrameTensor's antisymmetry rule, per matrix: relative, floored at 1
-    scale = np.maximum(np.abs(om).max(axis=(1, 2)), 1.0)
-    if (np.abs(om + np.swapaxes(om, 1, 2)).max(axis=(1, 2)) > 1e-12 * scale).any():
-        raise ValueError("omegas must be antisymmetric")
-    if np.abs(om[:, :3]).max() > 1e-12:
-        raise ValueError("omegas must vanish on the directions 0, 1, 2")
+        om = _G2_OMEGAS
+    else:
+        om = np.asarray(omegas, dtype=np.float64)
+        if om.shape != (3, 7, 7):
+            raise ValueError(f"omegas must have shape (3, 7, 7), not {om.shape}")
+        if not np.isfinite(om).all():
+            raise ValueError("omegas must be finite")
+        # FrameTensor's antisymmetry rule, per matrix: relative, floored at 1
+        scale = np.maximum(np.abs(om).max(axis=(1, 2)), 1.0)
+        if (np.abs(om + np.swapaxes(om, 1, 2)).max(axis=(1, 2)) > 1e-12 * scale).any():
+            raise ValueError("omegas must be antisymmetric")
+        if np.abs(om[:, :3]).max() > 1e-12:
+            raise ValueError("omegas must vanish on the directions 0, 1, 2")
     tuples = index_tuples(7, 3)
     mixed = (tuples[:, 0] < 3) & (tuples[:, 1] >= 3)
     r, a, b = tuples[mixed].T
@@ -416,3 +417,7 @@ def standard_quaternion_triple(dim: int = 4, indices=(0, 1, 2, 3),
     half = np.zeros((3, dim, dim))
     half[[0, 0, 1, 1, 2, 2], [a, c, a, b, a, b], [b, d, c, d, d, c]] = [1, s, 1, -s, -s, -1]
     return half - np.swapaxes(half, 1, 2)
+
+
+# build_g2's default stack: a read-only constant, built once per process
+_G2_OMEGAS = _frozen(standard_quaternion_triple(7, (3, 4, 6, 5), anti=True))

@@ -10,12 +10,8 @@ import numpy as np
 import pytest
 
 from torsiongeo.catalog import _flat, _su2
-from torsiongeo.invariant_geometry import LieFrameGeometry, direct_sum
-from torsiongeo.random_geometry import (
-    random_geometry,
-    random_orthogonal,
-    rotate_structure,
-)
+from torsiongeo.invariant_geometry import direct_sum, rotate
+from torsiongeo.random_geometry import random_geometry, random_orthogonal
 
 
 @pytest.fixture(scope="session")
@@ -48,9 +44,7 @@ def parallel_torsion_suite():
         elif i % 3 == 2:
             factors.append(_flat(2))
         geom = direct_sum(*factors)
-        O = random_orthogonal(rng, geom.dim)
-        c_rot, H_rot = rotate_structure(geom.c, geom.H, O)
-        samples.append(LieFrameGeometry(geom.dim, c_rot, H_rot))
+        samples.append(rotate(geom, {}, random_orthogonal(rng, geom.dim))[0])
     return samples
 
 

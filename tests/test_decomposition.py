@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from torsiongeo.catalog import _flat, _su2
 from torsiongeo.decomposition import (
-    _EIGENBASIS_SUBSCRIPTS,
-    _eigenbasis_path,
     decompose,
     eigen_split,
     torsion_gram,
@@ -17,6 +15,7 @@ from torsiongeo.frame_algebra import (
     antisymmetrize,
     basis_form,
     epsilon3,
+    frame_change,
     zero_form,
 )
 from torsiongeo.invariant_geometry import (
@@ -24,8 +23,9 @@ from torsiongeo.invariant_geometry import (
     LieFrameGeometry,
     direct_sum,
     lie_jacobi_residual,
+    rotate,
 )
-from torsiongeo.random_geometry import _block_library, random_orthogonal, rotate_structure
+from torsiongeo.random_geometry import _block_library, random_orthogonal
 from torsiongeo.special_structures import build_su3
 
 RNG = np.random.default_rng(99)
@@ -188,8 +188,7 @@ def test_decompose_orthogonal_invariance():
     base = decompose(geom)
     for seed in range(3):
         O = random_orthogonal(np.random.default_rng(seed), 8)
-        c_rot, H_rot = rotate_structure(geom.c, geom.H, O)
-        res = decompose(LieFrameGeometry(8, c_rot, H_rot))
+        res = decompose(rotate(geom, {}, O)[0])
         assert res.kernel_dim == base.kernel_dim
         assert res.block_names == base.block_names
         assert np.allclose(
@@ -257,8 +256,7 @@ def split_product(n_names, su2_scales, su3_signs, order, seed, perturb=0.0):
     j = starts[order.index(len(n_names))]
     H = geom.H + perturb * basis_form(geom.dim, (i, j, j + 1))
     O = random_orthogonal(np.random.default_rng(seed), geom.dim)
-    c_rot, H_rot = rotate_structure(geom.c, H, O)
-    return LieFrameGeometry(geom.dim, c_rot, H_rot)
+    return rotate(LieFrameGeometry(geom.dim, geom.c, H), {}, O)[0]
 
 
 @st.composite
@@ -292,12 +290,12 @@ def test_decompose_refuses_torsion_across_n_and_g(case):
         decompose(split_product(*case, perturb=1e-6))
 
 
-def test_eigenbasis_path_gives_the_bytes_of_optimized_einsum():
-    # the cached contraction order is the one einsum(optimize=True) picks
+def test_frame_change_gives_the_bytes_of_optimized_einsum():
+    # decompose moves H into its eigenbasis by frame_change, whose cached
+    # contraction order is the one einsum(optimize=True) picks
     rng = np.random.default_rng(5)
     for dim in range(1, 10):
         B = rng.standard_normal((dim, dim))
         H = rng.standard_normal((dim,) * 3)
-        ref = np.einsum(_EIGENBASIS_SUBSCRIPTS, B, B, B, H, optimize=True)
-        out = np.einsum(_EIGENBASIS_SUBSCRIPTS, B, B, B, H, optimize=_eigenbasis_path(dim))
-        assert out.tobytes() == ref.tobytes(), dim
+        ref = np.einsum("pa,qb,rc,pqr->abc", B, B, B, H, optimize=True)
+        assert frame_change(H, B).tobytes() == ref.tobytes(), dim

@@ -1,6 +1,6 @@
 """Every name a torsiongeo submodule lists in ``__all__`` exists, every
-public function or class it defines is listed there, and it imports no
-name it never uses."""
+public function or class it defines is listed there, and neither it nor
+a test file imports a name it never uses."""
 
 import ast
 import importlib
@@ -56,7 +56,11 @@ def _unused_imports(path: Path) -> list[str]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("name", SUBMODULES)
+SOURCES = {name: Path(torsiongeo.__file__).parent / f"{name}.py" for name in SUBMODULES}
+SOURCES.update({f"tests/{path.name}": path
+                for path in sorted(Path(__file__).parent.glob("*.py"))})
+
+
+@pytest.mark.parametrize("name", list(SOURCES))
 def test_no_unused_imports(name):
-    path = Path(torsiongeo.__file__).parent / f"{name}.py"
-    assert _unused_imports(path) == []
+    assert _unused_imports(SOURCES[name]) == []

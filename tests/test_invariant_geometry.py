@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torsiongeo.invariant_geometry as invariant_geometry
-from torsiongeo.catalog import _flat, _su2 as su2
-from torsiongeo.cli import main
+from torsiongeo.catalog import CATALOG, _flat, _su2 as su2, catalog_entry
+from torsiongeo.cli import _geometry_reports, main
+from torsiongeo.decomposition import decompose
 from torsiongeo.frame_algebra import (
     FrameTensor,
     antisymmetrize,
@@ -31,11 +32,18 @@ from torsiongeo.invariant_geometry import (
     lie_jacobi_residual,
     nabla_invariant,
     ricci,
+    rotate,
     soliton_report,
     with_torsion,
 )
-from torsiongeo.random_geometry import random_orthogonal, rotate_structure
-from torsiongeo.special_structures import hkt_report, standard_quaternion_triple
+from torsiongeo.random_geometry import random_orthogonal
+from torsiongeo.special_structures import (
+    build_g2,
+    build_spin7,
+    hkt_report,
+    standard_quaternion_triple,
+    structure_reports,
+)
 
 RNG = np.random.default_rng(618)
 
@@ -377,14 +385,86 @@ def test_lee_form_frame_covariant(su3_built, case, seed):
     else:
         geom, triple = direct_sum(_flat(1), su2(-1.0)), standard_quaternion_triple()
     O = random_orthogonal(np.random.default_rng(seed), geom.dim)
-    rotated = LieFrameGeometry(geom.dim, *rotate_structure(geom.c, geom.H, O))
-    triple_rot = O.T @ triple @ O
+    rotated, structures = rotate(geom, {"triple": triple}, O)
+    triple_rot = structures["triple"]
     for J, J_rot in zip(triple, triple_rot):
         theta = lee_form(geom, J).coeffs
         assert np.abs(lee_form(rotated, J_rot).coeffs - O.T @ theta).max() < 1e-12
     before, after = hkt_report(geom, triple), hkt_report(rotated, triple_rot)
     assert [r.name for r in after.rows] == [r.name for r in before.rows]
     assert all(r1.passed for r0, r1 in zip(before.rows, after.rows) if r0.passed)
+
+
+# -------------------------------------------------------------- frame change
+
+def special_orthogonal(seed, dim):
+    """A random frame with det O = +1, which keeps every orientation."""
+    O = random_orthogonal(np.random.default_rng(seed), dim)
+    O[:, 0] *= np.sign(np.linalg.det(O))
+    return O
+
+
+def _with_every_structure(name):
+    """A catalog entry's geometry and structures, plus whichever of J,
+    the triple and Phi fit its dim (rotate does not read the keys)."""
+    geom, structures = catalog_entry(name).build()
+    if geom.dim == 8:
+        triple = structures.get("triple", standard_quaternion_triple(8))
+        structures = {"J": triple[0], "triple": triple,
+                      "Phi": build_spin7(build_g2()), **structures}
+    return geom, structures
+
+
+@pytest.mark.parametrize("name", ["su3-hkt", "g2-su2-product", "spin7-standard"])
+def test_rotate_then_transpose_returns_the_input(name):
+    geom, structures = _with_every_structure(name)
+    O = random_orthogonal(np.random.default_rng(3), geom.dim)
+    back, back_structures = rotate(*rotate(geom, structures, O), O.T)
+    assert back.name == geom.name
+    pairs = [(back.c, geom.c), (back.H.components, geom.H.components)]
+    for key, x in structures.items():
+        y = back_structures[key]
+        assert type(y) is type(x)
+        pairs.append((y.components, x.components) if isinstance(x, FrameTensor) else (y, x))
+    assert len(pairs) == 2 + len(structures)
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("O", [np.eye(4), np.eye(3, 2), np.eye(3)[:, :, None],
+                               2.0 * np.eye(3), np.diag([1.0, 1.0, np.nan]),
+                               np.diag([1.0, 1.0, np.inf]), np.eye(3) + 1e-9],
+                         ids=["4x4", "3x2", "3x3x1", "2I", "nan", "inf", "near-I"])
+def test_rotate_refuses_a_frame_that_is_not_orthogonal(O):
+    with pytest.raises(ValueError, match="orthogonal"):
+        rotate(su2(), {}, O)
+
+
+def _verdicts(geom, structures):
+    rows = [(rep.title, row.name, row.passed)
+            for rep in _geometry_reports(geom, 1e-10)
+            + structure_reports(geom, structures, 1e-10)
+            for row in rep.rows]
+    try:
+        res = decompose(geom)
+    except HypothesesNotMet:
+        return rows, None
+    return rows, (res.kernel_dim, res.block_names)
+
+
+GEOMETRY_ENTRIES = [name for name, entry in CATALOG.items() if entry.kind != "fibration"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", GEOMETRY_ENTRIES)
+def test_catalog_entries_keep_their_verdicts_in_a_rotated_frame(name, seed):
+    """Every report row keeps its pass/fail, and decompose its kernel and
+    blocks (or its refusal), when an entry and its structures move to an
+    oriented frame."""
+    geom, structures = catalog_entry(name).build()
+    rows, split = _verdicts(geom, structures)
+    rotated = rotate(geom, structures, special_orthogonal(seed, geom.dim))
+    assert _verdicts(*rotated) == (rows, split)
 
 
 # ------------------------------------------------------------------- soliton

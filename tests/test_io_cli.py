@@ -29,8 +29,13 @@ from torsiongeo.geometry_io import (
     structures_from_dict,
     structures_to_dict,
 )
-from torsiongeo.invariant_geometry import LieFrameGeometry, bianchi_report, direct_sum
-from torsiongeo.random_geometry import random_geometry
+from torsiongeo.invariant_geometry import (
+    LieFrameGeometry,
+    bianchi_report,
+    direct_sum,
+    rotate,
+)
+from torsiongeo.random_geometry import random_geometry, random_orthogonal
 from torsiongeo.special_structures import (
     build_g2,
     build_spin7,
@@ -478,17 +483,30 @@ def _single_J_on_su2su2_plus_abelian2():
     return direct_sum(_su2(-1.0), _su2(-1.0), _flat(2)), {"J": J}
 
 
+def _rotated(name):
+    """A catalog entry in a random oriented frame: every coefficient of
+    its structure is then set (the catalog's own are sparse)."""
+    geom, structures = catalog_entry(name).build()
+    O = random_orthogonal(np.random.default_rng(11), geom.dim)
+    O[:, 0] *= np.sign(np.linalg.det(O))
+    return rotate(geom, structures, O)
+
+
 STRUCTURE_CASES = {
     "triple": lambda: catalog_entry("su3-hkt").build(),
     "J": _single_J_on_su2su2_plus_abelian2,
     "phi": lambda: catalog_entry("g2-su2-product").build(),
     "Phi": lambda: catalog_entry("spin7-standard").build(),
+    "triple-rotated": lambda: _rotated("su3-hkt"),
+    "phi-rotated": lambda: _rotated("g2-su2-product"),
+    "Phi-rotated": lambda: _rotated("spin7-standard"),
 }
 
 
-@pytest.mark.parametrize("key", list(STRUCTURE_CASES))
-def test_structures_round_trip_and_verify_as_in_memory(key, tmp_path):
-    geom, structures = STRUCTURE_CASES[key]()
+@pytest.mark.parametrize("case", list(STRUCTURE_CASES))
+def test_structures_round_trip_and_verify_as_in_memory(case, tmp_path):
+    geom, structures = STRUCTURE_CASES[case]()
+    key = case.removesuffix("-rotated")
     assert list(structures) == [key]
     path = tmp_path / "geom.json"
     save_geometry(path, geom, extra=structures_to_dict(structures))
@@ -499,7 +517,11 @@ def test_structures_round_trip_and_verify_as_in_memory(key, tmp_path):
     if isinstance(value, FrameTensor):
         value, read = value.coeffs, read.coeffs
     assert np.array_equal(read, value)
-    expected = [r.to_dict() for r in structure_reports(geom, structures, 1e-10)]
+    # a file holds c on its lower pairs b < c only: a rotated c, which is
+    # antisymmetric to roundoff, comes back antisymmetric exactly
+    assert np.array_equal(loaded.H.coeffs, geom.H.coeffs)
+    assert np.abs(loaded.c - geom.c).max() <= 1e-15
+    expected = [r.to_dict() for r in structure_reports(loaded, structures, 1e-10)]
     out = tmp_path / "rep.json"
     code = run_cli(["verify", "--input", str(path), "--format", "json",
                     "--output", str(out)])

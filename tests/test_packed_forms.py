@@ -18,6 +18,7 @@ from torsiongeo.frame_algebra import (
     antisymmetrize,
     basis_form,
     form_inner,
+    frame_change,
     hodge_star,
     index_tuples,
     interior_product,
@@ -27,6 +28,7 @@ from torsiongeo.invariant_geometry import (
     LieFrameGeometry,
     bianchi_report,
     d_invariant,
+    rotate as rotate_geometry,
 )
 from torsiongeo.random_geometry import (
     _jacobian,
@@ -38,7 +40,6 @@ from torsiongeo.random_geometry import (
     random_closed_torsion,
     random_geometry,
     random_orthogonal,
-    rotate_structure,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -216,8 +217,8 @@ def test_bianchi_residuals_survive_frame_change(dim):
     c = lie_algebra(rng, dim)
     H = FrameTensor(dim, 3, antisymmetrize(rng.standard_normal((dim,) * 3)))
     O = random_orthogonal(rng, dim)
-    for geom in (LieFrameGeometry(dim, c, H),
-                 LieFrameGeometry(dim, *rotate_structure(c, H, O))):
+    base = LieFrameGeometry(dim, c, H)
+    for geom in (base, rotate_geometry(base, {}, O)[0]):
         first, second, _, _ = bianchi_report(geom)
         for rep, row in ((first, "first_bianchi"), (second, "second_bianchi")):
             assert rep.row(row).value < 1e-12
@@ -311,13 +312,25 @@ def test_sampler_serves_dim_2_general():
 
 
 @pytest.mark.parametrize("dim", [8, 16])
-def test_rotate_structure_matches_unoptimized_einsum(dim):
+def test_frame_change_matches_unoptimized_einsum(dim):
+    # c is antisymmetric in its lower pair only, not a Lie algebra
     rng = np.random.default_rng(800 + dim)
     c = rng.standard_normal((dim,) * 3)
     c = c - np.swapaxes(c, 1, 2)
     H = FrameTensor(dim, 3, antisymmetrize(rng.standard_normal((dim,) * 3)))
     O = random_orthogonal(rng, dim)
-    c_rot, H_rot = rotate_structure(c, H, O)
-    for got, arr in ((c_rot, c), (H_rot.components, H.components)):
+    for arr in (c, H.components):
         want = np.einsum("ma,pb,qc,mpq->abc", O, O, O, arr)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(frame_change(arr, O) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_frame_change_matches_slotwise_rotation(rank):
+    """frame_change against the independent slot-by-slot ``rotate``, on
+    arbitrary (not antisymmetric) tensors and general matrices."""
+    rng = np.random.default_rng(900 + rank)
+    for dim in range(1, 9):
+        T = rng.standard_normal((dim,) * rank)
+        for O in (random_orthogonal(rng, dim), rng.standard_normal((dim, dim))):
+            want = rotate(T, O)
+            assert np.abs(frame_change(T, O) - want).max() <= TOL * max(1.0, np.abs(want).max())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torsiongeo.catalog import _flat, _su2
+from torsiongeo.catalog import _flat, _su2, catalog_entry
 from torsiongeo.decomposition import decompose
 from torsiongeo.frame_algebra import (
     FrameTensor,
@@ -22,6 +22,7 @@ from torsiongeo.invariant_geometry import (
     levi_civita,
     lie_jacobi_residual,
     nabla_invariant,
+    rotate,
     with_torsion,
 )
 from torsiongeo.special_structures import (
@@ -40,7 +41,7 @@ from torsiongeo.special_structures import (
     structure_reports,
     type_3_0_projection,
 )
-from torsiongeo.random_geometry import random_orthogonal, rotate_structure
+from torsiongeo.random_geometry import random_orthogonal
 
 RNG = np.random.default_rng(31)
 
@@ -149,15 +150,13 @@ def test_kt_invariant_under_conjugation(su3_built):
     geom, triple = su3_built
     rep0 = kt_report(geom, triple[0])
     O = random_orthogonal(np.random.default_rng(7), 8)
-    c_rot, H_rot = rotate_structure(geom.c, geom.H, O)
-    geom_rot = LieFrameGeometry(8, c_rot, H_rot)
-    J_rot = O.T @ triple[0] @ O
-    rep1 = kt_report(geom_rot, J_rot)
+    geom_rot, rotated = rotate(geom, {"J": triple[0], "triple": triple}, O)
+    rep1 = kt_report(geom_rot, rotated["J"])
     for r0, r1 in zip(rep0.rows, rep1.rows):
         assert abs(r0.value - r1.value) < 1e-10
     # the whole triple conjugates along with the frame, as one stack
     hkt0 = hkt_report(geom, triple)
-    hkt1 = hkt_report(geom_rot, O.T @ triple @ O)
+    hkt1 = hkt_report(geom_rot, rotated["triple"])
     assert [r.name for r in hkt0.rows] == [r.name for r in hkt1.rows]
     for r0, r1 in zip(hkt0.rows, hkt1.rows):
         assert abs(r0.value - r1.value) < 1e-10
@@ -461,6 +460,29 @@ def test_spin7_orientation_and_shape():
         spin7_report(flat, build_g2())
     with pytest.raises(ValueError):
         spin7_report(_flat(7), build_spin7(build_g2()))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name, failing", [
+    ("g2-standard", {"bryant_min_eig_positive"}),
+    ("g2-su2-product", {"bryant_min_eig_positive"}),
+    ("spin7-standard", {"self_duality", "wedge_square_vs_14vol"}),
+])
+def test_reflected_frame_reverses_the_orientation(name, failing, seed):
+    """In a frame with det O = -1, phi is positive and Phi self-dual in
+    the reversed orientation (sign -1); in the old one, only the
+    orientation rows fail."""
+    geom, structures = catalog_entry(name).build()
+    O = random_orthogonal(np.random.default_rng(seed), geom.dim)
+    O[:, 0] *= -np.sign(np.linalg.det(O))
+    geom, structures = rotate(geom, structures, O)
+    if "phi" in structures:
+        assert np.linalg.eigvalsh(bryant_positivity(structures["phi"], -1)).min() > 0.1
+        report = g2_report(geom, structures["phi"])
+    else:
+        assert spin7_report(geom, structures["Phi"], sign=-1).passed
+        report = spin7_report(geom, structures["Phi"])
+    assert {row.name for row in report.rows if not row.passed} == failing
 
 
 # --------------------------------------------------------- parallel residual
