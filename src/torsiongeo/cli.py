@@ -98,7 +98,10 @@ def _load(cfg) -> tuple:
     what a catalog entry of that ``kind`` builds, and a geometry file
     loads as kind "geometry", ``(geometry, structures)``."""
     if cfg.get("example"):
-        entry = catalog_entry(cfg["example"])
+        try:
+            entry = catalog_entry(cfg["example"])
+        except KeyError as exc:
+            raise InputError(exc.args[0]) from None
         return cfg["example"], entry.kind, entry.build()
     data = _load_json(cfg["input"])
     try:
@@ -352,7 +355,7 @@ def main(argv=None) -> int:
             raise InputError(f"--tol must be positive and finite, not {cfg['tol']}")
         report, status = _RUNNERS[args.command](cfg)
         _emit(report, cfg)
-    except (InputError, KeyError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return status

@@ -15,7 +15,9 @@ index an integer in [0, dim) and every value a finite real number
 sparse field is read with one check pass over its indices, one over its
 values and one ``np.add.at`` scatter, which adds in entry order, so
 repeated and unsorted entries sum exactly as they would one at a time.
-``save_geometry`` writes the file as one JSON line.
+``save_geometry`` writes the file as one JSON line.  A geometry stores
+c exactly antisymmetric, so every geometry, a rotated one included,
+round-trips bit for bit.
 
 ``structures_from_dict`` reads these keys into a structures dict keyed
 ``triple``, ``J``, ``phi``, ``Phi`` (the dict catalog entries build), and

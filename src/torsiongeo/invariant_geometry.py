@@ -60,8 +60,11 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-# LieFrameGeometry rejects c whose Jacobi residual exceeds this * max(1, |c|^2)
+# LieFrameGeometry rejects c whose Jacobi residual of c / max(1, sup|c|)
+# exceeds this
 JACOBI_TOL = 1e-9
+# the largest sup|c| for which c - c^T cannot overflow
+_C_MAX = np.finfo(np.float64).max / 2
 
 
 class HypothesesNotMet(ValueError):
@@ -100,14 +103,21 @@ class LieFrameGeometry:
             raise ValueError("structure constants must have shape (dim, dim, dim)")
         if not np.isfinite(c).all():
             raise ValueError("non-finite structure constants")
-        if np.abs(c + np.swapaxes(c, 1, 2)).max() > 1e-12 * max(1.0, np.abs(c).max()):
+        scale = max(1.0, np.abs(c).max())
+        if scale > _C_MAX:
+            raise ValueError(f"structure constants above {_C_MAX:.3e}")
+        cT = np.swapaxes(c, 1, 2)
+        if np.abs(c + cT).max() > 1e-12 * scale:
             raise ValueError("structure constants not antisymmetric in the lower pair")
-        jac = lie_jacobi_residual(c)
-        if jac > JACOBI_TOL * max(1.0, np.abs(c).max() ** 2):
-            raise ValueError(f"Jacobi residual {jac:.3e} above tolerance")
+        jac = lie_jacobi_residual(c / scale)
+        if jac > JACOBI_TOL:
+            raise ValueError(f"Jacobi residual {jac:.3e} of c / max(1, sup|c|) "
+                             "above tolerance")
         if self.H.dim != self.dim or self.H.rank != 3:
             raise ValueError("torsion must be a 3-form on the same frame")
-        c = c.copy()
+        # the antisymmetric part, which equals c bit for bit when c is exactly
+        # antisymmetric: files, d_invariant and curvature then read one c
+        c = 0.5 * (c - cT)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 

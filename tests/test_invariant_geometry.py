@@ -585,5 +585,25 @@ def test_geometry_rejects_non_jacobi():
     c[1, 2, 3], c[1, 3, 2] = 1.0, -1.0
     c[2, 0, 3], c[2, 3, 0] = 1.0, -1.0   # generic: fails Jacobi
     assert lie_jacobi_residual(c) > 0.1
-    with pytest.raises(ValueError):
-        LieFrameGeometry(4, c, zero_form(4, 3))
+    # at 1e160 the residual of c itself overflows; the gate reads c / sup|c|
+    for scale in (1.0, 1e160):
+        with pytest.raises(ValueError, match="Jacobi"):
+            LieFrameGeometry(4, scale * c, zero_form(4, 3))
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e100, 1e160, 8e307])
+def test_geometry_accepts_scaled_su2_bit_for_bit(scale):
+    c = scale * epsilon3()
+    assert LieFrameGeometry(3, c, zero_form(3, 3)).c.tobytes() == c.tobytes()
+
+
+def test_geometry_refuses_c_whose_transpose_difference_overflows():
+    with pytest.raises(ValueError, match="above"):
+        LieFrameGeometry(3, 1e308 * epsilon3(), zero_form(3, 3))
+
+
+def test_geometry_stores_the_antisymmetric_part():
+    c = epsilon3()
+    c[0, 1, 2] += 1e-13                   # antisymmetric to roundoff only
+    stored = LieFrameGeometry(3, c, zero_form(3, 3)).c
+    assert stored[0, 1, 2] == -stored[0, 2, 1] == 0.5 * (c[0, 1, 2] - c[0, 2, 1])

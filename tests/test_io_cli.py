@@ -9,7 +9,7 @@ import pytest
 
 import torsiongeo
 from torsiongeo.catalog import CATALOG, _flat, _su2, catalog_entry
-from torsiongeo.cli import main
+from torsiongeo.cli import _assemble, _geometry_reports, main
 from torsiongeo.frame_algebra import (
     FrameTensor,
     antisymmetrize,
@@ -156,6 +156,13 @@ def _assert_bit_exact_round_trip(geom, structures, path):
         if isinstance(value, FrameTensor):
             value, read = value.coeffs, read.coeffs
         assert np.array_equal(read, value)
+    # tg verify on the file gives the in-memory reports, byte for byte
+    out = path.with_name("rep.json")
+    code = run_cli(["verify", "--input", str(path), "--format", "json",
+                    "--output", str(out)])
+    report, status = _assemble("verify", str(path), _geometry_reports(geom, 1e-10)
+                               + structure_reports(geom, structures, 1e-10))
+    assert (code, out.read_text()) == (status, json.dumps(report) + "\n")
 
 
 @pytest.mark.parametrize("dim", range(3, 9))
@@ -171,15 +178,22 @@ def test_catalog_file_round_trip_bit_exact(name, tmp_path):
     _assert_bit_exact_round_trip(*catalog_entry(name).build(), tmp_path / "geom.json")
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["su3-hkt", "g2-su2-product", "su2su2-plus-abelian2"])
+def test_rotated_catalog_file_round_trip_bit_exact(name, seed, tmp_path):
+    # a rotated c is antisymmetric to roundoff before LieFrameGeometry
+    # stores its antisymmetric part, and a file holds only its lower pairs
+    _assert_bit_exact_round_trip(*_rotated(name, seed), tmp_path / "geom.json")
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is only needed by the dilaton solver, so it loads on first use
     probe = ("import sys, torsiongeo, torsiongeo.cli\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-             "print(torsiongeo.monotone_iterate is torsiongeo.dilaton.monotone_iterate)\n")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = pathlib.Path(torsiongeo.__file__).parent.parent
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out.split("\n")[:2] == ["[]", "True"]
+    assert out.split("\n")[:1] == ["[]"]
 
 
 # --------------------------------------------------------------------- cli
@@ -371,6 +385,15 @@ NON_REAL_VALUE_FILES = [
 # a dim outside [1, MAX_DIM], refused before anything is allocated
 OUT_OF_RANGE_DIM_FILES = [{"dim": 100000}, {"dim": 0}, {"dim": -3}]
 
+# c of size 1e160 that fails the Jacobi identity (its residual would
+# overflow unless taken of c / sup|c|), and su(2) at 1e308, where
+# c - c^T would overflow
+HUGE_C_FILES = [
+    {"dim": 4, "c": [[0, 1, 2, 1e160], [1, 2, 0, 1e160], [2, 0, 1, 1e160],
+                     [1, 0, 3, 1e160]]},
+    {"dim": 3, "c": [[0, 1, 2, 1e308], [1, 2, 0, 1e308], [2, 0, 1, 1e308]]},
+]
+
 
 @pytest.mark.parametrize("command, doc",
                          [("verify", d) for d in BAD_GEOMETRY_FILES + BAD_STRUCTURE_FILES]
@@ -385,6 +408,8 @@ OUT_OF_RANGE_DIM_FILES = [{"dim": 100000}, {"dim": 0}, {"dim": -3}]
                          + [(cmd, doc) for doc in NON_REAL_VALUE_FILES
                             for cmd in ("verify", "decompose")]
                          + [(cmd, doc) for doc in OUT_OF_RANGE_DIM_FILES
+                            for cmd in ("verify", "decompose")]
+                         + [(cmd, doc) for doc in HUGE_C_FILES
                             for cmd in ("verify", "decompose")])
 def test_cli_malformed_geometry_file_exit_2(command, doc, tmp_path, capsys):
     doc = {"c": [], "H": [], **doc}
@@ -483,11 +508,11 @@ def _single_J_on_su2su2_plus_abelian2():
     return direct_sum(_su2(-1.0), _su2(-1.0), _flat(2)), {"J": J}
 
 
-def _rotated(name):
+def _rotated(name, seed=11):
     """A catalog entry in a random oriented frame: every coefficient of
     its structure is then set (the catalog's own are sparse)."""
     geom, structures = catalog_entry(name).build()
-    O = random_orthogonal(np.random.default_rng(11), geom.dim)
+    O = random_orthogonal(np.random.default_rng(seed), geom.dim)
     O[:, 0] *= np.sign(np.linalg.det(O))
     return rotate(geom, structures, O)
 
@@ -517,11 +542,9 @@ def test_structures_round_trip_and_verify_as_in_memory(case, tmp_path):
     if isinstance(value, FrameTensor):
         value, read = value.coeffs, read.coeffs
     assert np.array_equal(read, value)
-    # a file holds c on its lower pairs b < c only: a rotated c, which is
-    # antisymmetric to roundoff, comes back antisymmetric exactly
     assert np.array_equal(loaded.H.coeffs, geom.H.coeffs)
-    assert np.abs(loaded.c - geom.c).max() <= 1e-15
-    expected = [r.to_dict() for r in structure_reports(loaded, structures, 1e-10)]
+    assert np.array_equal(loaded.c, geom.c)
+    expected = [r.to_dict() for r in structure_reports(geom, structures, 1e-10)]
     out = tmp_path / "rep.json"
     code = run_cli(["verify", "--input", str(path), "--format", "json",
                     "--output", str(out)])
@@ -650,6 +673,24 @@ def test_cli_unwritable_output_exit_2(case, fmt, tmp_path, capsys):
 def test_catalog_entry_unknown_name():
     with pytest.raises(KeyError):
         catalog_entry("no-such-example")
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_cli_unknown_example_exit_2(command, capsys):
+    assert run_cli([command, "--example", "no-such-example"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: unknown example 'no-such-example'")
+
+
+def test_cli_key_error_in_a_report_is_not_an_input_error(monkeypatch):
+    from torsiongeo import cli
+
+    def broken(geom, tol):
+        return geom.connections[2]
+    monkeypatch.setattr(cli, "bianchi_report", broken)
+    with pytest.raises(KeyError):
+        run_cli(["verify", "--example", "su2su2"])
 
 
 def test_cli_dilaton_w_recipe(tmp_path):
