@@ -130,7 +130,7 @@ def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL) -> Decomposition
     the kernel, mixing and block-Jacobi checks of the split, fail
     numerically."""
     dH = geom.dH.sup_norm
-    nH = parallel_residual(geom.H.components, geom, +1)
+    nH = parallel_residual(geom.H, geom, +1)
     scale = max(1.0, geom.H.sup_norm)
     if dH > tol * scale or nH > tol * scale:
         raise HypothesesNotMet(

@@ -31,7 +31,13 @@ ordering on A + A^T and fundamental supernodes only (relax=1), because
 relaxed supernodes leave the fill of these graph Laplacians unchanged
 and only add work (2 vCPU, one BLAS thread: 0.54 s instead of 0.74 s on
 a weighted periodic 256^2 grid, 0.22 s instead of 5.9 s on a
-40,000-node random geometric graph, with the same nnz(L+U)).  Both
+40,000-node random geometric graph, with the same nnz(L+U)).  Its panel
+is 4 columns (panel_size=4, SuperLU's default is 10): on these graphs'
+small supernodes a narrower panel does less dense work and fills the
+same L and U (median of 5, alternating: 458 -> 387 ms on the weighted
+periodic 256^2 grid, 70 -> 56 ms at 128^2, 13 -> 10 ms at 64^2, 283 ->
+226 ms on a 40,000-node random geometric graph of mean degree 10, each
+with the same nnz(L+U)).  Both
 paths are gated on the normwise backward error
 ||Au - b|| / (||A|| ||u|| + ||b||) <= 1e-12 (sup norms), which does not
 grow as the grid is refined; the check applies the sparse operator, so
@@ -317,7 +323,7 @@ class _ShiftedSolver:
             # scipy.sparse.linalg pulls in scipy.linalg: import it only here
             import scipy.sparse.linalg as spla
             self._solve = spla.splu(self.op.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                    relax=1).solve
+                                    relax=1, panel_size=4).solve
         else:
             shape, axes = symbol.shape, tuple(range(symbol.ndim))
             # rfftn keeps the modes 0..n//2 of the last axis

@@ -49,9 +49,12 @@ __all__ = [
 ]
 
 # the largest dim a geometry file may declare, checked before anything is
-# allocated: su(3) + su(2) has dim 11, and tg verify's geometry reports grow
-# as dim**5 (bochner_report's (dim,)**5 array): on su(2)^k, 2 vCPU, 0.11 s
-# and 45 MB peak RSS at dim 12, 0.90 s and 277 MB at dim 18
+# allocated: su(3) + su(2) has dim 11, and tg verify's cost is led by
+# bochner_report's codifferential of dH, whose table for d on (dim - 4)-forms
+# grows combinatorially (2 vCPU, one BLAS thread, one cold tg verify: 0.06 s
+# and 31 -> 46 MB peak RSS on su(2)^4, dim 12; 0.18 s and 33 -> 145 MB on
+# su(3) + su(3), dim 16; that codifferential alone peaks at 1.56 GB on
+# su(2)^8, dim 24)
 MAX_DIM = 16
 
 

@@ -29,6 +29,8 @@ from .frame_algebra import (
     FrameTensor,
     _antisym_over,
     _frozen,
+    _interior_matrix,
+    _slot_splits,
     derivation_matrix,
     frame_change,
     hodge_star,
@@ -211,10 +213,13 @@ def with_torsion(geom: LieFrameGeometry, sign: int) -> np.ndarray:
 
 def curvature(geom: LieFrameGeometry, gamma: np.ndarray) -> np.ndarray:
     """The Riemann tensor R_{ab}{}^c{}_d of the connection ``gamma``,
-    indexed [a, b, c, d]."""
-    return _frozen(np.einsum("cae,ebd->abcd", gamma, gamma)
-                   - np.einsum("cbe,ead->abcd", gamma, gamma)
-                   - np.einsum("eab,ced->abcd", geom.c, gamma))
+    indexed [a, b, c, d]: two (dim^2, dim) x (dim, dim^2) matmuls."""
+    n = geom.dim
+    # gg[c, a, b, d] = G^c_{ae} G^e_{bd}; cg[a, b, c, d] = c^e_{ab} G^c_{ed}
+    gg = (gamma.reshape(n * n, n) @ gamma.reshape(n, n * n)).reshape((n,) * 4)
+    cg = (geom.c.reshape(n, n * n).T
+          @ np.swapaxes(gamma, 0, 1).reshape(n, n * n)).reshape((n,) * 4)
+    return _frozen(np.transpose(gg, (1, 2, 0, 3)) - np.transpose(gg, (2, 1, 0, 3)) - cg)
 
 
 def ricci(riemann: np.ndarray) -> np.ndarray:
@@ -273,11 +278,34 @@ def nabla_invariant(T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return comp
 
 
-def parallel_residual(T: np.ndarray, geom: LieFrameGeometry,
+def parallel_residual(T: FrameTensor | np.ndarray, geom: LieFrameGeometry,
                       sign: int = 1) -> float:
     """Sup-norm of the covariant derivative of the invariant tensor T
-    (a dense array) under ``geom.connections[sign]``."""
-    return float(np.abs(nabla_invariant(T, geom.connections[sign])).max())
+    under ``geom.connections[sign]``.  An array (such as J) goes through
+    ``nabla_invariant``.  A form (``FrameTensor``) is differentiated on
+    its packed coefficients: with Y[R, b, a] = chi_{eR} Gamma^e_{ab},
+    one (C(dim, p-1), dim) x (dim, dim^2) matmul,
+
+    (nabla_a chi)_K = - sum_s (-1)^s Y[K minus K_s, K_s, a],
+
+    the sums the dense array holds on its packed entries."""
+    gamma = geom.connections[sign]
+    if not isinstance(T, FrameTensor):
+        return float(np.abs(nabla_invariant(T, gamma)).max())
+    n, p = geom.dim, T.rank
+    if T.dim != n:
+        raise ValueError("dimension mismatch")
+    if p == 0 or p > n:
+        return 0.0
+    Y = _interior_matrix(T) @ np.swapaxes(gamma, 1, 2).reshape(n, n * n)
+    slots = Y.reshape(-1, n)[_slot_splits(n, p)]       # [s, K, a]
+    nabla = -slots[0]
+    for s in range(1, p):
+        if s % 2:
+            nabla += slots[s]
+        else:
+            nabla -= slots[s]
+    return float(np.abs(nabla).max())
 
 
 def bianchi_report(geom: LieFrameGeometry,
@@ -333,7 +361,7 @@ def bianchi_report(geom: LieFrameGeometry,
     lccc.add("nabla_hat_H", nhatH_sup, tol,
              identity="torsion-parallelism", asserted=False)
     if closed and nhatH_sup <= tol:
-        nH = parallel_residual(geom.H.components, geom, 0)
+        nH = parallel_residual(geom.H, geom, 0)
         lccc.add("nabla_H", nH, tol, identity="levi-civita-parallelism")
         lccc.add("jacobi_H", lie_jacobi_residual(geom.H.components), tol,
                  identity="jacobi-identity")
@@ -381,16 +409,36 @@ def bochner_term(geom: LieFrameGeometry) -> FrameTensor:
 
     with Levi-Civita curvature.
     """
-    riem = geom.curvatures[0]
+    n, riem = geom.dim, geom.curvatures[0]
     H = geom.H.components
-    ric_H = np.einsum("ak,bck->abc", ricci(riem), H)
-    riem_H = 2.0 * np.einsum("akbm,ckm->abc", riem, H)
-    t = ric_H - riem_H
-    out = t + np.einsum("abc->bca", t) + np.einsum("abc->cab", t)
-    # the cyclic sum is antisymmetric analytically: keep its packed
-    # entries a < b < c (bwf_residual gates the identity it feeds)
-    i, j, k = index_tuples(geom.dim, 3).T
-    return FrameTensor(geom.dim, 3, coeffs=out[i, j, k])
+    # ric_H[b, c, a] = Ric_a^k H_{bck}; riem_H[a, b, c] = R_a^k_b^m H_{ckm}
+    ric_H = (H.reshape(n * n, n) @ ricci(riem).T).reshape((n,) * 3)
+    riem_H = (np.transpose(riem, (0, 2, 1, 3)).reshape(n * n, n * n)
+              @ H.reshape(n, n * n).T).reshape((n,) * 3)
+    t = np.transpose(ric_H, (2, 0, 1)) - 2.0 * riem_H
+    # the cyclic sum is antisymmetric analytically: evaluate only its
+    # packed entries a < b < c (bwf_residual gates the identity it feeds)
+    a, b, c = index_tuples(n, 3).T
+    return FrameTensor(n, 3, coeffs=t[a, b, c] + t[b, c, a] + t[c, a, b])
+
+
+def _rough_laplacian(geom: LieFrameGeometry) -> np.ndarray:
+    """The trace sum_a (nabla_a nabla_a H)_{bcd} of the Levi-Civita
+    Hessian of H, from N = nabla H without forming the (dim,)^5 Hessian:
+
+    - sum_{a,e} Gamma^e_{aa} N_{ebcd} - sum_s sum_{a,e} Gamma^e_{a b_s} N_{a..e..},
+
+    the second sum one (dim, dim^2) x (dim^2, dim^2) matmul per slot s
+    of b, c, d."""
+    n, gamma = geom.dim, geom.connections[0]
+    N = nabla_invariant(geom.H.components, gamma)
+    # G[b, (a, e)] = Gamma^e_{ab}
+    G = np.transpose(gamma, (2, 1, 0)).reshape(n, n * n)
+    rough = -(np.trace(gamma, axis1=1, axis2=2) @ N.reshape(n, n ** 3)).reshape((n,) * 3)
+    for s in range(1, 4):
+        term = (G @ np.moveaxis(N, s, 1).reshape(n * n, n * n)).reshape((n,) * 3)
+        rough -= np.moveaxis(term, 0, s - 1)
+    return rough
 
 
 def bochner_report(geom: LieFrameGeometry,
@@ -400,10 +448,7 @@ def bochner_report(geom: LieFrameGeometry,
     over-top)."""
     lhs = (d_invariant(codifferential(geom.H, geom), geom)
            + codifferential(geom.dH, geom))
-    lc = geom.connections[0]
-    ddH = nabla_invariant(nabla_invariant(geom.H.components, lc), lc)
-    rough = np.einsum("aabcd->bcd", ddH)
-    rhs = -rough + bochner_term(geom).components
+    rhs = -_rough_laplacian(geom) + bochner_term(geom).components
     report = StructureReport("bochner-weitzenboeck")
     report.add("bwf_residual", np.abs(lhs.components - rhs).max(), tol,
                identity="weitzenboeck-3-form")

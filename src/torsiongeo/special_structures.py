@@ -20,6 +20,9 @@ import numpy as np
 from .frame_algebra import (
     FrameTensor,
     _frozen,
+    _interior_matrix,
+    _orientation,
+    _shuffles,
     basis_vector,
     form_inner,
     index_tuples,
@@ -54,26 +57,42 @@ __all__ = [
 
 def nijenhuis(J: np.ndarray, geom: LieFrameGeometry) -> np.ndarray:
     """Frame components of N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y],
-    evaluated on left-invariant vector fields via structure constants."""
-    if np.shape(J) != (geom.dim, geom.dim):
+    evaluated on left-invariant vector fields via structure constants:
+
+    N^m_{ab} = J^p_a J^q_b c^m_{pq} - J^m_q J^p_a c^q_{pb}
+               - J^m_q J^p_b c^q_{ap} - c^m_{ab},
+
+    each term one (dim^2, dim^2) matmul against c.  The J J products are
+    formed before they meet c, the association the formula is written
+    in; su3-hkt's recorded ``nijenhuis_I2``/``_I3`` rows depend on that
+    rounding (J^T c J reads 2.2e-16 there, not 4.4e-16)."""
+    n = geom.dim
+    if np.shape(J) != (n, n):
         raise ValueError("dimension mismatch")
     c = geom.c
-    return (np.einsum("pa,qb,mpq->mab", J, J, c)
-            - np.einsum("mq,pa,qpb->mab", J, J, c)
-            - np.einsum("mq,pb,qap->mab", J, J, c)
+    # JJ[(p, q), (a, b)] = J^p_a J^q_b; JJt[(m, a), (q, p)] = J^m_q J^p_a
+    JJ = (J[:, None, :, None] * J[None, :, None, :]).reshape(n * n, n * n)
+    JJt = (J[:, None, :, None] * J.T[None, :, None, :]).reshape(n * n, n * n)
+    t3 = (JJt @ np.swapaxes(c, 1, 2).reshape(n * n, n)).reshape(c.shape)
+    return ((c.reshape(n, n * n) @ JJ).reshape(c.shape)
+            - (JJt @ c.reshape(n * n, n)).reshape(c.shape)
+            - np.swapaxes(t3, 1, 2)
             - c)
 
 
 def type_3_0_projection(H: FrameTensor, J: np.ndarray) -> FrameTensor:
     """(3,0)+(0,3) part of a 3-form with respect to J:
 
-    P(H)(X,Y,Z) = (1/4)(H(X,Y,Z) - H(JX,JY,Z) - H(JX,Y,JZ) - H(X,JY,JZ)).
+    P(H)(X,Y,Z) = (1/4)(H(X,Y,Z) - H(JX,JY,Z) - H(JX,Y,JZ) - H(X,JY,JZ)),
+
+    with J applied to a slot of the dense components by one matmul.
     """
-    comp = H.components
-    jjh = np.einsum("pa,qb,pqc->abc", J, J, comp)
-    jhj = np.einsum("pa,rc,pbr->abc", J, J, comp)
-    hjj = np.einsum("qb,rc,aqr->abc", J, J, comp)
-    return FrameTensor(H.dim, 3, 0.25 * (comp - jjh - jhj - hjj))
+    n, comp = H.dim, H.components
+    jh = (J.T @ comp.reshape(n, n * n)).reshape(comp.shape)   # H(JX, Y, Z)
+    jjh = np.matmul(J.T, jh)
+    jhj = np.matmul(jh, J)
+    hjj = np.matmul(np.matmul(J.T, comp), J)
+    return FrameTensor(n, 3, 0.25 * (comp - jjh - jhj - hjj))
 
 
 def kt_report(geom: LieFrameGeometry, J: np.ndarray,
@@ -308,16 +327,19 @@ def build_g2(omegas=None) -> FrameTensor:
 def bryant_positivity(phi: FrameTensor, sign: int = 1) -> np.ndarray:
     """B(X,Y) dvol = (1/6) iota_X phi ^ iota_Y phi ^ phi, extracted
     against the volume form of orientation ``sign``; symmetric by
-    construction."""
+    construction.  The 28 entries i <= j are evaluated together on the
+    packed tables of ``interior_product``, ``wedge`` and
+    ``wedge_top_coefficient``."""
     if phi.dim != 7 or phi.rank != 3:
         raise ValueError("G2 positivity needs a 3-form on a 7-dim frame")
-    contractions = [interior_product(basis_vector(7, i), phi) for i in range(7)]
+    orientation = _orientation(sign)
+    iota = _interior_matrix(phi).T      # row i: iota_{e_i} phi
+    left, right, shuffle = _shuffles(7, 2, 2)
+    _, rest, top_parity = _shuffles(7, 4, 3)
+    i, j = np.triu_indices(7)
+    pairs = (iota[i][:, left] * iota[j][:, right]) @ shuffle     # (28, C(7, 4))
     B = np.zeros((7, 7))
-    for i in range(7):
-        for j in range(i, 7):
-            top = wedge_top_coefficient(wedge(contractions[i], contractions[j]),
-                                        phi, sign)
-            B[i, j] = B[j, i] = top / 6.0
+    B[i, j] = B[j, i] = ((top_parity * pairs) @ phi.coeffs[rest[0]]) * orientation / 6.0
     return B
 
 
@@ -335,7 +357,7 @@ def g2_report(geom: LieFrameGeometry, phi: FrameTensor,
                note=f"eigenvalues in [{eigs.min():.3f}, {eigs.max():.3f}]")
     if np.abs(geom.c).max() > 0:
         report.add("dH", geom.dH.sup_norm, tol, identity="torsion-closure")
-    report.add("nabla_hat_phi", parallel_residual(phi.components, geom, 1), tol,
+    report.add("nabla_hat_phi", parallel_residual(phi, geom, 1), tol,
                identity="torsion-parallelism")
     return report
 
@@ -382,7 +404,7 @@ def spin7_report(geom: LieFrameGeometry, Phi: FrameTensor,
     report.add("triple_contraction_length_minus_1",
                float(np.sqrt(form_inner(x, x))) - 1.0, tol,
                identity="associative-triple-contraction")
-    report.add("nabla_hat_Phi", parallel_residual(Phi.components, geom, 1), tol,
+    report.add("nabla_hat_Phi", parallel_residual(Phi, geom, 1), tol,
                identity="torsion-parallelism")
     return report
 

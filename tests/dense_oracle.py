@@ -1,11 +1,15 @@
 """Dense reference implementations of the epsilon symbol, wedge, Hodge
-star, the invariant exterior derivative and the sampler's
-Levenberg-Marquardt Jacobian.
+star, the invariant exterior derivative, the sampler's
+Levenberg-Marquardt Jacobian, and the verifier kernels: curvature, the
+covariant derivative, the Weitzenboeck rough term and curvature term,
+the Nijenhuis tensor, the (3,0)+(0,3) projection and the G2 positivity
+matrix.
 
-These are straightforward loops over sorted index tuples on dense
-``(dim,) * p`` component arrays, written independently of the packed
-tables in ``torsiongeo.frame_algebra``.  They are slow (cost grows as
-dim^p) and serve only as an oracle for the tests.
+These are straightforward loops over sorted index tuples, or einsums, on
+dense ``(dim,) * p`` component arrays, written independently of the
+packed tables in ``torsiongeo.frame_algebra`` and of the matmul kernels
+in ``torsiongeo``.  They are slow (cost grows as dim^p, the rough term
+holds a (dim,)^5 array) and serve only as an oracle for the tests.
 """
 
 import itertools
@@ -98,3 +102,72 @@ def lm_jacobian(c: np.ndarray, unimodular: bool) -> np.ndarray:
     if unimodular:
         cols = np.concatenate([cols, np.einsum("xaba->xb", basis)], axis=1)
     return cols.T
+
+
+def curvature(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """R_{ab}^c_d = G^c_{ae} G^e_{bd} - G^c_{be} G^e_{ad} - c^e_{ab} G^c_{ed}."""
+    return (np.einsum("cae,ebd->abcd", gamma, gamma)
+            - np.einsum("cbe,ead->abcd", gamma, gamma)
+            - np.einsum("eab,ced->abcd", c, gamma))
+
+
+def nabla(T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """(nabla_a T)_{b1..bk} = - sum_s Gamma^e_{a b_s} T_{b1.. e ..bk},
+    derivative slot first."""
+    n = gamma.shape[0]
+    out = np.zeros((n,) * (T.ndim + 1))
+    letters = "bcdefghi"[:T.ndim]
+    for s in range(T.ndim):
+        src = letters[:s] + "z" + letters[s + 1:]
+        out -= np.einsum(f"za{letters[s]},{src}->a{letters}", gamma, T)
+    return out
+
+
+def rough_laplacian(H: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """sum_a (nabla_a nabla_a H), the trace of the (dim,)^5 Hessian."""
+    return np.einsum("aabcd->bcd", nabla(nabla(H, gamma), gamma))
+
+
+def bochner_term(riem: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Ric_a^k H_{bck} - 2 R_a^k_b^m H_{ckm} + cyclic(a, b, c), dense."""
+    ric = np.einsum("kikj->ij", riem)
+    t = (np.einsum("ak,bck->abc", ric, H)
+         - 2.0 * np.einsum("akbm,ckm->abc", riem, H))
+    return t + np.einsum("abc->bca", t) + np.einsum("abc->cab", t)
+
+
+def nijenhuis(J: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """[JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on frame vectors."""
+    return (np.einsum("pa,qb,mpq->mab", J, J, c)
+            - np.einsum("mq,pa,qpb->mab", J, J, c)
+            - np.einsum("mq,pb,qap->mab", J, J, c)
+            - c)
+
+
+def type_3_0_projection(H: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """(1/4)(H - H(J.,J.,.) - H(J.,.,J.) - H(.,J.,J.)), dense."""
+    return 0.25 * (H - np.einsum("pa,qb,pqc->abc", J, J, H)
+                   - np.einsum("pa,rc,pbr->abc", J, J, H)
+                   - np.einsum("qb,rc,aqr->abc", J, J, H))
+
+
+def bryant_positivity(phi: np.ndarray, sign: int = 1) -> np.ndarray:
+    """B(X,Y) = (1/6) top coefficient of iota_X phi ^ iota_Y phi ^ phi,
+    one pair of dense wedges per entry i <= j."""
+    B = np.zeros((7, 7))
+    for i in range(7):
+        for j in range(i, 7):
+            top = top_wedge(wedge(phi[i], phi[j], 7), phi)
+            B[i, j] = B[j, i] = sign * top / 6.0
+    return B
+
+
+def top_wedge(a: np.ndarray, b: np.ndarray) -> float:
+    """The (0, 1, ..., dim-1) component of a ^ b for a.ndim + b.ndim =
+    dim: ``wedge``'s shuffle sum on the one top tuple."""
+    p, r = a.ndim, a.ndim + b.ndim
+    val = 0.0
+    for s in itertools.combinations(range(r), p):
+        rest = tuple(k for k in range(r) if k not in s)
+        val += parity(s + rest) * a[s] * b[rest]
+    return val
