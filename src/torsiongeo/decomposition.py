@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_algebra import FrameTensor, _frozen, frame_change, interior_product
+from .frame_algebra import FrameTensor, _frozen, _interior_matrix, frame_change
 from .invariant_geometry import (
     LieFrameGeometry,
     HypothesesNotMet,
@@ -153,11 +153,9 @@ def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL) -> Decomposition
     for k, c in enumerate(clusters):
         if abs(c.eigenvalue) <= CLUSTER_TOL * lam_scale:
             kernel_dim += c.multiplicity
-            for col in range(c.multiplicity):
-                v = FrameTensor(geom.dim, 1, c.basis[:, col])
-                kernel_transversality = max(
-                    kernel_transversality,
-                    interior_product(v, geom.H).sup_norm)
+            # column j holds the packed coefficients of iota_V H for V = basis[:, j]
+            iota = np.abs(_interior_matrix(geom.H) @ c.basis)
+            kernel_transversality = max(kernel_transversality, iota.max(initial=0.0))
             continue
         sel = np.nonzero(labels == k)[0]
         block = H_eig[np.ix_(sel, sel, sel)]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import string
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
@@ -245,10 +244,12 @@ def derivation_matrix(c: np.ndarray, p: int) -> np.ndarray:
 
 
 def _expand(n: int, p: int, coeffs: np.ndarray) -> np.ndarray:
+    """Dense (n,)*p expansion of the packed last axis of ``coeffs``."""
     flat, signs = _expansion(n, p)
-    dense = np.zeros((n,) * p)
-    dense.flat[flat.ravel()] = (coeffs[:, None] * signs).ravel()
-    return dense
+    lead = coeffs.shape[:-1]
+    dense = np.zeros(lead + (n ** p,))
+    dense[..., flat.ravel()] = (coeffs[..., None] * signs).reshape(lead + (-1,))
+    return dense.reshape(lead + (n,) * p)
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +370,14 @@ def epsilon3() -> np.ndarray:
     return _expand(3, 3, np.ones(1))
 
 
-@lru_cache(maxsize=None)
-def _frame_change_path(rank: int, dim: int):
-    """frame_change's subscripts and einsum(optimize=True)'s order for them."""
-    old, new = string.ascii_uppercase[:rank], string.ascii_lowercase[:rank]
-    subscripts = ",".join([*map("".join, zip(old, new)), old]) + f"->{new}"
-    shapes = [np.empty((dim, dim))] * rank + [np.empty((dim,) * rank)]
-    return subscripts, tuple(np.einsum_path(subscripts, *shapes, optimize=True)[0])
-
-
 def frame_change(T: np.ndarray, O: np.ndarray) -> np.ndarray:
-    """Dense T in the frame e'_a = e_b O_{ba}: T'_{ab..} = O_{Aa} O_{Bb} .. T_{AB..}."""
-    subscripts, path = _frame_change_path(T.ndim, O.shape[0])
-    return np.einsum(subscripts, *(O,) * T.ndim, T, optimize=path)
+    """Dense T in the frame e'_a = e_b O_{ba}: T'_{ab..} = O_{Aa} O_{Bb} .. T_{AB..},
+    by one matmul per slot that contracts the leading slot and appends the
+    new index last (einsum(optimize=True)'s contraction order, bit for bit)."""
+    n, rank = O.shape[0], T.ndim
+    for _ in range(rank):
+        T = T.reshape(n, -1).T @ O
+    return T.reshape((n,) * rank)
 
 
 def _orientation(sign: int) -> int:

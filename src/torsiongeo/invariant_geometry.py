@@ -19,6 +19,7 @@ with Ricci the trace Ric_{ij} = R_{ki}{}^k{}_j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -27,13 +28,14 @@ import numpy as np
 
 from .frame_algebra import (
     FrameTensor,
-    _antisym_over,
+    _expand,
+    _expansion,
     _frozen,
     _interior_matrix,
+    _interior_table,
     _slot_splits,
     derivation_matrix,
     frame_change,
-    hodge_star,
     index_tuples,
     zero_form,
 )
@@ -73,6 +75,10 @@ class HypothesesNotMet(ValueError):
     """A verifier was asked to assert a conclusion whose hypotheses fail."""
 
 
+def _sup(x: np.ndarray) -> float:
+    return float(np.abs(x).max()) if x.size else 0.0
+
+
 def lie_jacobi_residual(c: np.ndarray) -> float:
     """Sup-norm of the Jacobi identity for structure constants.
 
@@ -80,8 +86,7 @@ def lie_jacobi_residual(c: np.ndarray) -> float:
     which coincides entrywise with the 3-form expression
     H^p_{ij} H_{pkm} + cyclic when the input is totally antisymmetric.
     """
-    res = _jacobi_tensor(np.asarray(c, dtype=np.float64))
-    return float(np.abs(res).max()) if res.size else 0.0
+    return _sup(_jacobi_tensor(np.asarray(c, dtype=np.float64)))
 
 
 def _jacobi_tensor(c: np.ndarray) -> np.ndarray:
@@ -244,12 +249,14 @@ def d_invariant(chi: FrameTensor, geom: LieFrameGeometry) -> FrameTensor:
 
 
 def codifferential(chi: FrameTensor, geom: LieFrameGeometry) -> FrameTensor:
-    """Codifferential delta = (-1)^{n(p+1)+1} * d * on invariant p-forms.
+    """Codifferential delta = -sum_a iota_{e_a} nabla_a under Levi-Civita
+    (Petersen, "Riemannian Geometry"), one gather of N = ``nabla_invariant``:
 
-    * enters twice, so delta does not depend on the orientation.  The
-    sign makes (d alpha, beta) = (alpha, delta beta) hold as
-    constants on unimodular algebras; on other algebras delta is still
-    computed, but the adjointness holds only pointwise.
+    (delta chi)_J = - sum_{j not in J} (-1)^{#(J < j)} N[{j} u J, j].
+
+    It is (-1)^{n(p+1)+1} * d *, free of the orientation; (d alpha, beta)
+    = (alpha, delta beta) holds as constants on unimodular algebras, on
+    others only pointwise.
     """
     if chi.rank < 1:
         raise ValueError("codifferential of a 0-form is undefined")
@@ -257,55 +264,52 @@ def codifferential(chi: FrameTensor, geom: LieFrameGeometry) -> FrameTensor:
     if p > n:
         # over-top forms are identically zero (they arise as d of a top form)
         return zero_form(n, p - 1)
-    sgn = (-1.0) ** (n * (p + 1) + 1)
-    return sgn * hodge_star(d_invariant(hodge_star(chi), geom))
+    N = nabla_invariant(chi, geom.connections[0])
+    flat, union, sign = _interior_table(n, p)
+    return FrameTensor(n, p - 1, coeffs=-(sign * N[union, flat % n]).sum(axis=1))
 
 
-def nabla_invariant(T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Covariant derivative of an invariant tensor, derivative slot first:
+def nabla_invariant(T: FrameTensor | np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Covariant derivative (nabla_a T)_{b1..bk} = - sum_s Gamma^e_{a b_s}
+    T_{b1.. e ..bk} of an invariant tensor under ``gamma``.  A p-form
+    (``FrameTensor``) gives the packed (C(dim, p), dim) array N[K, a] =
+    (nabla_a T)_K: with Y[R, b, a] = T_{eR} Gamma^e_{ab}, one
+    (C(dim, p-1), dim) x (dim, dim^2) matmul, the gather
 
-    (nabla_a T)_{b1..bk} = - sum_s Gamma^e_{a b_s} T_{b1.. e ..bk}.
+    N[K, a] = - sum_s (-1)^s Y[K minus K_s, K_s, a].
 
-    T is a dense component array (``.components`` for a form).
-    """
-    T = np.asarray(T, dtype=np.float64)
-    comp = np.zeros((gamma.shape[0],) * (T.ndim + 1))
-    for s in range(T.ndim):
-        term = np.tensordot(gamma, T, axes=(0, s))
-        # term has indices (a, b_s, b1..b_{s-1}, b_{s+1}..bk); move b_s home
-        order = [0] + list(range(2, 2 + s)) + [1] + list(range(2 + s, T.ndim + 1))
-        comp -= np.transpose(term, order)
-    return comp
+    A (dim, dim) array J gives the dense [a, b, c] array -(Gamma_a^T J +
+    J Gamma_a), Gamma_a = gamma[:, a, :], by batched matmul.  Any other
+    input raises ``ValueError``."""
+    n = gamma.shape[0]
+    if not isinstance(T, FrameTensor):
+        J = np.asarray(T, dtype=np.float64)
+        if J.shape != (n, n):
+            raise ValueError(f"nabla_invariant takes a form or a ({n}, {n}) array, "
+                             f"not shape {J.shape}")
+        G = np.swapaxes(gamma, 0, 1)       # G[a] = Gamma_a
+        return -(np.swapaxes(G, 1, 2) @ J + J @ G)
+    p = T.rank
+    if T.dim != n:
+        raise ValueError("dimension mismatch")
+    if p == 0 or p > n:
+        return np.zeros((math.comb(n, p), n))
+    Y = _interior_matrix(T) @ np.swapaxes(gamma, 1, 2).reshape(n, n * n)
+    slots = Y.reshape(-1, n)[_slot_splits(n, p)]       # [s, K, a]
+    N = -slots[0]
+    for s in range(1, p):
+        if s % 2:
+            N += slots[s]
+        else:
+            N -= slots[s]
+    return N
 
 
 def parallel_residual(T: FrameTensor | np.ndarray, geom: LieFrameGeometry,
                       sign: int = 1) -> float:
-    """Sup-norm of the covariant derivative of the invariant tensor T
-    under ``geom.connections[sign]``.  An array (such as J) goes through
-    ``nabla_invariant``.  A form (``FrameTensor``) is differentiated on
-    its packed coefficients: with Y[R, b, a] = chi_{eR} Gamma^e_{ab},
-    one (C(dim, p-1), dim) x (dim, dim^2) matmul,
-
-    (nabla_a chi)_K = - sum_s (-1)^s Y[K minus K_s, K_s, a],
-
-    the sums the dense array holds on its packed entries."""
-    gamma = geom.connections[sign]
-    if not isinstance(T, FrameTensor):
-        return float(np.abs(nabla_invariant(T, gamma)).max())
-    n, p = geom.dim, T.rank
-    if T.dim != n:
-        raise ValueError("dimension mismatch")
-    if p == 0 or p > n:
-        return 0.0
-    Y = _interior_matrix(T) @ np.swapaxes(gamma, 1, 2).reshape(n, n * n)
-    slots = Y.reshape(-1, n)[_slot_splits(n, p)]       # [s, K, a]
-    nabla = -slots[0]
-    for s in range(1, p):
-        if s % 2:
-            nabla += slots[s]
-        else:
-            nabla -= slots[s]
-    return float(np.abs(nabla).max())
+    """Sup-norm of ``nabla_invariant`` of the invariant form or (dim, dim)
+    array T under ``geom.connections[sign]``."""
+    return _sup(nabla_invariant(T, geom.connections[sign]))
 
 
 def bianchi_report(geom: LieFrameGeometry,
@@ -313,39 +317,41 @@ def bianchi_report(geom: LieFrameGeometry,
     """Residuals of the curvature identities of the torsion connection,
     as the four reports [first, second, pair_symmetry, lccc]:
 
-    first:  3 R^_{i[jkm]} + nabla^_i H_{jkm} - (1/2) dH_{ijkm}
+    first:  3 R^_{i[jkm]} + nabla^_i H_{jkm} + (1/2) dH_{ijkm}
     second: 3 R^_{[ijk]m} + (3/2) nabla^_{[i} H_{jk]m}
             + (1/2) nabla^_m H_{ijk} + (1/2) dH_{ijkm}
     pair_symmetry: R^_{ijkm} - Rv_{kmij}, asserted when dH = 0
     lccc: with dH = 0 and nabla^ H = 0 established numerically,
           asserts nabla H = 0 and the Jacobi identity of H.
 
-    R^, Rv and dH come from the geometry's cache; nabla^ H is computed
-    once for all four.
-    """
+    R^, Rv and dH come from the geometry's cache.  first and second are
+    antisymmetric in jkm and ijk, so they are evaluated on packed triples
+    K: Alt sums the signed permutations of K, nabla^ H is the packed
+    ``nabla_invariant`` N^[K, a] (expanded once for second's Alt), and
+    dH_{iK} = -dH_{Ki} is entry [K, i] of ``_interior_matrix(dH)``."""
+    n = geom.dim
     rhat = geom.curvatures[1]
     rchk = geom.curvatures[-1]
-    dH = geom.dH.components
-    nhatH = nabla_invariant(geom.H.components, geom.connections[1])
-    dH_sup = np.abs(dH).max()
-    nhatH_sup = np.abs(nhatH).max()
+    nhatH = nabla_invariant(geom.H, geom.connections[1])
+    iota_dH = _interior_matrix(geom.dH)
+    dH_sup = geom.dH.sup_norm
+    nhatH_sup = _sup(nhatH)
     closed = dH_sup <= tol
+    perms, signs = _expansion(n, 3)
 
     first = StructureReport("bianchi:first")
     # the dH coefficient is the one that makes this an identity for
     # arbitrary (also non-closed) H under the standard exterior
     # derivative; both conventions agree once dH = 0
-    res = 3.0 * _antisym_over(rhat, [1, 2, 3]) + nhatH + 0.5 * dH
-    first.add("first_bianchi", np.abs(res).max(), tol,
+    res = 0.5 * (rhat.reshape(n, -1)[:, perms] @ signs) + (nhatH + 0.5 * iota_dH).T
+    first.add("first_bianchi", _sup(res), tol,
               identity="first-bianchi-with-torsion")
 
     second = StructureReport("bianchi:second")
-    # transpose (1,2,3,0) realizes nabla^_m H_{ijk} in slot order ijkm
-    res = (3.0 * _antisym_over(rhat, [0, 1, 2])
-           + 1.5 * _antisym_over(nhatH, [0, 1, 2])
-           + 0.5 * np.transpose(nhatH, (1, 2, 3, 0))
-           + 0.5 * dH)
-    second.add("second_bianchi", np.abs(res).max(), tol,
+    # rows (i, j, k) of both dense arrays, so the Alt gathers their first three slots
+    dense = 0.5 * rhat.reshape(-1, n) + 0.25 * _expand(n, 3, nhatH.T).reshape(-1, n)
+    res = signs @ dense[perms] + 0.5 * (nhatH - iota_dH)
+    second.add("second_bianchi", _sup(res), tol,
                identity="second-bianchi-with-torsion")
 
     pair = StructureReport("bianchi:pair_symmetry")
@@ -431,7 +437,7 @@ def _rough_laplacian(geom: LieFrameGeometry) -> np.ndarray:
     the second sum one (dim, dim^2) x (dim^2, dim^2) matmul per slot s
     of b, c, d."""
     n, gamma = geom.dim, geom.connections[0]
-    N = nabla_invariant(geom.H.components, gamma)
+    N = _expand(n, 3, nabla_invariant(geom.H, gamma).T)   # [a, b, c, d]
     # G[b, (a, e)] = Gamma^e_{ab}
     G = np.transpose(gamma, (2, 1, 0)).reshape(n, n * n)
     rough = -(np.trace(gamma, axis1=1, axis2=2) @ N.reshape(n, n ** 3)).reshape((n,) * 3)

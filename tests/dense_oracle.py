@@ -1,9 +1,9 @@
 """Dense reference implementations of the epsilon symbol, wedge, Hodge
-star, the invariant exterior derivative, the sampler's
-Levenberg-Marquardt Jacobian, and the verifier kernels: curvature, the
-covariant derivative, the Weitzenboeck rough term and curvature term,
-the Nijenhuis tensor, the (3,0)+(0,3) projection and the G2 positivity
-matrix.
+star, the invariant exterior derivative and the codifferential +-*d*,
+the sampler's Levenberg-Marquardt Jacobian, and the verifier kernels:
+curvature, the covariant derivative, the two Bianchi residuals, the
+Weitzenboeck rough term and curvature term, the Nijenhuis tensor, the
+(3,0)+(0,3) projection and the G2 positivity matrix.
 
 These are straightforward loops over sorted index tuples, or einsums, on
 dense ``(dim,) * p`` component arrays, written independently of the
@@ -12,6 +12,7 @@ in ``torsiongeo``.  They are slow (cost grows as dim^p, the rough term
 holds a (dim,)^5 array) and serve only as an oracle for the tests.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -33,10 +34,16 @@ def epsilon(dim: int, sign: int = 1) -> np.ndarray:
     return eps
 
 
+@functools.lru_cache(maxsize=None)
+def signed_permutations(r: int):
+    """Every permutation of range(r) with its parity."""
+    return [(perm, parity(perm)) for perm in itertools.permutations(range(r))]
+
+
 def fill_antisymmetric(comp: np.ndarray, combo, value: float):
     """Write value at the sorted tuple combo and its signed permutations."""
-    for perm in itertools.permutations(range(len(combo))):
-        comp[tuple(combo[k] for k in perm)] = parity(perm) * value
+    for perm, sign in signed_permutations(len(combo)):
+        comp[tuple(combo[k] for k in perm)] = sign * value
 
 
 def wedge(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
@@ -80,6 +87,17 @@ def d_invariant(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return comp
 
 
+def codifferential(a: np.ndarray, c: np.ndarray, sign: int = 1) -> np.ndarray:
+    """delta a = (-1)^{n(p+1)+1} * d * a, both stars in the orientation
+    ``sign``."""
+    n, p = c.shape[0], a.ndim
+    if p == n:
+        # *a is a constant function, so d * a = 0
+        return np.zeros((n,) * (p - 1))
+    star_d_star = hodge_star(d_invariant(hodge_star(a, n, sign), c), n, sign)
+    return (-1) ** (n * (p + 1) + 1) * star_d_star
+
+
 def lm_jacobian(c: np.ndarray, unimodular: bool) -> np.ndarray:
     """Jacobian of the sampler's packed Jacobi residual (and, if
     unimodular, the traces c^a_{ba}) with respect to the independent
@@ -121,6 +139,29 @@ def nabla(T: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         src = letters[:s] + "z" + letters[s + 1:]
         out -= np.einsum(f"za{letters[s]},{src}->a{letters}", gamma, T)
     return out
+
+
+def alt(arr: np.ndarray, slots) -> np.ndarray:
+    """Weight-one antisymmetrization of the given slots of a dense array."""
+    out = np.zeros_like(arr)
+    for perm in itertools.permutations(range(len(slots))):
+        order = list(range(arr.ndim))
+        for pos, k in enumerate(perm):
+            order[slots[pos]] = slots[k]
+        out += parity(perm) * np.transpose(arr, order)
+    return out / np.prod(np.arange(1, len(slots) + 1))
+
+
+def first_bianchi(rhat: np.ndarray, nhatH: np.ndarray, dH: np.ndarray) -> np.ndarray:
+    """3 R^_{i[jkm]} + nabla^_i H_{jkm} + (1/2) dH_{ijkm}, dense."""
+    return 3.0 * alt(rhat, [1, 2, 3]) + nhatH + 0.5 * dH
+
+
+def second_bianchi(rhat: np.ndarray, nhatH: np.ndarray, dH: np.ndarray) -> np.ndarray:
+    """3 R^_{[ijk]m} + (3/2) nabla^_{[i} H_{jk]m} + (1/2) nabla^_m H_{ijk}
+    + (1/2) dH_{ijkm}, dense."""
+    return (3.0 * alt(rhat, [0, 1, 2]) + 1.5 * alt(nhatH, [0, 1, 2])
+            + 0.5 * np.transpose(nhatH, (1, 2, 3, 0)) + 0.5 * dH)
 
 
 def rough_laplacian(H: np.ndarray, gamma: np.ndarray) -> np.ndarray:

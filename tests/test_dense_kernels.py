@@ -4,7 +4,8 @@ and wedge-loop formulas in ``dense_oracle``.
 Every kernel is compared on random_geometry samples at dims 3-8 (open
 and closed torsion), on every catalog geometry, and on each of those in
 a random SO(n) frame from ``rotate``, within 1e-13 * max(1, scale) with
-scale the sup of the oracle's result.
+scale the sup of the oracle's result.  The codifferential is also
+compared on non-unimodular samples.
 """
 
 from functools import lru_cache
@@ -17,8 +18,11 @@ from torsiongeo.catalog import CATALOG, _flat, _su2
 from torsiongeo.frame_algebra import FrameTensor, index_tuples
 from torsiongeo.invariant_geometry import (
     _rough_laplacian,
+    bianchi_report,
     bochner_term,
+    codifferential,
     direct_sum,
+    nabla_invariant,
     parallel_residual,
     rotate,
 )
@@ -35,6 +39,7 @@ TOL = 1e-13
 SAMPLES = [f"random-{dim}-{kind}" for dim in range(3, 9) for kind in ("open", "closed")]
 ENTRIES = [name for name, entry in CATALOG.items() if entry.kind != "fibration"]
 CASES = [f"{base}{frame}" for base in SAMPLES + ENTRIES for frame in ("", "@SO(n)")]
+GENERAL = [f"random-{dim}-general" for dim in range(3, 9)]
 
 
 @lru_cache(maxsize=None)
@@ -47,6 +52,7 @@ def case(label):
     else:
         _, dim, kind = base.split("-")
         geom = random_geometry(np.random.default_rng(int(dim)), int(dim),
+                               unimodular=kind != "general",
                                closed_torsion=kind == "closed")
         structures = {}
     if rotated:
@@ -88,18 +94,84 @@ def test_weitzenboeck_terms_match_dense(label):
 @pytest.mark.parametrize("label", CASES)
 def test_parallel_residual_of_a_form_is_the_dense_sup(label):
     """On the packed coefficients of H, of the entry's phi or Phi and of
-    random forms of degree 1..4, for all three connections."""
+    random forms of degree 1..4, for all three connections: the packed
+    nabla_invariant holds the dense array's packed entries, and the
+    array path takes (dim, dim) arrays, antisymmetric or not."""
     geom, structures = case(label)
+    n = geom.dim
     rng = np.random.default_rng(len(label))
     forms = [geom.H] + [structures[k] for k in ("phi", "Phi") if k in structures]
-    forms += [random_form(rng, geom.dim, p) for p in range(1, min(geom.dim, 4) + 1)]
+    forms += [random_form(rng, n, p) for p in range(1, min(n, 4) + 1)]
     for form in forms:
+        packed_entries = (slice(None),) + tuple(index_tuples(n, form.rank).T)
         for sign, gamma in geom.connections.items():
-            dense = np.abs(dense_oracle.nabla(form.components, gamma)).max()
+            oracle = dense_oracle.nabla(form.components, gamma)
+            dense = np.abs(oracle).max()
+            assert_close(nabla_invariant(form, gamma), oracle[packed_entries].T)
             packed = parallel_residual(form, geom, sign)
             assert abs(packed - dense) <= TOL * max(1.0, dense)
-            assert abs(parallel_residual(form.components, geom, sign) - dense) \
-                <= TOL * max(1.0, dense)
+            if form.rank == 2:
+                assert abs(parallel_residual(form.components, geom, sign) - dense) \
+                    <= TOL * max(1.0, dense)
+    for M in rng.standard_normal((2, n, n)):
+        for gamma in geom.connections.values():
+            assert_close(nabla_invariant(M, gamma), dense_oracle.nabla(M, gamma))
+
+
+def test_nabla_invariant_refuses_other_arrays():
+    geom, _ = case("random-4-open")
+    gamma = geom.connections[1]
+    for shape in ((), (4,), (4, 5), (3, 3), (4, 4, 4), (4, 4, 4, 4)):
+        with pytest.raises(ValueError, match="nabla_invariant"):
+            nabla_invariant(np.zeros(shape), gamma)
+    with pytest.raises(ValueError, match="dimension"):
+        nabla_invariant(random_form(np.random.default_rng(0), 5, 2), gamma)
+
+
+@pytest.mark.parametrize("label", CASES + GENERAL)
+def test_codifferential_matches_star_d_star(label):
+    """-sum_a iota_a nabla_a against +-*d* at every degree 1..dim, on a
+    random form and (degree 3) on H."""
+    geom, _ = case(label)
+    n = geom.dim
+    rng = np.random.default_rng(len(label))
+    for p in range(1, n + 1):
+        forms = [random_form(rng, n, p)] + ([geom.H] if p == 3 else [])
+        for chi in forms:
+            oracle = dense_oracle.codifferential(chi.components, geom.c)
+            assert_close(codifferential(chi, geom).components, oracle)
+
+
+@pytest.mark.parametrize("label", CASES + GENERAL)
+def test_codifferential_squares_to_zero(label):
+    """delta delta = 0 at every degree 2..dim, within TOL times the
+    size n^2 sup|Gamma|^2 sup|chi| of the sums delta delta adds up."""
+    geom, _ = case(label)
+    n = geom.dim
+    rng = np.random.default_rng(len(label))
+    gamma = max(1.0, np.abs(geom.connections[0]).max())
+    for p in range(2, n + 1):
+        chi = random_form(rng, n, p)
+        twice = codifferential(codifferential(chi, geom), geom)
+        assert twice.sup_norm <= TOL * n * n * gamma ** 2 * max(1.0, chi.sup_norm)
+
+
+@pytest.mark.parametrize("label", CASES)
+def test_bianchi_rows_match_dense(label):
+    """first_bianchi, second_bianchi and nabla_hat_H are the sups of the
+    dense residual arrays."""
+    geom, _ = case(label)
+    gamma = geom.connections[1]
+    rhat = dense_oracle.curvature(geom.c, gamma)
+    nhatH = dense_oracle.nabla(geom.H.components, gamma)
+    dH = dense_oracle.d_invariant(geom.H.components, geom.c)
+    first, second, _, lccc = bianchi_report(geom)
+    rows = {"first_bianchi": (first, dense_oracle.first_bianchi(rhat, nhatH, dH)),
+            "second_bianchi": (second, dense_oracle.second_bianchi(rhat, nhatH, dH)),
+            "nabla_hat_H": (lccc, nhatH)}
+    for name, (report, oracle) in rows.items():
+        value = report.row(name).value
+        assert abs(value - np.abs(oracle).max()) <= TOL * max(1.0, np.abs(rhat).max())
 
 
 @pytest.mark.parametrize("label", CASES)

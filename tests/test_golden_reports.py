@@ -16,12 +16,14 @@ value must agree to 1e-15 absolute, and every pass/assert flag and
 verdict must be identical.  The ``lee_equal_*`` rows were recorded as
 exactly 0 while ``lee_form`` returned the zero form by construction;
 with the Hermitian Lee form theta = J^T delta omega, su3-hkt's
-``lee_equal_12`` reads 4.4e-16, inside that 1e-15.
+``lee_equal_12`` read 4.4e-16 (inside that 1e-15) while delta was
+computed as +-*d*, and reads 0 again since delta = -sum_a iota_a nabla_a.
 ``golden/verify_catalog_text.json`` holds the exit status and the exact
 ``--format text`` output of the same commands, recorded before the text
 rendering moved onto the report dicts; its su3-hkt ``lee_equal_12``
 line was re-recorded as ``4.441e-16`` (was ``0.000e+00``) for the same
-reason, the only line changed.  ``golden/decompose_catalog.json``
+reason, the only line changed, and re-recorded back to ``0.000e+00``
+when delta stopped going through the Hodge star.  ``golden/decompose_catalog.json``
 holds the exit status and JSON report of ``tg decompose --example <name>
 --format json`` for each entry, recorded before dH and the torsion
 connections moved into the geometry's cache; numbers must agree to

@@ -281,7 +281,7 @@ def test_su3_plus_connection_parallelizes(su3_built):
 def test_su3_full_hypothesis_set(su3_built):
     geom, _ = su3_built
     assert d_invariant(geom.H, geom).sup_norm < 1e-12
-    assert np.abs(nabla_invariant(geom.H.components, with_torsion(geom, 1))).max() < 1e-12
+    assert np.abs(nabla_invariant(geom.H, with_torsion(geom, 1))).max() < 1e-12
     assert lie_jacobi_residual(geom.H.components) < 1e-12
     res = decompose(geom)
     assert res.kernel_dim == 0 and res.block_names == ["su(3)"]
@@ -403,8 +403,8 @@ def test_g2_product_desk_model_structure():
     geom = direct_sum(_su2(-1.0), _flat(4))
     phi = build_g2(standard_quaternion_triple(7, (3, 4, 5, 6)))
     assert d_invariant(geom.H, geom).sup_norm < 1e-12
-    assert parallel_residual(phi.components, geom, 1) < 1e-12
-    assert np.abs(nabla_invariant(geom.H.components, with_torsion(geom, 1))).max() < 1e-12
+    assert parallel_residual(phi, geom, 1) < 1e-12
+    assert np.abs(nabla_invariant(geom.H, with_torsion(geom, 1))).max() < 1e-12
 
 
 # -------------------------------------------------------------------- spin7
