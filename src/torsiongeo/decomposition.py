@@ -154,7 +154,7 @@ def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL) -> Decomposition
         if abs(c.eigenvalue) <= CLUSTER_TOL * lam_scale:
             kernel_dim += c.multiplicity
             # column j holds the packed coefficients of iota_V H for V = basis[:, j]
-            iota = np.abs(_interior_matrix(geom.H) @ c.basis)
+            iota = np.abs(_interior_matrix(geom.dim, 3, geom.H.coeffs) @ c.basis)
             kernel_transversality = max(kernel_transversality, iota.max(initial=0.0))
             continue
         sel = np.nonzero(labels == k)[0]

@@ -7,12 +7,18 @@ represents ``(1/p!) chi_{i1..ip} e^{i1} ^ ... ^ e^{ip}``.
 Forms are stored packed: only the C(dim, p) coefficients on strictly
 increasing index tuples, in lexicographic order (the storage idiom of
 SageMath's ``CompFullyAntiSym``).  Every operation is a gather or a
-small signed sum over per-(dim, p) index/sign tables, built on first use
-and cached.  Dense ``(dim,) * p`` arrays appear only at the API edge: a
-FrameTensor built from one checks antisymmetry once and packs it, and
-``.components`` expands back on demand.  FrameTensor holds forms only;
-tensors without antisymmetry (connections, curvature, covariant
-derivatives) are plain arrays.
+small signed sum over three index/sign tables, built on first use and
+cached: ``_expansion`` (the dense positions of each packed tuple's
+permutations: ``.components`` and, through its identity column, the
+packing of dense input), ``_shuffles`` (the splits of a tuple into two
+increasing parts: ``wedge``, ``hodge_star``) and ``_splits`` (a tuple's
+k chosen slots against its packed rest: the interior-product scatter,
+and in ``invariant_geometry`` the covariant derivative, the
+codifferential and the exterior derivative).  Dense ``(dim,) * p``
+arrays appear only at the API edge: a FrameTensor built from one checks
+antisymmetry once and packs it, and ``.components`` expands back on
+demand.  FrameTensor holds forms only; tensors without antisymmetry
+(connections, curvature, covariant derivatives) are plain arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ __all__ = [
     "basis_vector",
     "antisymmetrize",
     "index_tuples",
-    "derivation_matrix",
     "epsilon3",
     "frame_change",
 ]
@@ -141,12 +146,6 @@ def _expansion(n: int, p: int):
 
 
 @lru_cache(maxsize=None)
-def _packing(n: int, p: int) -> np.ndarray:
-    """Flat dense position of each packed tuple."""
-    return _frozen(_flat(n, index_tuples(n, p)))
-
-
-@lru_cache(maxsize=None)
 def _shuffles(n: int, p: int, q: int):
     """For each packed (p+q)-tuple K and each increasing split of its
     positions into S (size p) and R (size q): the packed indices of K[S]
@@ -159,88 +158,39 @@ def _shuffles(n: int, p: int, q: int):
             _frozen(_parity(np.concatenate([S, R], axis=1))))
 
 
-def _insertions(n: int, J: np.ndarray):
-    """For each row of increasing indices J and each j outside it: j, the
-    packed index of the sorted tuple {j} u J, and the sign (-1)^#{J < j}
-    of moving j from the front into place; each of shape
-    (len(J), n - J.shape[1])."""
-    js = _complements(J, n)
-    before = (J[:, None, :] < js[:, :, None]).sum(axis=-1)
-    union = np.concatenate(
-        [np.broadcast_to(J[:, None, :], js.shape + J.shape[1:]), js[:, :, None]], axis=-1)
-    return js, _rank(n, np.sort(union, axis=-1)), 1.0 - 2.0 * (before % 2)
-
-
 @lru_cache(maxsize=None)
-def _interior_table(n: int, p: int):
-    """_insertions over the packed (p-1)-tuples J, with each j outside J
-    given as the flat position J * n + j in a (C(n, p-1), n) array: the
-    scatter table of ``_interior_matrix``."""
-    J = index_tuples(n, p - 1)
-    js, union, sign = _insertions(n, J)
-    return (_frozen(np.arange(J.shape[0])[:, None] * n + js), _frozen(union),
-            _frozen(sign))
+def _splits(n: int, q: int, k: int):
+    """For each increasing k-subset S of the q slots (row of
+    index_tuples(q, k)) and each packed q-tuple K: the flat position of
+    entry [K minus K_S, K_S] in a (C(n, q-k), n**k) array, shape
+    (C(q, k), C(n, q)), and the sign (-1)^(sum S), a (C(q, k), 1) column.
+    At k = 1 the sign is that of moving K_s to the front of K."""
+    K = index_tuples(n, q)
+    S = index_tuples(q, k)
+    rest = _rank(n, K[:, _complements(S, q)])
+    return (_frozen((rest * n ** k + _flat(n, K[:, S])).T.copy()),
+            _frozen(1.0 - 2.0 * (S.sum(axis=1, keepdims=True) % 2)))
 
 
-def _interior_matrix(chi: "FrameTensor") -> np.ndarray:
-    """The (C(dim, p-1), dim) matrix whose column i holds the packed
-    coefficients of iota_{e_i} chi: entry [J, i] is chi_{i J}, zero
-    where i is in J.  One scatter, for p >= 1; ``interior_product`` is
-    its product with the vector."""
-    flat, union, sign = _interior_table(chi.dim, chi.rank)
-    out = np.zeros(flat.shape[0] * chi.dim)
-    out[flat] = sign * chi.coeffs[union]
-    return out.reshape(flat.shape[0], chi.dim)
+def _split_sum(slots: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """sum_S sign[S] * slots[..., S, :] over the second-to-last axis,
+    added onto +0.0 (so an exact zero is +0.0), in order wherever there
+    are fewer than 8 S."""
+    return np.add.reduce(slots * sign, axis=-2, initial=0.0)
 
 
-@lru_cache(maxsize=None)
-def _slot_splits(n: int, p: int) -> np.ndarray:
-    """For each slot s and packed p-tuple K: r * n + K_s, with r the
-    packed index of K minus K_s, so the flat position of entry [r, K_s]
-    of a (C(n, p-1), n) array indexed like ``_interior_matrix``; shape
-    (p, C(n, p)).  It splits a p-form index into one index and a packed
-    rest."""
-    K = index_tuples(n, p)
-    rest = K[:, _complements(np.arange(p)[:, None], p)]
-    return _frozen((_rank(n, rest) * n + K).T.copy())
-
-
-@lru_cache(maxsize=None)
-def _derivation_table(n: int, p: int):
-    """Index table of derivation_matrix on packed p-forms, p >= 1.  One
-    entry per packed (p+1)-tuple K, position pair i < j of K and index e
-    outside the rest R = K minus {K_i, K_j}: the flat position
-    (K, {e} u R) in the C(n,p+1) x C(n,p) matrix, the bracket indices
-    (e, K_i, K_j) and the sign (-1)^{i+j} (-1)^{#(R < e)}."""
-    K = index_tuples(n, p + 1)
-    pairs = index_tuples(p + 1, 2)
-    rest = K[:, _complements(pairs, p + 1)].reshape(K.shape[0] * pairs.shape[0], p - 1)
-    es, cols, moved = _insertions(n, rest)
-    shape = (K.shape[0], pairs.shape[0], es.shape[1])
-    rows = np.arange(K.shape[0])[:, None, None]
-    sign = (-1.0) ** pairs.sum(axis=1)[None, :, None] * moved.reshape(shape)
-    flat = rows * math.comb(n, p) + cols.reshape(shape)
-    bi, bj = K[:, pairs[:, 0], None], K[:, pairs[:, 1], None]
-    return tuple(_frozen(np.broadcast_to(a, shape).ravel())
-                 for a in (flat, es.reshape(shape), bi, bj, sign))
-
-
-def derivation_matrix(c: np.ndarray, p: int) -> np.ndarray:
-    """Matrix, shape (C(n,p+1), C(n,p)), on packed p-forms of the
-    degree-one derivation sending e^a to -(1/2) c[a, b, c] e^b ^ e^c:
-
-    (D chi)_{b0..bp} = sum_{i<j} (-1)^{i+j} c[e, bi, bj] chi_{e, rest}.
-
-    For the structure constants of a Lie algebra this is the exterior
-    derivative of invariant forms (Maurer-Cartan).
-    """
-    n = c.shape[0]
-    shape = (math.comb(n, p + 1), math.comb(n, p))
-    if p == 0 or shape[0] == 0:
-        return np.zeros(shape)
-    flat, e, bi, bj, sign = _derivation_table(n, p)
-    return np.bincount(flat, weights=c[e, bi, bj] * sign,
-                       minlength=shape[0] * shape[1]).reshape(shape)
+def _interior_matrix(n: int, p: int, coeffs: np.ndarray) -> np.ndarray:
+    """The (C(n, p-1), n) matrices whose column i holds the packed
+    coefficients of iota_{e_i} chi, for packed p-form coefficients on
+    the last axis of ``coeffs`` (leading axes are kept): entry [J, i] is
+    chi_{iJ}, zero where i is in J.  One scatter through
+    ``_splits(n, p, 1)``, which hits every (J, i) with i outside J once,
+    for p >= 1; ``interior_product`` is its product with the vector."""
+    pos, sign = _splits(n, p, 1)
+    rows = math.comb(n, p - 1)
+    out = np.zeros(coeffs.shape[:-1] + (rows * n,))
+    out[..., pos] = sign * coeffs[..., None, :]
+    return out.reshape(coeffs.shape[:-1] + (rows, n))
 
 
 def _expand(n: int, p: int, coeffs: np.ndarray) -> np.ndarray:
@@ -305,7 +255,8 @@ class FrameTensor:
                             f"components not antisymmetric under swap of slots "
                             f"{k},{k + 1}"
                         )
-            coeffs = comp.reshape(-1)[_packing(n, p)]
+            # the identity permutation is column 0 of the expansion
+            coeffs = comp.reshape(-1)[_expansion(n, p)[0][:, 0]]
         object.__setattr__(self, "coeffs", _frozen(coeffs))
 
     @cached_property
@@ -392,14 +343,12 @@ def wedge(chi: FrameTensor, psi: FrameTensor) -> FrameTensor:
 
     Components are ``(p+q)!/(p! q!)`` times the antisymmetrized tensor
     product, so for a 1-form and a 2-form the (i1,i2,i3) component is
-    ``chi_{i1} psi_{i2 i3} + cyclic``.  Degrees beyond dim give the zero
-    form (which the product mathematically is).
+    ``chi_{i1} psi_{i2 i3} + cyclic``.  Degrees p + q beyond dim give
+    the rank-(p+q) form with no coefficients (the zero form it is).
     """
     if chi.dim != psi.dim:
         raise ValueError("wedge: dimension mismatch")
     p, q, n = chi.rank, psi.rank, chi.dim
-    if p + q > n:
-        return zero_form(n, 0)
     left, right, sign = _shuffles(n, p, q)
     return FrameTensor(n, p + q, coeffs=(chi.coeffs[left] * psi.coeffs[right]) @ sign)
 
@@ -420,7 +369,8 @@ def interior_product(v: FrameTensor, chi: FrameTensor) -> FrameTensor:
         raise ValueError("interior product of a 0-form is undefined")
     if v.dim != chi.dim:
         raise ValueError("dimension mismatch")
-    return FrameTensor(chi.dim, chi.rank - 1, coeffs=_interior_matrix(chi) @ v.coeffs)
+    return FrameTensor(chi.dim, chi.rank - 1,
+                       coeffs=_interior_matrix(chi.dim, chi.rank, chi.coeffs) @ v.coeffs)
 
 
 def form_inner(chi: FrameTensor, psi: FrameTensor) -> float:

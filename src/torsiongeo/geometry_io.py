@@ -49,12 +49,11 @@ __all__ = [
 ]
 
 # the largest dim a geometry file may declare, checked before anything is
-# allocated: su(3) + su(2) has dim 11.  tg verify's cost at large dim is led
-# by dH, whose dense derivation matrix on 3-forms has C(dim, 4) x C(dim, 3)
-# entries (2 vCPU, one BLAS thread, one tg verify --input after imports:
-# 0.02 s and 29 -> 35 MB peak RSS on su(2)^4, dim 12; 0.06 s and 29 -> 45 MB
-# on su(2)^5, dim 15; 0.07 s and 29 -> 51 MB on su(3) + su(3), dim 16; the
-# same reports through the API take 0.69 s and 30 -> 287 MB on su(2)^8, dim 24)
+# allocated: su(3) + su(2) has dim 11.  (2 vCPU, one BLAS thread, one
+# tg verify --input after imports: 0.013 s and 29 -> 32 MB peak RSS on
+# su(2)^4, dim 12; 0.03 s and 29 -> 36 MB on su(2)^5, dim 15; 0.03 s and
+# 29 -> 38 MB on su(3) + su(3), dim 16; the same reports through the API
+# take 0.1 s and 36 -> 72 MB on su(2)^8, dim 24, geom.dH 8 ms and +1 MB of it)
 MAX_DIM = 16
 
 

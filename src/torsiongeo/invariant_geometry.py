@@ -32,12 +32,10 @@ from .frame_algebra import (
     _expansion,
     _frozen,
     _interior_matrix,
-    _interior_table,
-    _slot_splits,
-    derivation_matrix,
+    _split_sum,
+    _splits,
     frame_change,
     index_tuples,
-    zero_form,
 )
 from .reporting import StructureReport
 
@@ -232,41 +230,54 @@ def ricci(riemann: np.ndarray) -> np.ndarray:
     return np.einsum("kikj->ij", riemann)
 
 
+def _exterior_derivative(c: np.ndarray, p: int, coeffs: np.ndarray) -> np.ndarray:
+    """d of the packed p-forms on the last axis of ``coeffs`` (leading
+    axes are kept), p >= 1: with Z[R, (a, b)] = sum_e chi_{eR} c^e_{ab},
+    one (C(n, p-1), n) x (n, n^2) matmul, the gather
+
+    (d chi)_K = sum_{i<j} (-1)^{i+j} Z[K minus {K_i, K_j}, K_i, K_j]."""
+    n = c.shape[0]
+    Z = _interior_matrix(n, p, coeffs).reshape(-1, n) @ c.reshape(n, n * n)
+    pos, sign = _splits(n, p + 1, 2)
+    return _split_sum(Z.reshape(coeffs.shape[:-1] + (-1,))[..., pos], sign)
+
+
 def d_invariant(chi: FrameTensor, geom: LieFrameGeometry) -> FrameTensor:
     """Exterior derivative of an invariant form.
 
     Maurer-Cartan d lambda^a = -(1/2) c^a_{bc} lambda^b ^ lambda^c
-    extended as a derivation (``derivation_matrix``); in components
+    extended as a derivation; in components
 
-    (d chi)_{b0..bp} = sum_{i<j} (-1)^{i+j} c^e_{bi bj} chi_{e, rest}.
+    (d chi)_{b0..bp} = sum_{i<j} (-1)^{i+j} c^e_{bi bj} chi_{e, rest},
 
-    The derivative of a top (or over-top) form is the zero form of rank
-    p+1, so residual formulas can subtract it shape-safely."""
+    one matmul and one signed gather (``_exterior_derivative``).  The
+    derivative of a 0-form, a top or an over-top form is the zero form
+    of rank p+1, so residual formulas can subtract it shape-safely."""
     if chi.dim != geom.dim:
         raise ValueError("dimension mismatch")
-    return FrameTensor(geom.dim, chi.rank + 1,
-                       coeffs=derivation_matrix(geom.c, chi.rank) @ chi.coeffs)
+    n, p = geom.dim, chi.rank
+    coeffs = (_exterior_derivative(geom.c, p, chi.coeffs) if p
+              else np.zeros(n))
+    return FrameTensor(n, p + 1, coeffs=coeffs)
 
 
 def codifferential(chi: FrameTensor, geom: LieFrameGeometry) -> FrameTensor:
     """Codifferential delta = -sum_a iota_{e_a} nabla_a under Levi-Civita
-    (Petersen, "Riemannian Geometry"), one gather of N = ``nabla_invariant``:
+    (Petersen, "Riemannian Geometry"): minus the trace over a of the
+    interior matrices of the packed N[:, a] = ``nabla_invariant``,
 
     (delta chi)_J = - sum_{j not in J} (-1)^{#(J < j)} N[{j} u J, j].
 
     It is (-1)^{n(p+1)+1} * d *, free of the orientation; (d alpha, beta)
     = (alpha, delta beta) holds as constants on unimodular algebras, on
-    others only pointwise.
+    others only pointwise.  An over-top form gives the zero form.
     """
     if chi.rank < 1:
         raise ValueError("codifferential of a 0-form is undefined")
     n, p = geom.dim, chi.rank
-    if p > n:
-        # over-top forms are identically zero (they arise as d of a top form)
-        return zero_form(n, p - 1)
     N = nabla_invariant(chi, geom.connections[0])
-    flat, union, sign = _interior_table(n, p)
-    return FrameTensor(n, p - 1, coeffs=-(sign * N[union, flat % n]).sum(axis=1))
+    iota = _interior_matrix(n, p, N.T)      # [a, J, j] = (iota_{e_j} nabla_a chi)_J
+    return FrameTensor(n, p - 1, coeffs=-np.trace(iota, axis1=0, axis2=2))
 
 
 def nabla_invariant(T: FrameTensor | np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -294,15 +305,9 @@ def nabla_invariant(T: FrameTensor | np.ndarray, gamma: np.ndarray) -> np.ndarra
         raise ValueError("dimension mismatch")
     if p == 0 or p > n:
         return np.zeros((math.comb(n, p), n))
-    Y = _interior_matrix(T) @ np.swapaxes(gamma, 1, 2).reshape(n, n * n)
-    slots = Y.reshape(-1, n)[_slot_splits(n, p)]       # [s, K, a]
-    N = -slots[0]
-    for s in range(1, p):
-        if s % 2:
-            N += slots[s]
-        else:
-            N -= slots[s]
-    return N
+    Y = _interior_matrix(n, p, T.coeffs) @ np.swapaxes(gamma, 1, 2).reshape(n, n * n)
+    pos, sign = _splits(n, p, 1)
+    return _split_sum(Y.reshape(-1, n).T[:, pos], -sign).T     # slots [a, s, K]
 
 
 def parallel_residual(T: FrameTensor | np.ndarray, geom: LieFrameGeometry,
@@ -328,12 +333,12 @@ def bianchi_report(geom: LieFrameGeometry,
     antisymmetric in jkm and ijk, so they are evaluated on packed triples
     K: Alt sums the signed permutations of K, nabla^ H is the packed
     ``nabla_invariant`` N^[K, a] (expanded once for second's Alt), and
-    dH_{iK} = -dH_{Ki} is entry [K, i] of ``_interior_matrix(dH)``."""
+    dH_{iK} = -dH_{Ki} is entry [K, i] of dH's ``_interior_matrix``."""
     n = geom.dim
     rhat = geom.curvatures[1]
     rchk = geom.curvatures[-1]
     nhatH = nabla_invariant(geom.H, geom.connections[1])
-    iota_dH = _interior_matrix(geom.dH)
+    iota_dH = _interior_matrix(n, 4, geom.dH.coeffs)
     dH_sup = geom.dH.sup_norm
     nhatH_sup = _sup(nhatH)
     closed = dH_sup <= tol

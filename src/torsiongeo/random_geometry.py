@@ -40,11 +40,10 @@ from .frame_algebra import (
     FrameTensor,
     _frozen,
     antisymmetrize,
-    derivation_matrix,
     epsilon3,
     index_tuples,
 )
-from .invariant_geometry import LieFrameGeometry, _jacobi_tensor
+from .invariant_geometry import LieFrameGeometry, _exterior_derivative, _jacobi_tensor
 
 __all__ = [
     "project_to_jacobi",
@@ -308,12 +307,13 @@ def random_geometry(rng: np.random.Generator, dim: int,
 
 def closed_3form_kernel(c: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the packed invariant 3-forms with
-    d = 0, from the SVD of the packed d on 3-forms.
+    d = 0, from the SVD of the packed d on 3-forms: the matrix whose
+    column j is d of the j-th basis 3-form, d of the identity batch.
 
     Each packed 4-form coefficient stands for 4! dense components of
     equal magnitude, so the singular values are scaled by sqrt(4!) to
     keep the kernel threshold on the dense-component scale."""
-    mat = derivation_matrix(c, 3)
+    mat = _exterior_derivative(c, 3, np.eye(math.comb(c.shape[0], 3))).T
     if mat.shape[0]:
         _, s, vt = np.linalg.svd(mat)
     else:

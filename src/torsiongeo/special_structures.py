@@ -333,7 +333,7 @@ def bryant_positivity(phi: FrameTensor, sign: int = 1) -> np.ndarray:
     if phi.dim != 7 or phi.rank != 3:
         raise ValueError("G2 positivity needs a 3-form on a 7-dim frame")
     orientation = _orientation(sign)
-    iota = _interior_matrix(phi).T      # row i: iota_{e_i} phi
+    iota = _interior_matrix(7, 3, phi.coeffs).T      # row i: iota_{e_i} phi
     left, right, shuffle = _shuffles(7, 2, 2)
     _, rest, top_parity = _shuffles(7, 4, 3)
     i, j = np.triu_indices(7)

@@ -21,6 +21,7 @@ from torsiongeo.invariant_geometry import (
     bianchi_report,
     bochner_term,
     codifferential,
+    d_invariant,
     direct_sum,
     nabla_invariant,
     parallel_residual,
@@ -154,6 +155,25 @@ def test_codifferential_squares_to_zero(label):
         chi = random_form(rng, n, p)
         twice = codifferential(codifferential(chi, geom), geom)
         assert twice.sup_norm <= TOL * n * n * gamma ** 2 * max(1.0, chi.sup_norm)
+
+
+def test_d_and_codifferential_on_su2_to_the_eighth():
+    """On su(2)^8 (dim 24, beyond what a geometry file may declare): d of a
+    2-form against the dense oracle, d d = 0 and delta delta = 0, and
+    (d alpha, beta) = (alpha, delta beta), the algebra being unimodular."""
+    geom = direct_sum(*[_su2()] * 8)
+    n = geom.dim
+    rng = np.random.default_rng(24)
+    alpha, beta = random_form(rng, n, 2), random_form(rng, n, 3)
+    d_alpha = d_invariant(alpha, geom)
+    assert_close(d_alpha.components, dense_oracle.d_invariant(alpha.components, geom.c))
+    gamma = max(1.0, np.abs(geom.connections[0]).max())
+    assert d_invariant(d_alpha, geom).sup_norm <= TOL * n * n * alpha.sup_norm
+    twice = codifferential(codifferential(beta, geom), geom)
+    assert twice.sup_norm <= TOL * n * n * gamma ** 2 * beta.sup_norm
+    lhs = float(d_alpha.coeffs @ beta.coeffs)
+    rhs = float(alpha.coeffs @ codifferential(beta, geom).coeffs)
+    assert abs(lhs - rhs) <= TOL * n * max(1.0, abs(lhs))
 
 
 @pytest.mark.parametrize("label", CASES)

@@ -65,10 +65,12 @@ def test_wedge_odd_self_product_vanishes():
 
 
 def test_wedge_degree_overflow_is_zero_form():
+    """Over the top the product is the zero form of rank p + q, with no
+    coefficients, as d of a top form is."""
     a = rand_form(4, 2)
     b = rand_form(4, 3)
     out = wedge(a, b)
-    assert out.rank == 0 and out.sup_norm == 0.0
+    assert out.rank == 5 and out.coeffs.shape == (0,) and out.sup_norm == 0.0
 
 
 def test_wedge_against_full_antisymmetrization_oracle():

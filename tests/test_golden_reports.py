@@ -23,7 +23,13 @@ computed as +-*d*, and reads 0 again since delta = -sum_a iota_a nabla_a.
 rendering moved onto the report dicts; its su3-hkt ``lee_equal_12``
 line was re-recorded as ``4.441e-16`` (was ``0.000e+00``) for the same
 reason, the only line changed, and re-recorded back to ``0.000e+00``
-when delta stopped going through the Hodge star.  ``golden/decompose_catalog.json``
+when delta stopped going through the Hodge star.  Its su3-hkt lines fed
+by dH were re-recorded when d came to be one matmul and one signed
+gather instead of a dense derivation matrix, whose summation order
+moved the roundoff: ``first_bianchi`` and ``second_bianchi`` 1.777e-16
+-> 1.110e-16, the four ``dH`` lines 3.554e-16 -> 2.220e-16 and
+``bwf_residual`` 3.925e-16 -> 3.140e-16, the dH values being the ones
+``verify_catalog.json`` recorded; no other line changed.  ``golden/decompose_catalog.json``
 holds the exit status and JSON report of ``tg decompose --example <name>
 --format json`` for each entry, recorded before dH and the torsion
 connections moved into the geometry's cache; numbers must agree to

@@ -15,6 +15,7 @@ from torsiongeo.frame_algebra import (
     basis_form,
     epsilon3,
     form_inner,
+    wedge,
     zero_form,
 )
 from torsiongeo.invariant_geometry import (
@@ -185,10 +186,22 @@ def test_d_leibniz(open_torsion_suite):
     n = geom.dim
     a = FrameTensor(n, 1, RNG.standard_normal(n))
     b = FrameTensor(n, 2, antisymmetrize(RNG.standard_normal((n, n))))
-    from torsiongeo.frame_algebra import wedge
     lhs = d_invariant(wedge(a, b), geom)
     rhs = wedge(d_invariant(a, geom), b) + (-1.0) * wedge(a, d_invariant(b, geom))
     assert np.abs(lhs.components - rhs.components).max() < 1e-11
+
+
+@pytest.mark.parametrize("left, right", [((0, 1, 2), (3, 4, 5)), ((0, 3), (1, 2, 4, 5))])
+def test_d_leibniz_at_top_degree(left, right):
+    """d(a ^ b) = da ^ b + (-1)^p a ^ db where a ^ b is a top form and
+    da ^ b lies over the top: every term is a form of rank p + q + 1."""
+    geom = catalog_entry("su2-plus-abelian3").build()[0]
+    a, b = basis_form(6, left), basis_form(6, right)
+    sign = (-1.0) ** len(left)
+    diff = (d_invariant(wedge(a, b), geom)
+            - (wedge(d_invariant(a, geom), b) + sign * wedge(a, d_invariant(b, geom))))
+    assert diff.rank == len(left) + len(right) + 1
+    assert diff.sup_norm < 1e-13
 
 
 def test_codifferential_su2_examples():

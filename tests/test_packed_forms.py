@@ -26,6 +26,7 @@ from torsiongeo.frame_algebra import (
 )
 from torsiongeo.invariant_geometry import (
     LieFrameGeometry,
+    _exterior_derivative,
     bianchi_report,
     d_invariant,
     rotate as rotate_geometry,
@@ -226,12 +227,29 @@ def test_bianchi_residuals_survive_frame_change(dim):
 
 def _dense_closed_kernel_dim(c) -> int:
     """Kernel dimension of d on 3-forms by the dense construction: one
-    column of dense d(e^{ijk}) components per basis 3-form."""
+    column of dense d(e^{ijk}) components per basis 3-form.  Packed, each
+    column must be the matching column of the matrix closed_3form_kernel
+    decomposes."""
     dim = c.shape[0]
-    cols = [dense_oracle.d_invariant(basis_form(dim, combo).components, c).ravel()
+    cols = [dense_oracle.d_invariant(basis_form(dim, combo).components, c)
             for combo in index_tuples(dim, 3)]
-    s = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
+    packed = np.stack([FrameTensor(dim, 4, col).coeffs for col in cols], axis=1)
+    mat = _exterior_derivative(c, 3, np.eye(len(cols))).T
+    assert np.abs(mat - packed).max(initial=0.0) <= TOL * max(1.0, np.abs(c).max())
+    s = np.linalg.svd(np.stack([col.ravel() for col in cols], axis=1), compute_uv=False)
     return int(np.sum(np.concatenate([s, np.zeros(len(cols) - s.size)]) < 1e-10))
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_closed_kernel_matrix_is_d_of_each_basis_form(dim):
+    """The matrix closed_3form_kernel decomposes, d of the identity batch,
+    holds d_invariant of the j-th basis 3-form in column j, bit for bit."""
+    for unimodular in (True, False):
+        geom = random_geometry(np.random.default_rng(dim), dim, unimodular=unimodular)
+        mat = _exterior_derivative(geom.c, 3, np.eye(math.comb(dim, 3))).T
+        assert mat.shape == (math.comb(dim, 4), math.comb(dim, 3))
+        for j, combo in enumerate(index_tuples(dim, 3)):
+            assert np.array_equal(mat[:, j], d_invariant(basis_form(dim, combo), geom).coeffs)
 
 
 def _sampler_algebras():
