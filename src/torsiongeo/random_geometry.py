@@ -1,32 +1,28 @@
 """Randomized Lie-frame geometries for property suites.
 
-Uniform sampling of Lie algebras is not tractable; instead a random
-antisymmetric candidate is projected onto the Jacobi variety (optionally
-onto the unimodular slice as well) by damped Levenberg-Marquardt steps,
-whose residual and Jacobian are evaluated on the packed triples
-i < j < k only, and rejected unless the projected residual is below
-PROJECTION_TOL.  Near-abelian fixed points are rejected too, so the
-suites see genuinely curved samples.
+Every sample algebra is built exactly, by linear algebra and no
+iteration (Jacobson, Lie Algebras, 1962, ch. I-III; de Graaf, Lie
+Algebras: Theory and Algorithms, 2000):
 
-The residual is quadratic in c, so every Jacobian entry is a sum of
-fixed +-1 multiples of entries of c.  _jacobian_table(dim) lists them
-once per dim as (target, source, sign) in the order of the cyclic
-rotations (i, j, k), (k, i, j), (j, k, i), each with its c^a_{xy} term
-before its c^m_{pz} term; each LM step's Jacobian is one gather and one
-np.bincount over it, which adds in input order and so reproduces the
-sequential scatter-adds bit for bit.
+- a Levi factor s, or none: su(2), sl(2, R), su(2) + su(2) or su(3),
+  acting trivially, or su(2) acting on R^3 by ``epsilon3`` or on R^4 by
+  half the quaternionic triple;
+- one-dim extensions up to the asked dim.  A semidirect R x_D g, [x, y]
+  = D y, satisfies the Jacobi identity exactly when D is a derivation of
+  g; a central extension, [y, y'] + w(y, y') z, exactly when the 2-form w
+  is closed.  Both conditions are linear in the datum.  Every solvable
+  algebra is an iterated semidirect extension (any hyperplane containing
+  [g, g] is an ideal), and the nilpotent ones are the iterated central
+  extensions;
+- a random GL(n) change of basis of condition number at most e, read as
+  an orthonormal frame, so the left-invariant metric is generic; then a
+  rescale to sup|c| in [0.5, 1.5].
 
-Many noisy starts stall on a singular stratum of the variety at a
-residual near 1e-5 to 1e-6, which no number of further steps brings
-below PROJECTION_TOL.  project_to_jacobi stops such a projection as
-soon as its recent contraction can no longer reach the tolerance in
-the steps it has left (stopping on a stagnating residual, as in Madsen,
-Nielsen & Tingleff, Methods for Non-Linear Least Squares Problems,
-2004, section 3).  It then ends above the tolerance, as it would have
-after its last step, so random_geometry takes the same exact-seed
-fallback and every sample keeps its bytes; the margin STALL_MARGIN
-keeps the exit off the projections that go on to converge, which
-contract faster than geometrically once they near the variety.
+Each datum is a random candidate projected orthogonally onto the null
+space of its linear Jacobi map by ``project_to_jacobi``: the derivations
+(traceless too when unimodular, which keeps tr ad = 0) or the closed
+2-forms.  A try is rejected only when it comes out abelian, or when
+closed torsion is asked for and the algebra has none.
 """
 
 from __future__ import annotations
@@ -43,7 +39,8 @@ from .frame_algebra import (
     epsilon3,
     index_tuples,
 )
-from .invariant_geometry import LieFrameGeometry, _exterior_derivative, _jacobi_tensor
+from .invariant_geometry import LieFrameGeometry, _exterior_derivative
+from .special_structures import _su3_real_form, standard_quaternion_triple
 
 __all__ = [
     "project_to_jacobi",
@@ -53,249 +50,146 @@ __all__ = [
     "random_orthogonal",
 ]
 
-PROJECTION_TOL = 1e-12
 MAX_TRIES = 40
-STALL_WINDOW = 2
-STALL_MARGIN = 1e2
+# singular values of a Jacobi map at or below NULL_RTOL times its largest
+# one span its null space.  Rounding leaves a true null at a few 1e-16;
+# a direction taken as null may carry a Jacobi defect up to this bound
+# (at 1e-10, a near-degenerate 6-dim algebra passed on an almost
+# derivation of defect 2e-13)
+NULL_RTOL = 1e-14
+LEVI_P = 1 / 3       # chance of a Levi factor, where one fits
+NILPOTENT_P = 1 / 3  # chance that every extension is central
+CENTRAL_P = 1 / 2    # otherwise, the chance of each extension
 
 
-def _vec_to_c(vec: np.ndarray, dim: int) -> np.ndarray:
-    """Structure constants from their independent entries c[a, b, c],
-    b < c, a-major (the last axis of vec; leading axes are kept)."""
-    b, cc = index_tuples(dim, 2).T
-    v = vec.reshape(vec.shape[:-1] + (dim, b.size))
-    c = np.zeros(vec.shape[:-1] + (dim,) * 3)
-    c[..., b, cc] = v
-    c[..., cc, b] = -v
-    return c
-
-
-def _c_to_vec(c: np.ndarray) -> np.ndarray:
-    """Independent entries of the lower-antisymmetric part of c."""
-    b, cc = index_tuples(c.shape[0], 2).T
-    return (0.5 * (c[:, b, cc] - c[:, cc, b])).ravel()
-
-
-def _sup(r: np.ndarray) -> float:
-    return float(np.abs(r).max() if r.size else 0.0)
-
-
-def _residual(c: np.ndarray, unimodular: bool) -> np.ndarray:
-    i, j, k = index_tuples(c.shape[0], 3).T
-    res = _jacobi_tensor(c)[:, i, j, k].ravel()
-    if unimodular:
-        res = np.concatenate([res, np.einsum("aba->b", c)])
-    return res
+def _module(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """s + V with [s_a, v] = rho[a] v on V = R^m, for s = c and the
+    representation rho, a (dim s, m, m) stack."""
+    k, m = c.shape[0], rho.shape[1]
+    out = np.zeros((k + m,) * 3)
+    out[:k, :k, :k] = c
+    out[k:, :k, k:] = np.transpose(rho, (1, 0, 2))   # [k + i, a, k + j] = rho[a, i, j]
+    out[k:, k:, :k] = -np.transpose(rho, (1, 2, 0))
+    return out
 
 
 @lru_cache(maxsize=None)
-def _vec_index(dim: int):
-    """For each entry c[a, b, cc]: the vec column of its independent
-    entry and the sign relating the two, with the spare column nvar and
-    sign 0 where b == cc; and the derivatives of the traces c^a_{ba},
-    one row per column (the spare one last)."""
-    b, cc = index_tuples(dim, 2).T
-    nvar = dim * b.size
-    col = np.full((dim,) * 3, nvar)
-    sign = np.zeros((dim,) * 3)
-    col[:, b, cc] = col[:, cc, b] = np.arange(nvar).reshape(dim, b.size)
-    sign[:, b, cc], sign[:, cc, b] = 1.0, -1.0
-    traces = np.zeros((nvar + 1, dim))
-    traces[np.einsum("aba->ab", col), np.arange(dim)] = np.einsum("aba->ab", sign)
-    return _frozen(col), _frozen(sign), _frozen(traces)
-
-
-@lru_cache(maxsize=None)
-def _jacobian_table(dim: int):
-    """The Jacobian as flat (target, source, sign) arrays: entry n adds
-    sign[n] * c.ravel()[source[n]] to cell target[n] of the row-major
-    (nvar, dim, ntriples) array of d(residual m on triple r)/d(vec col).
-
-    For each rotation (x, y, z) of the packed triples (i, j, k), (k, i,
-    j), (j, k, i), in _jacobi_tensor's order, the derivative of
-    c^p_{xy} c^m_{pz} along c^q_{xy} is c^m_{qz} and along c^m_{qz} it
-    is c^q_{xy}; the entries come in that order, those of the spare
-    column (q == z, sign 0) dropped.  No cell occurs twice in one of
-    the six terms."""
-    col, sign, _ = _vec_index(dim)
-    i, j, k = index_tuples(dim, 3).T
-    size = dim * i.size
-    m, q, r = np.ix_(np.arange(dim), np.arange(dim), np.arange(i.size))
-    cell = m * i.size + r
-    terms = []
-    for x, y, z in ((i, j, k), (k, i, j), (j, k, i)):
-        x, y, z = x[r], y[r], z[r]
-        terms.append((col[q, x, y] * size + cell, (m * dim + q) * dim + z,
-                      sign[q, x, y]))
-        terms.append((col[m, q, z] * size + cell, (q * dim + x) * dim + y,
-                      sign[m, q, z]))
-    target, source, signs = (
-        np.concatenate([np.broadcast_to(t[n], (dim, dim, i.size)).ravel()
-                        for t in terms]) for n in range(3))
-    keep = signs != 0
-    return _frozen(target[keep]), _frozen(source[keep]), _frozen(signs[keep])
-
-
-def _jacobian(c: np.ndarray, unimodular: bool) -> np.ndarray:
-    """d _residual / d vec at c, one row per residual entry, column-major
-    (the layout that pins the rounding of the LM normal equations).
-
-    One bincount over _jacobian_table: bincount adds each cell's
-    weights in input order starting from 0.0, and the table lists the
-    six terms in _jacobi_tensor's order with no cell twice in a term,
-    so every cell gets the same additions of the same +-1 * c products
-    in the same order as six successive scatter-adds would give it."""
-    dim = c.shape[0]
-    target, source, sign = _jacobian_table(dim)
-    traces = _vec_index(dim)[2]
-    nvar = traces.shape[0] - 1
-    size = dim * math.comb(dim, 3)
-    cols = np.bincount(target, weights=sign * c.ravel()[source],
-                       minlength=nvar * size).reshape(nvar, size)
-    if unimodular:
-        cols = np.concatenate([cols, traces[:nvar]], axis=1)
-    return cols.T
-
-
-def project_to_jacobi(c0: np.ndarray, max_steps: int, unimodular: bool = True):
-    """Levenberg-Marquardt projection of an antisymmetric candidate onto
-    the Jacobi variety.  Returns (c, residual_sup); the residual may stay
-    above PROJECTION_TOL when the iteration stalls and the caller
-    rejects those samples.
-
-    With s_k the sup residual after k accepted steps and W =
-    STALL_WINDOW, the iteration gives up at the top of step k >= W when
-    its contraction over the last W steps, carried over the steps left,
-    cannot bring the residual within STALL_MARGIN of PROJECTION_TOL:
-
-        s_k * (s_k / s_{k-W}) ** ((max_steps - k) / W)
-            >= STALL_MARGIN * PROJECTION_TOL.
-
-    Such a projection ends above the tolerance, as it would have after
-    all max_steps steps, so the caller takes the same fallback and its
-    samples do not change.  The margin keeps the exit off the
-    projections that go on to reach the tolerance; tests/test_projection.py
-    checks that against the loop without the exit."""
-    dim = c0.shape[0]
-    vec = _c_to_vec(c0)
-    nvar = vec.size
-    eye = np.eye(nvar)
-    c = _vec_to_c(vec, dim)
-    r = _residual(c, unimodular)
-    sups = [_sup(r)]
-    for k in range(max_steps):
-        sup = sups[k]
-        if sup < PROJECTION_TOL:
-            break
-        # in logs, where the power could overflow on a long projection
-        if k >= STALL_WINDOW and (
-                math.log(sup) + (max_steps - k) / STALL_WINDOW
-                * math.log(sup / sups[k - STALL_WINDOW])
-                >= math.log(STALL_MARGIN * PROJECTION_TOL)):
-            break  # stagnating: the tolerance is out of reach
-        jac_mat = _jacobian(c, unimodular)
-        # Levenberg-Marquardt step: the plain minimum-norm Gauss-Newton
-        # solution contains the direction -c/2, which collapses every
-        # start to the abelian point; damping keeps the iterate near the
-        # seed and converges to the closest variety point instead.
-        jtj = jac_mat.T @ jac_mat
-        jtr = jac_mat.T @ r
-        norm0 = np.linalg.norm(r)
-        mu = 1e-3 * max(np.trace(jtj) / nvar, 1e-12)
-        accepted = False
-        for _ in range(8):
-            step = np.linalg.solve(jtj + mu * eye, -jtr)
-            trial = vec + step
-            c_trial = _vec_to_c(trial, dim)
-            r_trial = _residual(c_trial, unimodular)
-            if np.linalg.norm(r_trial) < 0.98 * norm0:
-                vec, c, r = trial, c_trial, r_trial
-                accepted = True
-                break
-            mu *= 8.0
-        if not accepted:
-            break  # stalled (typically near a singular stratum); give up
-        sups.append(_sup(r))
-    return c, sups[-1]
-
-
-def _block_library(unimodular: bool):
-    """Small unimodular Lie algebras used to seed the projection."""
+def _levi_factors():
+    """Read-only structure constants of the Levi-factor choices."""
     su2 = epsilon3()
-    heis = np.zeros((3, 3, 3))
-    heis[2, 0, 1] = 1.0
-    heis[2, 1, 0] = -1.0
-    e2 = np.zeros((3, 3, 3))   # euclidean motions: [e3,e1]=e2, [e3,e2]=-e1
-    e2[1, 2, 0] = 1.0
-    e2[1, 0, 2] = -1.0
-    e2[0, 2, 1] = -1.0
-    e2[0, 1, 2] = 1.0
-    e11 = np.zeros((3, 3, 3))  # [e3,e1]=e1, [e3,e2]=-e2 (trace-free)
-    e11[0, 2, 0] = 1.0
-    e11[0, 0, 2] = -1.0
-    e11[1, 2, 1] = -1.0
-    e11[1, 1, 2] = 1.0
-    n4 = np.zeros((4, 4, 4))   # filiform nilpotent: [e1,e2]=e3, [e1,e3]=e4
-    n4[2, 0, 1] = 1.0
-    n4[2, 1, 0] = -1.0
-    n4[3, 0, 2] = 1.0
-    n4[3, 2, 0] = -1.0
-    blocks = [su2, heis, e2, e11, n4]
-    if not unimodular:
-        r2 = np.zeros((2, 2, 2))  # [e1,e2]=e2
-        r2[1, 0, 1] = 1.0
-        r2[1, 1, 0] = -1.0
-        blocks.append(r2)
-    return blocks
+    sl2 = su2 * np.array([1.0, -1.0, 1.0])[:, None, None]  # [e3, e1] = -e2
+    su2su2 = np.zeros((6,) * 3)
+    su2su2[:3, :3, :3] = su2su2[3:, 3:, 3:] = su2
+    return tuple(_frozen(c) for c in (
+        su2, sl2, su2su2, _su3_real_form()[0],
+        _module(su2, np.transpose(su2, (1, 0, 2))),       # the adjoint action
+        _module(su2, 0.5 * standard_quaternion_triple())))
 
 
-def _seed_structure(rng: np.random.Generator, dim: int,
-                    unimodular: bool) -> np.ndarray:
-    """Random scaled block sum of library algebras, randomly conjugated."""
-    blocks = _block_library(unimodular)
-    c = np.zeros((dim,) * 3)
-    pos = 0
-    while pos < dim:
-        fits = [b for b in blocks if b.shape[0] <= dim - pos]
-        if not fits or rng.random() < 0.2:
-            pos += 1  # abelian direction
-            continue
-        b = fits[rng.integers(len(fits))] * float(rng.uniform(0.5, 1.5))
-        block = slice(pos, pos + b.shape[0])
-        c[block, block, block] = b
-        pos += b.shape[0]
-    O = random_orthogonal(rng, dim)
-    # unoptimized on purpose: the sample golden pins the bytes of this sum
-    return np.einsum("ma,pb,qc,mpq->abc", O, O, O, c)
+def _derivation_map(c: np.ndarray, unimodular: bool) -> np.ndarray:
+    """The linear map D -> D[x, y] - [Dx, y] - [x, Dy] on the packed pairs
+    x < y, as a matrix on D.ravel() (D e_s = sum_r D[r, s] e_r), with the
+    trace as one more row when unimodular."""
+    k = c.shape[0]
+    x, y = index_tuples(k, 2).T
+    eye = np.eye(k)
+    mat = (np.einsum("ar,sp->aprs", eye, c[:, x, y])
+           - np.einsum("ps,arp->aprs", eye[x], c[:, :, y])
+           - np.einsum("ps,apr->aprs", eye[y], c[:, x, :])).reshape(k * x.size, k * k)
+    return np.vstack([mat, eye.reshape(1, -1)]) if unimodular else mat
+
+
+def project_to_jacobi(jacobi_map: np.ndarray, candidate: np.ndarray) -> np.ndarray:
+    """The orthogonal projection of the flat candidate datum onto the null
+    space of the linear Jacobi map (one row per equation): a derivation
+    from an endomorphism, or a closed 2-form from a 2-form.  The null
+    space is spanned by the right singular vectors whose singular value
+    is at most NULL_RTOL times the largest; the all-zero map (an abelian
+    algebra's) keeps the candidate as it is."""
+    if not jacobi_map.any():
+        return candidate
+    _, s, vt = np.linalg.svd(jacobi_map)
+    null = vt[np.count_nonzero(s > NULL_RTOL * s[0]):]
+    return null.T @ (null @ candidate)
+
+
+def _extend(rng: np.random.Generator, c: np.ndarray, unimodular: bool,
+            central: bool) -> np.ndarray:
+    """c extended by one dim, the new direction last: centrally by a
+    random closed 2-form, or as R x_D g for a random derivation D; the
+    datum is scaled to sup 1 unless it is zero."""
+    k = c.shape[0]
+    out = np.zeros((k + 1,) * 3)
+    out[:k, :k, :k] = c
+    if central:
+        x, y = index_tuples(k, 2).T
+        w = (project_to_jacobi(_exterior_derivative(c, 2, np.eye(x.size)).T,
+                               rng.standard_normal(x.size)) if k >= 2 else np.zeros(0))
+        sup = np.abs(w).max(initial=0.0)
+        out[k, x, y] = w / sup if sup else w
+        out[k, y, x] = -out[k, x, y]
+    else:
+        D = project_to_jacobi(_derivation_map(c, unimodular),
+                              rng.standard_normal(k * k)).reshape(k, k)
+        sup = np.abs(D).max(initial=0.0)
+        out[:k, k, :k] = D / sup if sup else D
+        out[:k, :k, k] = -out[:k, k, :k]
+    return out
+
+
+def _random_frame(rng: np.random.Generator, c: np.ndarray) -> np.ndarray:
+    """c in the basis f_b = sum_p e_p A[p, b] for a random A = U diag(s),
+    U orthogonal and s in [1, e], as three matmuls; then scaled to sup|c|
+    in [0.5, 1.5].  Read as orthonormal, f has the generic metric
+    (A A^T)^-1; a further orthogonal factor on the right would only
+    rotate f isometrically."""
+    n = c.shape[0]
+    s = np.exp(rng.random(n))
+    U = random_orthogonal(rng, n)
+    A, A_inv = U * s, (U / s).T
+    t = (c.reshape(n * n, n) @ A).reshape(n, n, n)                        # [m, p, c]
+    t = (np.swapaxes(t, 1, 2).reshape(n * n, n) @ A).reshape(n, n, n)     # [m, c, b]
+    t = (A_inv @ t.reshape(n, n * n)).reshape(n, n, n)                    # [a, c, b]
+    c = 0.5 * (np.swapaxes(t, 1, 2) - t)
+    sup = np.abs(c).max()
+    return c * (rng.uniform(0.5, 1.5) / sup) if sup else c
+
+
+def _random_structure(rng: np.random.Generator, dim: int,
+                      unimodular: bool) -> np.ndarray:
+    """Structure constants of a random Lie algebra of dim >= 1 (abelian
+    where every one is, or by chance when all data come out zero)."""
+    fits = [s for s in _levi_factors() if s.shape[0] <= dim]
+    c = np.zeros((1, 1, 1))   # R, the one Lie algebra of dim 1
+    if fits and rng.random() < LEVI_P:
+        c = fits[rng.integers(len(fits))]
+    nilpotent = rng.random() < NILPOTENT_P
+    while c.shape[0] < dim:
+        c = _extend(rng, c, unimodular, nilpotent or rng.random() < CENTRAL_P)
+    return _random_frame(rng, c)
 
 
 def random_geometry(rng: np.random.Generator, dim: int,
                     unimodular: bool = True,
                     closed_torsion: bool = False) -> LieFrameGeometry:
-    """A random valid geometry: structure constants obtained by seeding a
-    noisy candidate near a block algebra and projecting onto the Jacobi
-    variety, plus a random antisymmetric torsion (optionally closed).
+    """A random valid geometry: exact structure constants of a random Lie
+    algebra (see the module docstring), unimodular if asked, plus a
+    random antisymmetric torsion (optionally closed).
 
-    When the projection stalls (singular strata of the variety) the
-    exact conjugated seed is used instead; it already lies on the
-    variety, so sampling stays fast.  A try is rejected when the result
-    is near-abelian, or closed torsion is asked for and none is found,
-    and RuntimeError is raised after MAX_TRIES rejected tries.  Every
-    Lie algebra of dim 1, and every unimodular one of dim 2, is
-    abelian, so those dims raise ValueError before the first try."""
+    A try is rejected when the algebra comes out abelian, or closed
+    torsion is asked for and none is found, and RuntimeError is raised
+    after MAX_TRIES rejected tries.  Every Lie algebra of dim 1, and
+    every unimodular one of dim 2, is abelian, so those dims raise
+    ValueError before the first try."""
     abelian_up_to = 2 if unimodular else 1
     if dim <= abelian_up_to:
         kind = "unimodular Lie algebra" if unimodular else "Lie algebra"
         raise ValueError(f"dim {dim}: every {kind} of dim <= {abelian_up_to} "
                          f"is abelian, and the sampler rejects abelian samples")
     for _ in range(MAX_TRIES):
-        seed = _seed_structure(rng, dim, unimodular)
-        c0 = seed + 0.08 * rng.standard_normal((dim, dim, dim))
-        c, sup = project_to_jacobi(c0, unimodular=unimodular, max_steps=25)
-        if sup > PROJECTION_TOL or np.abs(c).max() < 0.05:
-            c, sup = project_to_jacobi(seed, unimodular=unimodular, max_steps=8)
-            if sup > PROJECTION_TOL or np.abs(c).max() < 0.05:
-                continue
+        c = _random_structure(rng, dim, unimodular)
+        if not c.any():
+            continue
         H = (random_closed_torsion(rng, c) if closed_torsion
              else FrameTensor(dim, 3, antisymmetrize(rng.standard_normal((dim,) * 3))))
         if H is None:
@@ -338,4 +232,3 @@ def random_closed_torsion(rng: np.random.Generator, c: np.ndarray):
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
-

@@ -98,30 +98,6 @@ def codifferential(a: np.ndarray, c: np.ndarray, sign: int = 1) -> np.ndarray:
     return (-1) ** (n * (p + 1) + 1) * star_d_star
 
 
-def lm_jacobian(c: np.ndarray, unimodular: bool) -> np.ndarray:
-    """Jacobian of the sampler's packed Jacobi residual (and, if
-    unimodular, the traces c^a_{ba}) with respect to the independent
-    entries c[a, b, cc], b < cc, a-major: the derivative of the full
-    (dim,)*4 Jacobi tensor along every stacked coordinate direction,
-    restricted to the sorted triples afterwards."""
-    dim = c.shape[0]
-    pairs = list(itertools.combinations(range(dim), 2))
-    basis = np.zeros((dim * len(pairs),) + (dim,) * 3)
-    for n, (a, (b, cc)) in enumerate(itertools.product(range(dim), pairs)):
-        basis[n, a, b, cc] = 1.0
-        basis[n, a, cc, b] = -1.0
-    t = (np.einsum("xpij,mpk->xmijk", basis, c)
-         + np.einsum("pij,xmpk->xmijk", c, basis))
-    dres = (t + np.einsum("xmijk->xmjki", t)
-            + np.einsum("xmijk->xmkij", t))
-    i, j, k = np.array(list(itertools.combinations(range(dim), 3)),
-                       dtype=np.intp).reshape(-1, 3).T
-    cols = dres[:, :, i, j, k].reshape(basis.shape[0], -1)
-    if unimodular:
-        cols = np.concatenate([cols, np.einsum("xaba->xb", basis)], axis=1)
-    return cols.T
-
-
 def curvature(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """R_{ab}^c_d = G^c_{ae} G^e_{bd} - G^c_{be} G^e_{ad} - c^e_{ab} G^c_{ed}."""
     return (np.einsum("cae,ebd->abcd", gamma, gamma)

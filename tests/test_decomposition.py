@@ -25,7 +25,7 @@ from torsiongeo.invariant_geometry import (
     lie_jacobi_residual,
     rotate,
 )
-from torsiongeo.random_geometry import _block_library, random_orthogonal
+from torsiongeo.random_geometry import random_orthogonal
 from torsiongeo.special_structures import build_su3
 
 RNG = np.random.default_rng(99)
@@ -224,9 +224,21 @@ def test_result_roundtrips_to_dict():
 
 # ------------------------------------------------- splitting theorem on N + G
 
-# non-abelian factors of N (H = 0 on them): heis, e(1,1), n4
-_, _HEIS, _, _E11, _N4 = _block_library(True)
-N_BLOCKS = {"heis": _HEIS, "e11": _E11, "n4": _N4}
+def _algebra(dim, brackets):
+    """Structure constants from {(b, c): {a: c^a_bc}} on the pairs b < c."""
+    c = np.zeros((dim,) * 3)
+    for (b, cc), images in brackets.items():
+        for a, value in images.items():
+            c[a, b, cc], c[a, cc, b] = value, -value
+    return c
+
+
+# non-abelian factors of N (H = 0 on them), all unimodular: the
+# Heisenberg algebra [e1, e2] = e3; e(1,1), [e3, e1] = e1 and [e3, e2] =
+# -e2; the filiform n4, [e1, e2] = e3 and [e1, e3] = e4 (1-based)
+N_BLOCKS = {"heis": _algebra(3, {(0, 1): {2: 1.0}}),
+            "e11": _algebra(3, {(0, 2): {0: -1.0}, (1, 2): {1: 1.0}}),
+            "n4": _algebra(4, {(0, 1): {2: 1.0}, (0, 2): {3: 1.0}})}
 
 
 @lru_cache(maxsize=None)

@@ -32,11 +32,7 @@ from torsiongeo.invariant_geometry import (
     rotate as rotate_geometry,
 )
 from torsiongeo.random_geometry import (
-    _jacobian,
-    _jacobian_table,
-    _seed_structure,
-    _vec_index,
-    _vec_to_c,
+    _random_structure,
     closed_3form_kernel,
     random_closed_torsion,
     random_geometry,
@@ -65,9 +61,9 @@ def packed_form(rng, n, p):
 
 
 def lie_algebra(rng, n):
-    """Structure constants of a random (conjugated block-sum) Lie algebra,
+    """Structure constants of a random Lie algebra in a random frame,
     unimodular or not."""
-    return _seed_structure(rng, n, unimodular=bool(rng.integers(2)))
+    return _random_structure(rng, n, unimodular=bool(rng.integers(2)))
 
 
 def rotate(comp, O):
@@ -273,42 +269,6 @@ def test_closed_kernel_dimension_matches_dense_construction(su3_built):
         if H is not None:
             geom = LieFrameGeometry(c.shape[0], c, H)
             assert d_invariant(H, geom).sup_norm < 1e-10
-
-
-@pytest.mark.parametrize("unimodular", [True, False], ids=["unimodular", "general"])
-@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
-def test_lm_jacobian_matches_stacked_basis_oracle(dim, unimodular):
-    """The projection's packed-row Jacobian is bit-identical to the
-    derivative of the full Jacobi tensor along the stacked coordinate
-    directions, restricted to the packed triples, and column-major like
-    the dense path's transposed result (BLAS rounds the normal equations
-    by layout, and the sample golden pins them)."""
-    rng = np.random.default_rng(700 + dim)
-    nvar = dim * math.comb(dim, 2)
-    samples = [_vec_to_c(rng.standard_normal(nvar), dim) for _ in range(5)]
-    if dim > (2 if unimodular else 1):  # smaller dims are refused as abelian
-        samples.append(random_geometry(rng, dim, unimodular=unimodular).c)
-    for c in samples:
-        jac = _jacobian(c, unimodular)
-        assert jac.shape == (dim * math.comb(dim, 3) + dim * unimodular, nvar)
-        assert np.array_equal(jac, dense_oracle.lm_jacobian(c, unimodular))
-        assert jac.flags.f_contiguous
-
-
-@pytest.mark.parametrize("unimodular, shape", [(True, (1, 0)), (False, (0, 0))],
-                         ids=["unimodular", "general"])
-def test_lm_jacobian_without_triples_keeps_its_shape(unimodular, shape):
-    """At dim 1 there are no triples and no variables: one trace row
-    when unimodular, none otherwise."""
-    assert _jacobian(np.zeros((1, 1, 1)), unimodular).shape == shape
-
-
-@pytest.mark.parametrize("dim", range(1, 9))
-def test_sampler_index_tables_are_read_only(dim):
-    """Every caller shares the cached arrays, so none may write them."""
-    for arr in _vec_index(dim) + _jacobian_table(dim):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[...] = 0
 
 
 @pytest.mark.parametrize("dim, unimodular", [(1, True), (2, True), (1, False)])
