@@ -32,6 +32,7 @@ from torsiongeo.invariant_geometry import (
     rotate as rotate_geometry,
 )
 from torsiongeo.random_geometry import (
+    _levi_factors,
     _random_structure,
     closed_3form_kernel,
     random_closed_torsion,
@@ -269,6 +270,17 @@ def test_closed_kernel_dimension_matches_dense_construction(su3_built):
         if H is not None:
             geom = LieFrameGeometry(c.shape[0], c, H)
             assert d_invariant(H, geom).sup_norm < 1e-10
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_sampler_index_tables_are_read_only(dim):
+    """Every caller shares the cached arrays, so none may write them: the
+    pair tables of every dim a dim-``dim`` sample passes through, and the
+    Levi factors that fit, which a sample may take without a copy."""
+    fits = [s for s in _levi_factors() if s.shape[0] <= dim]
+    for arr in [index_tuples(k, 2) for k in range(1, dim + 1)] + fits:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
 
 
 @pytest.mark.parametrize("dim, unimodular", [(1, True), (2, True), (1, False)])

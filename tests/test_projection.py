@@ -1,85 +1,69 @@
-"""The sampler's Jacobi projection against the loop it replaced.
+"""The sampler's Jacobi projection: the orthogonal projection of a
+candidate datum onto the null space of its linear Jacobi map, that is
+onto the derivations or the closed 2-forms, and the identity where that
+map is zero."""
 
-``project_to_jacobi`` gives up early on a projection whose residual
-stagnates.  That must never change a sample: the exit may only fire
-where running all steps would also have ended above PROJECTION_TOL, and
-wherever the full loop reaches the tolerance, the early-exit loop must
-return the same bytes.  ``reference_projection`` is the loop without the
-exit, kept here as the oracle.
-"""
+import math
 
 import numpy as np
-import pytest
 
-from torsiongeo import random_geometry as rg
-
-STARTS = 40
-jacobian = rg._jacobian  # unpatched, for the reference loop
-
-
-def reference_projection(c0, max_steps, unimodular):
-    """The Levenberg-Marquardt loop without the stagnation exit: returns
-    (c, residual_sup, Jacobian evaluations)."""
-    dim = c0.shape[0]
-    vec = rg._c_to_vec(c0)
-    nvar = vec.size
-    r = rg._residual(rg._vec_to_c(vec, dim), unimodular)
-    evaluations = 0
-    for _ in range(max_steps):
-        sup = np.abs(r).max() if r.size else 0.0
-        if sup < rg.PROJECTION_TOL:
-            break
-        jac_mat = jacobian(rg._vec_to_c(vec, dim), unimodular)
-        evaluations += 1
-        jtj = jac_mat.T @ jac_mat
-        jtr = jac_mat.T @ r
-        norm0 = np.linalg.norm(r)
-        mu = 1e-3 * max(np.trace(jtj) / nvar, 1e-12)
-        accepted = False
-        for _ in range(8):
-            step = np.linalg.solve(jtj + mu * np.eye(nvar), -jtr)
-            trial = vec + step
-            r_trial = rg._residual(rg._vec_to_c(trial, dim), unimodular)
-            if np.linalg.norm(r_trial) < 0.98 * norm0:
-                vec, r = trial, r_trial
-                accepted = True
-                break
-            mu *= 8.0
-        if not accepted:
-            break
-    c = rg._vec_to_c(vec, dim)
-    r = rg._residual(c, unimodular)
-    return c, float(np.abs(r).max() if r.size else 0.0), evaluations
+from torsiongeo.frame_algebra import FrameTensor, epsilon3, index_tuples
+from torsiongeo.invariant_geometry import (
+    LieFrameGeometry,
+    _exterior_derivative,
+    d_invariant,
+)
+from torsiongeo.random_geometry import _derivation_map, project_to_jacobi
 
 
-def noisy_start(seed, dim, unimodular):
-    """The candidate random_geometry projects: a conjugated block-sum
-    seed plus 0.08 times Gaussian noise, from the same generator."""
-    rng = np.random.default_rng(seed)
-    c = rg._seed_structure(rng, dim, unimodular)
-    return c + 0.08 * rng.standard_normal((dim,) * 3)
+def _is_derivation(c, D):
+    """D [x, y] - [D x, y] - [x, D y] on every pair, as one array."""
+    return (np.einsum("am,mxy->axy", D, c) - np.einsum("apy,px->axy", c, D)
+            - np.einsum("axq,qy->axy", c, D))
 
 
-@pytest.mark.parametrize("unimodular", [True, False], ids=["unimodular", "general"])
-@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
-def test_early_exit_keeps_every_projection_outcome(dim, unimodular, monkeypatch):
-    """Where the full loop reaches the tolerance the projection returns
-    the same (c, sup) bit for bit; where it fails the projection fails
-    too; and from dim 5 on, where many projections stall, the exit
-    saves Jacobian evaluations."""
-    calls = []
-    monkeypatch.setattr(rg, "_jacobian",
-                        lambda c, uni: calls.append(1) or jacobian(c, uni))
-    reference_evaluations = 0
-    for seed in range(STARTS):
-        c0 = noisy_start(seed, dim, unimodular)
-        c_ref, sup_ref, evaluations = reference_projection(c0, 25, unimodular)
-        reference_evaluations += evaluations
-        c, sup = rg.project_to_jacobi(c0, max_steps=25, unimodular=unimodular)
-        if sup_ref <= rg.PROJECTION_TOL:
-            assert (c.tobytes(), sup) == (c_ref.tobytes(), sup_ref), seed
-        else:
-            assert sup > rg.PROJECTION_TOL, seed
-    assert len(calls) <= reference_evaluations
-    if dim >= 5:
-        assert len(calls) < reference_evaluations
+def test_projection_keeps_only_derivations():
+    """The derivations of su(2) are the antisymmetric matrices, so the
+    projection removes exactly the symmetric part of a candidate, with or
+    without the trace row; the result is a derivation and projects to
+    itself."""
+    rng = np.random.default_rng(3)
+    c = epsilon3()
+    M = rng.standard_normal((3, 3))
+    for unimodular in (True, False):
+        mat = _derivation_map(c, unimodular)
+        D = project_to_jacobi(mat, M.ravel())
+        assert np.abs(D - 0.5 * (M - M.T).ravel()).max() <= 1e-14
+        assert np.abs(_is_derivation(c, D.reshape(3, 3))).max() <= 1e-14
+        assert np.abs(project_to_jacobi(mat, D) - D).max() <= 1e-14
+
+
+def test_projection_keeps_only_closed_2forms():
+    """On the filiform n4 ([e0, e1] = e2, [e0, e2] = e3) the 2-forms e13
+    and e23 are the only basis forms with d != 0, and their differentials
+    are independent, so the projection onto the closed 2-forms zeroes
+    exactly those two coefficients."""
+    c = np.zeros((4, 4, 4))
+    c[2, 0, 1], c[3, 0, 2] = 1.0, 1.0
+    c = c - np.swapaxes(c, 1, 2)
+    mat = _exterior_derivative(c, 2, np.eye(6)).T
+    w = np.random.default_rng(4).standard_normal(6)
+    closed = project_to_jacobi(mat, w)
+    want = w.copy()
+    pairs = [tuple(p) for p in index_tuples(4, 2)]
+    want[[pairs.index((1, 3)), pairs.index((2, 3))]] = 0.0
+    assert np.abs(closed - want).max() <= 1e-14
+    geom = LieFrameGeometry(4, c, FrameTensor(4, 3, coeffs=np.zeros(math.comb(4, 3))))
+    assert d_invariant(FrameTensor(4, 2, coeffs=closed), geom).sup_norm <= 1e-14
+    assert np.abs(project_to_jacobi(mat, closed) - closed).max() <= 1e-14
+
+
+def test_projection_keeps_the_candidate_of_an_abelian_algebra():
+    """Every endomorphism of an abelian algebra is a derivation and every
+    2-form is closed: the all-zero map returns the candidate unchanged."""
+    rng = np.random.default_rng(5)
+    c = np.zeros((4, 4, 4))
+    M = rng.standard_normal(16)
+    assert project_to_jacobi(_derivation_map(c, False), M) is M
+    w = rng.standard_normal(6)
+    assert project_to_jacobi(_exterior_derivative(c, 2, np.eye(6)).T, w) is w
