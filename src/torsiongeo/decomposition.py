@@ -6,6 +6,11 @@ of the interior products iota_{e_i} H.  Its kernel carries no torsion
 (iota_V H = 0 for kernel vectors V) and on its orthogonal complement H
 plays the role of structure constants of a compact semisimple algebra
 with h a positive multiple of minus the Killing form per block.
+
+The hypotheses are those of ``invariant_geometry.torsion_hypotheses``,
+the gate ``tg verify`` applies.  Clusters and kernel are decided
+relative to h's own largest |eigenvalue|, with no floor, so they do not
+move when (c, H) is rescaled; h = 0 is one kernel cluster.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .invariant_geometry import (
     LieFrameGeometry,
     HypothesesNotMet,
     lie_jacobi_residual,
-    parallel_residual,
+    torsion_hypotheses,
     DEFAULT_TOL,
 )
 
@@ -55,16 +60,16 @@ class EigenCluster:
 
 
 def eigen_split(h: np.ndarray):
-    """Eigenvalues sorted ascending, grouped when gaps fall below
-    CLUSTER_TOL relative to the largest eigenvalue; the kernel is the
-    cluster with |lambda| below the same threshold."""
+    """Eigenvalues sorted ascending, grouped while gaps stay at or below
+    CLUSTER_TOL times h's own largest |eigenvalue|, with no floor, so the
+    clusters do not change when h is rescaled.  At h = 0 that gap is 0
+    and every eigenvalue is exactly 0: one cluster, the whole kernel."""
     vals, vecs = np.linalg.eigh(h)
-    scale = max(abs(vals[-1]), 1.0) if vals.size else 1.0
-    gap = CLUSTER_TOL * scale
+    gap = CLUSTER_TOL * float(np.abs(vals).max(initial=0.0))
     clusters = []
     start = 0
     for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k] - vals[k - 1] >= gap:
+        if k == len(vals) or vals[k] - vals[k - 1] > gap:
             group = slice(start, k)
             clusters.append(EigenCluster(
                 eigenvalue=float(np.mean(vals[group])),
@@ -126,20 +131,20 @@ def _block_killing_residual(block_H: np.ndarray, eigenvalue: float) -> float:
 
 def decompose(geom: LieFrameGeometry, tol: float = DEFAULT_TOL) -> DecompositionResult:
     """Run the splitting algorithm on a geometry with closed,
-    torsion-parallel H; raises HypothesesNotMet when the hypotheses, or
-    the kernel, mixing and block-Jacobi checks of the split, fail
-    numerically."""
-    dH = geom.dH.sup_norm
-    nH = parallel_residual(geom.H, geom, +1)
-    scale = max(1.0, geom.H.sup_norm)
-    if dH > tol * scale or nH > tol * scale:
+    torsion-parallel H; raises HypothesesNotMet when the hypotheses
+    (``torsion_hypotheses``, the gate ``tg verify``'s lccc report
+    applies), or the kernel, mixing and block-Jacobi checks of the
+    split, fail numerically.  An eigenvalue of h is kernel at or below
+    CLUSTER_TOL times h's largest |eigenvalue| (h = 0: all of it)."""
+    dH, nH, closed, parallel = torsion_hypotheses(geom, tol)
+    if not (closed and parallel):
         raise HypothesesNotMet(
             f"decomposition hypotheses fail: sup|dH| = {dH:.3e}, "
             f"sup|nabla^ H| = {nH:.3e}")
 
+    scale = max(1.0, geom.H.sup_norm)
     clusters = eigen_split(torsion_gram(geom.H))
-    lam_scale = max((abs(c.eigenvalue) for c in clusters), default=1.0)
-    lam_scale = max(lam_scale, 1.0)
+    lam_scale = max(abs(c.eigenvalue) for c in clusters)
 
     kernel_dim = 0
     kernel_transversality = 0.0

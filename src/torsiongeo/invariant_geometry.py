@@ -15,6 +15,11 @@ pair (i, k).  Curvature in the invariant frame is
     R_{ab}{}^c{}_d = G^c_{ae} G^e_{bd} - G^c_{be} G^e_{ad} - c^e_{ab} G^c_{ed}
 
 with Ricci the trace Ric_{ij} = R_{ki}{}^k{}_j.
+
+The theorem's hypotheses dH = 0 and nabla^ H = 0 are decided in one
+place, ``torsion_hypotheses``, from the geometry's cached ``dH`` and
+``nabla_hat_H``; the lccc and pair-symmetry rows, the soliton report and
+``decomposition.decompose`` all read it.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ __all__ = [
     "codifferential",
     "nabla_invariant",
     "parallel_residual",
+    "torsion_hypotheses",
     "bianchi_report",
     "bochner_report",
     "lee_form",
@@ -88,9 +94,14 @@ def lie_jacobi_residual(c: np.ndarray) -> float:
 
 
 def _jacobi_tensor(c: np.ndarray) -> np.ndarray:
-    """sum_cyc(i,j,k) c^p_{ij} c^m_{pk}, indexed [m, i, j, k]."""
-    t = np.einsum("pij,mpk->mijk", c, c)
-    return t + np.einsum("mijk->mjki", t) + np.einsum("mijk->mkij", t)
+    """sum_cyc(i,j,k) c^p_{ij} c^m_{pk}, indexed [m, i, j, k]: one
+    (n^2, n) x (n, n^2) matmul for t = c^p_{ij} c^m_{pk}, then the
+    cyclic sum by two transposes."""
+    n = c.shape[0]
+    # t[i, j, m, k] = c^p_{ij} c^m_{pk}
+    t = (c.reshape(n, n * n).T @ np.swapaxes(c, 0, 1).reshape(n, n * n)).reshape((n,) * 4)
+    t = np.transpose(t, (2, 0, 1, 3))
+    return t + np.transpose(t, (0, 2, 3, 1)) + np.transpose(t, (0, 3, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -138,6 +149,12 @@ class LieFrameGeometry:
     def dH(self) -> FrameTensor:
         """The exterior derivative of the torsion, d(H)."""
         return d_invariant(self.H, self)
+
+    @cached_property
+    def nabla_hat_H(self) -> np.ndarray:
+        """The packed covariant derivative of the torsion under the +H
+        connection, ``nabla_invariant(H, connections[1])``, read-only."""
+        return _frozen(nabla_invariant(self.H, self.connections[1]))
 
     @cached_property
     def _levi_civita(self) -> np.ndarray:
@@ -317,6 +334,15 @@ def parallel_residual(T: FrameTensor | np.ndarray, geom: LieFrameGeometry,
     return _sup(nabla_invariant(T, geom.connections[sign]))
 
 
+def torsion_hypotheses(geom: LieFrameGeometry,
+                       tol: float = DEFAULT_TOL) -> tuple[float, float, bool, bool]:
+    """The theorem's hypotheses dH = 0 and nabla^ H = 0, decided once for
+    every report: (sup|dH|, sup|nabla^ H|, closed, parallel), each gate
+    sup <= tol, from the geometry's cached ``dH`` and ``nabla_hat_H``."""
+    dH, nhatH = geom.dH.sup_norm, _sup(geom.nabla_hat_H)
+    return dH, nhatH, dH <= tol, nhatH <= tol
+
+
 def bianchi_report(geom: LieFrameGeometry,
                    tol: float = DEFAULT_TOL) -> list[StructureReport]:
     """Residuals of the curvature identities of the torsion connection,
@@ -326,22 +352,22 @@ def bianchi_report(geom: LieFrameGeometry,
     second: 3 R^_{[ijk]m} + (3/2) nabla^_{[i} H_{jk]m}
             + (1/2) nabla^_m H_{ijk} + (1/2) dH_{ijkm}
     pair_symmetry: R^_{ijkm} - Rv_{kmij}, asserted when dH = 0
-    lccc: with dH = 0 and nabla^ H = 0 established numerically,
-          asserts nabla H = 0 and the Jacobi identity of H.
+    lccc: with dH = 0 and nabla^ H = 0 established numerically
+          (``torsion_hypotheses``), asserts nabla H = 0 and the Jacobi
+          identity of H.
 
-    R^, Rv and dH come from the geometry's cache.  first and second are
-    antisymmetric in jkm and ijk, so they are evaluated on packed triples
-    K: Alt sums the signed permutations of K, nabla^ H is the packed
-    ``nabla_invariant`` N^[K, a] (expanded once for second's Alt), and
-    dH_{iK} = -dH_{Ki} is entry [K, i] of dH's ``_interior_matrix``."""
+    R^, Rv, dH and nabla^ H come from the geometry's cache.  first and
+    second are antisymmetric in jkm and ijk, so they are evaluated on
+    packed triples K: Alt sums the signed permutations of K, nabla^ H is
+    the packed N^[K, a] = ``geom.nabla_hat_H`` (expanded once for
+    second's Alt), and dH_{iK} = -dH_{Ki} is entry [K, i] of dH's
+    ``_interior_matrix``."""
     n = geom.dim
     rhat = geom.curvatures[1]
     rchk = geom.curvatures[-1]
-    nhatH = nabla_invariant(geom.H, geom.connections[1])
+    nhatH = geom.nabla_hat_H
     iota_dH = _interior_matrix(n, 4, geom.dH.coeffs)
-    dH_sup = geom.dH.sup_norm
-    nhatH_sup = _sup(nhatH)
-    closed = dH_sup <= tol
+    dH_sup, nhatH_sup, closed, parallel = torsion_hypotheses(geom, tol)
     perms, signs = _expansion(n, 3)
 
     first = StructureReport("bianchi:first")
@@ -371,7 +397,7 @@ def bianchi_report(geom: LieFrameGeometry,
     lccc.add("dH", dH_sup, tol, identity="torsion-closure", asserted=False)
     lccc.add("nabla_hat_H", nhatH_sup, tol,
              identity="torsion-parallelism", asserted=False)
-    if closed and nhatH_sup <= tol:
+    if closed and parallel:
         nH = parallel_residual(geom.H, geom, 0)
         lccc.add("nabla_H", nH, tol, identity="levi-civita-parallelism")
         lccc.add("jacobi_H", lie_jacobi_residual(geom.H.components), tol,
@@ -399,8 +425,8 @@ def soliton_report(geom: LieFrameGeometry,
     An invariant V has constant components, so it is a gradient only
     when it vanishes and the residual is Ric^ itself.
     """
-    dH = geom.dH.sup_norm
-    if dH > tol:
+    dH, _, closed, _ = torsion_hypotheses(geom, tol)
+    if not closed:
         raise HypothesesNotMet(f"soliton residuals need dH = 0 "
                                f"(sup |dH| = {dH:.3e})")
     ric = ricci(geom.curvatures[1])
@@ -434,22 +460,21 @@ def bochner_term(geom: LieFrameGeometry) -> FrameTensor:
 
 
 def _rough_laplacian(geom: LieFrameGeometry) -> np.ndarray:
-    """The trace sum_a (nabla_a nabla_a H)_{bcd} of the Levi-Civita
-    Hessian of H, from N = nabla H without forming the (dim,)^5 Hessian:
+    """The packed trace sum_a (nabla_a nabla_a H)_K of the Levi-Civita
+    Hessian of H, from N[K, a] = (nabla_a H)_K without forming the
+    (dim,)^5 Hessian:
 
-    - sum_{a,e} Gamma^e_{aa} N_{ebcd} - sum_s sum_{a,e} Gamma^e_{a b_s} N_{a..e..},
+    - sum_{a,e} Gamma^e_{aa} N[K, e] + sum_a [nabla_a N[:, a]]_K,
 
-    the second sum one (dim, dim^2) x (dim^2, dim^2) matmul per slot s
-    of b, c, d."""
+    the second sum ``nabla_invariant`` of the batch of 3-forms N[:, a],
+    each under its own Gamma_a: one batched matmul and one gather."""
     n, gamma = geom.dim, geom.connections[0]
-    N = _expand(n, 3, nabla_invariant(geom.H, gamma).T)   # [a, b, c, d]
-    # G[b, (a, e)] = Gamma^e_{ab}
-    G = np.transpose(gamma, (2, 1, 0)).reshape(n, n * n)
-    rough = -(np.trace(gamma, axis1=1, axis2=2) @ N.reshape(n, n ** 3)).reshape((n,) * 3)
-    for s in range(1, 4):
-        term = (G @ np.moveaxis(N, s, 1).reshape(n * n, n * n)).reshape((n,) * 3)
-        rough -= np.moveaxis(term, 0, s - 1)
-    return rough
+    N = nabla_invariant(geom.H, gamma)
+    # Y[a, R, b] = sum_e N[eR, a] Gamma^e_{ab}
+    Y = _interior_matrix(n, 3, N.T) @ np.swapaxes(gamma, 0, 1)
+    pos, sign = _splits(n, 3, 1)
+    return (_split_sum(Y.reshape(n, -1)[:, pos], -sign).sum(axis=0)
+            - N @ np.trace(gamma, axis1=1, axis2=2))
 
 
 def bochner_report(geom: LieFrameGeometry,
@@ -459,9 +484,10 @@ def bochner_report(geom: LieFrameGeometry,
     over-top)."""
     lhs = (d_invariant(codifferential(geom.H, geom), geom)
            + codifferential(geom.dH, geom))
-    rhs = -_rough_laplacian(geom) + bochner_term(geom).components
+    rhs = -_rough_laplacian(geom) + bochner_term(geom).coeffs
     report = StructureReport("bochner-weitzenboeck")
-    report.add("bwf_residual", np.abs(lhs.components - rhs).max(), tol,
+    # on packed 3-forms, which are empty below dim 3
+    report.add("bwf_residual", _sup(lhs.coeffs - rhs), tol,
                identity="weitzenboeck-3-form")
     if not geom.unimodular and geom.dim >= 3:
         report.notes.append("non-unimodular algebra: codifferential adjointness "

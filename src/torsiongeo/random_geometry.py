@@ -206,14 +206,17 @@ def closed_3form_kernel(c: np.ndarray) -> np.ndarray:
 
     Each packed 4-form coefficient stands for 4! dense components of
     equal magnitude, so the singular values are scaled by sqrt(4!) to
-    keep the kernel threshold on the dense-component scale."""
+    keep the kernel threshold on the dense-component scale.  A singular
+    value counts as zero at or below 1e-10 * sup|c|, so the kernel does
+    not change when c is rescaled; c = 0 keeps every 3-form."""
     mat = _exterior_derivative(c, 3, np.eye(math.comb(c.shape[0], 3))).T
     if mat.shape[0]:
         _, s, vt = np.linalg.svd(mat)
     else:
         s, vt = np.zeros(0), np.eye(mat.shape[1])
     s = s * math.sqrt(math.factorial(4))
-    null_mask = np.concatenate([s, np.zeros(mat.shape[1] - s.size)]) < 1e-10
+    null_mask = (np.concatenate([s, np.zeros(mat.shape[1] - s.size)])
+                 <= 1e-10 * np.abs(c).max(initial=0.0))
     return vt[null_mask.nonzero()[0], :]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsiongeo.catalog import _flat, _su2
+from torsiongeo.catalog import CATALOG, _flat, _su2
 from torsiongeo.decomposition import (
     decompose,
     eigen_split,
@@ -21,6 +21,7 @@ from torsiongeo.frame_algebra import (
 from torsiongeo.invariant_geometry import (
     HypothesesNotMet,
     LieFrameGeometry,
+    bianchi_report,
     direct_sum,
     lie_jacobi_residual,
     rotate,
@@ -114,6 +115,24 @@ def test_eigen_split_identity_single_cluster():
 def test_eigen_split_clustering_contract():
     clusters = eigen_split(np.diag([1.0, 1.0 + 1e-14]))
     assert len(clusters) == 1 and clusters[0].multiplicity == 2
+
+
+def test_eigen_split_zero_form_is_one_kernel_cluster():
+    """h = 0 (H = 0) is the one exact special case of the unfloored
+    scale: every eigenvalue lands in one kernel cluster of full
+    multiplicity, with an orthonormal basis."""
+    for n in (1, 4, 8):
+        clusters = eigen_split(torsion_gram(zero_form(n, 3)))
+        assert [(c.eigenvalue, c.multiplicity) for c in clusters] == [(0.0, n)]
+        assert np.abs(clusters[0].basis.T @ clusters[0].basis - np.eye(n)).max() < 1e-15
+
+
+def test_eigen_split_multiplicities_do_not_depend_on_scale():
+    # the gap is relative to h's own largest |eigenvalue|, with no floor
+    h = np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 4.0])
+    for exponent in range(-12, 13, 2):
+        clusters = eigen_split(10.0 ** exponent * h)
+        assert [c.multiplicity for c in clusters] == [2, 3, 1], exponent
 
 
 def test_eigen_split_bases_orthonormal():
@@ -311,3 +330,51 @@ def test_frame_change_gives_the_bytes_of_optimized_einsum():
         H = rng.standard_normal((dim,) * 3)
         ref = np.einsum("pa,qb,rc,pqr->abc", B, B, B, H, optimize=True)
         assert frame_change(H, B).tobytes() == ref.tobytes(), dim
+
+
+# ------------------------------------------- one hypothesis gate, any scale
+
+GEOMETRY_ENTRIES = [name for name, entry in CATALOG.items() if entry.kind != "fibration"]
+
+# split_product arguments: N blocks, su(2) scales, su(3) signs, order, seed
+SPLIT_CASES = [(["heis"], [1.7], [], [0, 1], 3),
+               (["n4", "e11"], [1.0, -2.5], [], [2, 0, 3, 1], 11),
+               (["e11"], [-1.0], [1.0], [1, 2, 0], 5)]
+
+
+def _scaled(geom, lam):
+    """The geometry with (c, H) -> lam (c, H)."""
+    return LieFrameGeometry(geom.dim, lam * geom.c,
+                            FrameTensor(geom.dim, 3, coeffs=lam * geom.H.coeffs))
+
+
+def _gate_and_verdict(geom):
+    """tg verify's lccc ``hypotheses_met``, and decompose's verdict or
+    None where it raises HypothesesNotMet."""
+    met = bianchi_report(geom)[3].hypotheses_met
+    try:
+        return met, decompose(geom).verdict()
+    except HypothesesNotMet:
+        return met, None
+
+
+@pytest.mark.parametrize("exponent", range(-6, 5))
+@pytest.mark.parametrize("name", GEOMETRY_ENTRIES)
+def test_verify_and_decompose_agree_on_the_hypotheses_under_scaling(name, exponent):
+    """Under (c, H) -> 10^exponent (c, H), the lccc report meets the
+    hypotheses exactly when decompose gives a verdict, and up to scale 1
+    that verdict is the unit-scale one."""
+    geom = CATALOG[name].build()[0]
+    met, verdict = _gate_and_verdict(_scaled(geom, 10.0 ** exponent))
+    assert met == (verdict is not None)
+    if exponent <= 0:
+        assert verdict == decompose(geom).verdict()
+
+
+@pytest.mark.parametrize("perturb", [0.0, 1e-6])
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_verify_and_decompose_agree_on_split_products_under_scaling(case, perturb):
+    geom = split_product(*case, perturb=perturb)
+    for exponent in range(-6, 5):
+        met, verdict = _gate_and_verdict(_scaled(geom, 10.0 ** exponent))
+        assert met == (verdict is not None), exponent

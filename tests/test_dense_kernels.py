@@ -81,13 +81,14 @@ def test_curvature_matches_einsum(label):
 
 @pytest.mark.parametrize("label", CASES)
 def test_weitzenboeck_terms_match_dense(label):
-    """The rough term equals the trace of the (dim,)^5 Hessian, and the
-    curvature term the einsum cyclic sum on its packed entries a < b < c
-    (the only ones it evaluates)."""
+    """The packed rough term equals the trace of the (dim,)^5 Hessian,
+    and the curvature term the einsum cyclic sum, on their packed
+    entries a < b < c (the only ones they evaluate)."""
     geom, _ = case(label)
     H = geom.H.components
-    assert_close(_rough_laplacian(geom), dense_oracle.rough_laplacian(H, geom.connections[0]))
     a, b, c = index_tuples(geom.dim, 3).T
+    assert_close(_rough_laplacian(geom),
+                 dense_oracle.rough_laplacian(H, geom.connections[0])[a, b, c])
     assert_close(bochner_term(geom).coeffs,
                  dense_oracle.bochner_term(geom.curvatures[0], H)[a, b, c])
 

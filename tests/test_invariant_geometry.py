@@ -35,6 +35,7 @@ from torsiongeo.invariant_geometry import (
     ricci,
     rotate,
     soliton_report,
+    torsion_hypotheses,
     with_torsion,
 )
 from torsiongeo.random_geometry import random_orthogonal
@@ -479,6 +480,47 @@ def test_catalog_entries_keep_their_verdicts_in_a_rotated_frame(name, seed):
     rows, split = _verdicts(geom, structures)
     rotated = rotate(geom, structures, special_orthogonal(seed, geom.dim))
     assert _verdicts(*rotated) == (rows, split)
+
+
+def _hypothesis_inputs(closed_suite, open_suite):
+    """Every catalog geometry, su3-hkt at scale 1e3 (dH = 4.7e-10 from
+    rounding), and random samples with closed and with open torsion."""
+    su3 = catalog_entry("su3-hkt").build()[0]
+    return ([catalog_entry(name).build()[0] for name in GEOMETRY_ENTRIES]
+            + [LieFrameGeometry(8, 1e3 * su3.c, FrameTensor(8, 3, coeffs=1e3 * su3.H.coeffs))]
+            + closed_suite[:8] + open_suite[:8])
+
+
+def test_nabla_hat_H_is_cached_read_only_and_exact(closed_torsion_suite, open_torsion_suite):
+    for geom in _hypothesis_inputs(closed_torsion_suite, open_torsion_suite):
+        nhatH = geom.nabla_hat_H
+        assert nhatH is geom.nabla_hat_H
+        ref = nabla_invariant(geom.H, geom.connections[1])
+        assert nhatH.shape == ref.shape and nhatH.tobytes() == ref.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            nhatH[...] = 0.0
+
+
+def test_torsion_hypotheses_decide_every_report(closed_torsion_suite, open_torsion_suite):
+    """bianchi_report's dH and nabla_hat_H rows, its pair_symmetry
+    assert and lccc gate, and soliton_report's refusal all read
+    torsion_hypotheses, whose gates are sup <= tol."""
+    tol = 1e-10
+    seen = set()
+    for geom in _hypothesis_inputs(closed_torsion_suite, open_torsion_suite):
+        dH, nhatH, closed, parallel = torsion_hypotheses(geom, tol)
+        assert (closed, parallel) == (dH <= tol, nhatH <= tol)
+        seen.add((closed, parallel))
+        _, _, pair, lccc = bianchi_report(geom, tol)
+        assert (lccc.row("dH").value, lccc.row("nabla_hat_H").value) == (dH, nhatH)
+        assert pair.row("pair_symmetry").asserted == closed
+        assert lccc.hypotheses_met == (closed and parallel)
+        if closed:
+            assert soliton_report(geom, tol).row("dH").value == dH
+        else:
+            with pytest.raises(HypothesesNotMet):
+                soliton_report(geom, tol)
+    assert {(True, True), (True, False), (False, False)} <= seen
 
 
 # ------------------------------------------------------------------- soliton

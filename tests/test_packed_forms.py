@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dense_oracle
+from torsiongeo.catalog import CATALOG
 from torsiongeo.frame_algebra import (
     FrameTensor,
     _rank,
@@ -270,6 +271,21 @@ def test_closed_kernel_dimension_matches_dense_construction(su3_built):
         if H is not None:
             geom = LieFrameGeometry(c.shape[0], c, H)
             assert d_invariant(H, geom).sup_norm < 1e-10
+
+
+@pytest.mark.parametrize("name", [name for name, entry in CATALOG.items()
+                                  if entry.kind != "fibration"])
+def test_closed_kernel_dimension_does_not_depend_on_scale(name):
+    """The rank rule is relative to sup|c|: d on 3-forms keeps one kernel
+    dimension under c -> lam c for lam = 10^-12 .. 10^8."""
+    c = CATALOG[name].build()[0].c
+    dims = [closed_3form_kernel(10.0 ** k * c).shape[0] for k in range(-12, 9)]
+    assert dims == [closed_3form_kernel(c).shape[0]] * len(dims)
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_closed_kernel_of_the_abelian_algebra_is_every_3_form(dim):
+    assert closed_3form_kernel(np.zeros((dim,) * 3)).shape[0] == math.comb(dim, 3)
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
